@@ -19,9 +19,15 @@ D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}), costing six complex DFTs
 per iteration.  Both backends perform the same exact-arithmetic update,
 so their iterate sequences agree to rounding.
 
-Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2
-(residuals recomputed each sweep with the fast Toeplitz product, never
-recursively updated) or after ``max_iters`` sweeps.
+Both backends share one iteration loop and one setup: the split spectra
+are built once by ``ToeplitzOperator.from_bands``, whose cores also give
+the positive-definiteness warnings and the fail-fast singular-shift
+check.  A backend contributes only its sweep and its Toeplitz product.
+
+Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2 or
+after ``max_iters`` sweeps.  Residuals are recomputed each sweep, never
+recursively updated: with ``toeplitz_matvec`` on the solve's operator
+for ``dct_dst``, and with the backend's own complex product for ``fft``.
 """
 
 import warnings as _warnings
@@ -30,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dft
+from .fast_matvec import ToeplitzOperator, toeplitz_matvec
 from .real_schur import (
-    SingularShiftError, apply_block_transform, apply_q, real_spectrum,
-    xpattern_apply, xpattern_shifted_solve,
+    SingularShiftError, apply_block_transform, apply_q, xpattern_apply,
+    xpattern_shifted_solve,
 )
 from .structured_matrices import ToeplitzBands, cscs_split, dense_of
 from .trig_transforms import tally
@@ -92,10 +99,11 @@ class SolveReport:
     transform_sizes: set | None = None     # transform sizes used by the sweeps
 
 
-def _pd_warnings(spec_c, spec_s):
+def _pd_warnings(op):
     notes = []
-    for name, spec in (("circulant", spec_c), ("skew-circulant", spec_s)):
-        amin = float(spec.alphas.min())
+    for name, part in (("circulant", op.circulant_part),
+                       ("skew-circulant", op.skew_part)):
+        amin = float(part.pattern.diag.min())
         if amin <= 0:
             notes.append(
                 f"{name} part is not positive definite (min eigenvalue real "
@@ -103,59 +111,69 @@ def _pd_warnings(spec_c, spec_s):
     return notes
 
 
+def _finite_vector(values, n, what):
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"{what} must have length {n}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite (got NaN or Inf)")
+    return v
+
+
 def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     """Solve T x = b by the CSCS iteration.
 
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
-    is singular.  Indefiniteness of C or S is only a recorded warning;
-    the sweep proceeds regardless.
+    is singular, and ``ValueError`` for a non-finite ``b`` or ``x0``.
+    Indefiniteness of C or S is only a recorded warning; the sweep
+    proceeds regardless.
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = T.n
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side must have length {n}, got shape {b.shape}")
-    x0 = np.zeros(n) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"initial guess must have length {n}, got shape {x0.shape}")
-    if cfg.backend == "dct_dst":
-        return _solve_dct_dst(T, b, x0, cfg)
-    return _solve_fft(T, b, x0, cfg)
-
-
-def _solve_dct_dst(T, b, x0, cfg):
     n, theta = T.n, cfg.theta
-    cpart, spart = cscs_split(T)
-    spec_c = real_spectrum("circulant", cpart.col)
-    spec_s = real_spectrum("skew", spart.col)
-    omega = spec_c.expand()
-    sigma = spec_s.expand()
-    notes = _pd_warnings(spec_c, spec_s)
+    b = _finite_vector(b, n, "right-hand side")
+    x = (np.zeros(n) if cfg.x0 is None
+         else _finite_vector(cfg.x0, n, "initial guess").copy())
+    op = ToeplitzOperator.from_bands(T)
+    notes = _pd_warnings(op)
     # fail fast on a singular shift instead of inside the first sweep
-    xpattern_shifted_solve(omega, theta, np.zeros(n))
-    xpattern_shifted_solve(sigma, theta, np.zeros(n))
+    xpattern_shifted_solve(op.circulant_part.pattern, theta, np.zeros(n))
+    xpattern_shifted_solve(op.skew_part.pattern, theta, np.zeros(n))
+    counted = cfg.backend == "dct_dst"
+    if counted:
+        sweep, product = _dct_dst_backend(op, theta, b)
+    else:
+        sweep, product = _fft_backend(T, theta, b)
 
-    def toeplitz_apply(v):
-        y = apply_block_transform("circulant", apply_q(v), transposed=True)
-        y = xpattern_apply(omega, 0.0, "none", y)
-        cx = apply_q(apply_block_transform("circulant", y), transposed=True)
-        z = apply_block_transform("skew", apply_q(v, transposed=True), transposed=True)
-        z = xpattern_apply(sigma, 0.0, "none", z)
-        return cx + apply_q(apply_block_transform("skew", z))
-
-    x = x0.copy()
-    r0 = np.linalg.norm(b - toeplitz_apply(x)) if x.any() else np.linalg.norm(b)
+    r0 = np.linalg.norm(b - product(x)) if x.any() else np.linalg.norm(b)
+    iterates = [x.copy()] if cfg.record_iterates else None
+    counts, sizes = ([], set()) if counted else (None, None)
     if r0 == 0.0:
-        return SolveReport(x, 0, np.empty(0), True, notes,
-                           [x.copy()] if cfg.record_iterates else None, [], set())
+        return SolveReport(x, 0, np.empty(0), True, notes, iterates, counts, sizes)
 
     residuals = []
-    iterates = [x.copy()] if cfg.record_iterates else None
-    counts = []
-    sizes = set()
     converged = False
-    iterations = 0
     for _ in range(cfg.max_iters):
-        before = tally.snapshot()
+        before = tally.snapshot() if counted else None
+        x = sweep(x)
+        if counted:
+            dct_used, dst_used, size_delta = tally.delta(before, tally.snapshot())
+            counts.append((dct_used, dst_used))
+            sizes.update(size_delta.keys())
+        if iterates is not None:
+            iterates.append(x.copy())
+        rel = np.linalg.norm(b - product(x)) / r0
+        residuals.append(rel)
+        if rel <= cfg.tol:
+            converged = True
+            break
+    return SolveReport(x, len(residuals), np.array(residuals), converged, notes,
+                       iterates, counts, sizes)
+
+
+def _dct_dst_backend(op, theta, b):
+    """(sweep, Toeplitz product) in real arithmetic through the operator's cores."""
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+
+    def sweep(x):
         # (theta I - S) x + b: 2 DCTs + 2 DSTs
         u = apply_block_transform("skew", apply_q(x, transposed=True), transposed=True)
         u = xpattern_apply(sigma, theta, "minus", u)
@@ -170,40 +188,20 @@ def _solve_dct_dst(T, b, x0, cfg):
         # (theta I + S)^{-1}: 2 DCTs + 2 DSTs
         z = apply_block_transform("skew", apply_q(v, transposed=True), transposed=True)
         z = xpattern_shifted_solve(sigma, theta, z)
-        x = apply_q(apply_block_transform("skew", z))
-        after = tally.snapshot()
-        dct_used, dst_used, size_delta = tally.delta(before, after)
-        counts.append((dct_used, dst_used))
-        sizes.update(size_delta.keys())
-        iterations += 1
-        if iterates is not None:
-            iterates.append(x.copy())
-        rel = np.linalg.norm(b - toeplitz_apply(x)) / r0
-        residuals.append(rel)
-        if rel <= cfg.tol:
-            converged = True
-            break
-    return SolveReport(x, iterations, np.array(residuals), converged, notes,
-                       iterates, counts, sizes)
+        return apply_q(apply_block_transform("skew", z))
+
+    return sweep, lambda v: toeplitz_matvec(op, v)
 
 
-def _solve_fft(T, b, x0, cfg):
-    n, theta = T.n, cfg.theta
+def _fft_backend(T, theta, b):
+    """(sweep, Toeplitz product) in complex arithmetic through ``dft``."""
+    n = T.n
     cpart, spart = cscs_split(T)
-    spec_c = real_spectrum("circulant", cpart.col)
-    spec_s = real_spectrum("skew", spart.col)
-    notes = _pd_warnings(spec_c, spec_s)
     # Lambda[k] = sum_u c[u] e^{+2 pi i u k/n}; Lambdatilde from the
     # half-rotated column (D-conjugate modulation)
     lam_c = np.conj(dft(cpart.col))
     dbar = np.exp(-1j * np.pi * np.arange(n) / n)
     lam_s = dft(spart.col * dbar)
-    for lam, what in ((lam_c, "circulant"), (lam_s, "skew-circulant")):
-        j = int(np.argmin(np.abs(theta + lam)))
-        if abs(theta + lam[j]) == 0.0:
-            raise SingularShiftError(
-                f"shift theta={theta} is singular for the {what} factor "
-                f"at eigenvalue index {j}", index=j)
 
     def c_apply(diagvals, v):
         return dft(diagvals * dft(v, inverse=True))
@@ -211,34 +209,16 @@ def _solve_fft(T, b, x0, cfg):
     def s_apply(diagvals, v):
         return np.conj(dbar) * dft(diagvals * dft(dbar * v), inverse=True)
 
-    def toeplitz_apply(v):
-        return (c_apply(lam_c, v) + s_apply(lam_s, v)).real
-
-    x = x0.copy()
-    r0 = np.linalg.norm(b - toeplitz_apply(x)) if x.any() else np.linalg.norm(b)
-    if r0 == 0.0:
-        return SolveReport(x, 0, np.empty(0), True, notes,
-                           [x.copy()] if cfg.record_iterates else None, None, None)
-
-    residuals = []
-    iterates = [x.copy()] if cfg.record_iterates else None
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iters):
+    def sweep(x):
         u = s_apply(theta - lam_s, x) + b
         w = dft(u, inverse=True)
         v = dft((theta - lam_c) / (theta + lam_c) * w) + b
-        x = (np.conj(dbar) * dft(dft(dbar * v) / (theta + lam_s), inverse=True)).real
-        iterations += 1
-        if iterates is not None:
-            iterates.append(x.copy())
-        rel = np.linalg.norm(b - toeplitz_apply(x)) / r0
-        residuals.append(rel)
-        if rel <= cfg.tol:
-            converged = True
-            break
-    return SolveReport(x, iterations, np.array(residuals), converged, notes,
-                       iterates, None, None)
+        return (np.conj(dbar) * dft(dft(dbar * v) / (theta + lam_s), inverse=True)).real
+
+    def product(v):
+        return (c_apply(lam_c, v) + s_apply(lam_s, v)).real
+
+    return sweep, product
 
 
 def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
@@ -290,9 +270,8 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
         raise ValueError("theta grid must be a nonempty 1-d vector")
     if not np.all(grid > 0):
         raise ValueError("theta grid entries must be positive")
-    cpart, spart = cscs_split(T)
-    omega = real_spectrum("circulant", cpart.col).expand()
-    sigma = real_spectrum("skew", spart.col).expand()
+    op = ToeplitzOperator.from_bands(T)
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
     bounds = np.array([_factor_bound(omega, th) * _factor_bound(sigma, th)
                        for th in grid])
     best = np.lexsort((grid, bounds))[0]

@@ -102,30 +102,29 @@ def apply_q(x, transposed: bool = False) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_plans(side: str, n: int, backend: str):
+def _block_plans(side: str, n: int):
     """(cosine plan, sine plan, head size) for the block factor at size n."""
     m = n // 2
     if side == "circulant":
         if n % 2 == 0:
-            cos_plan = DttPlan(DCT_I, m + 1, backend)
-            sin_plan = DttPlan(DST_I, m - 1, backend) if m >= 2 else None
+            cos_plan = DttPlan(DCT_I, m + 1)
+            sin_plan = DttPlan(DST_I, m - 1) if m >= 2 else None
         else:
-            cos_plan = DttPlan(DCT_V, m + 1, backend)
-            sin_plan = DttPlan(DST_V, m, backend) if m >= 1 else None
+            cos_plan = DttPlan(DCT_V, m + 1)
+            sin_plan = DttPlan(DST_V, m) if m >= 1 else None
         return cos_plan, sin_plan, cos_plan.size
     if side == "skew":
         if n % 2 == 0:
-            cos_plan = DttPlan(DCT_II, m, backend)
-            sin_plan = DttPlan(DST_II, m, backend)
+            cos_plan = DttPlan(DCT_II, m)
+            sin_plan = DttPlan(DST_II, m)
         else:
-            cos_plan = DttPlan(DCT_VI, m + 1, backend)
-            sin_plan = DttPlan(DST_VI, m, backend) if m >= 1 else None
+            cos_plan = DttPlan(DCT_VI, m + 1)
+            sin_plan = DttPlan(DST_VI, m) if m >= 1 else None
         return cos_plan, sin_plan, cos_plan.size
     raise ValueError(f"unknown side {side!r}")
 
 
-def apply_block_transform(side: str, x, transposed: bool = False,
-                          backend: str = "fast") -> np.ndarray:
+def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     """Apply the block-diagonal factor blockdiag(DCT, J @ DST @ J).
 
     ``side`` selects the circulant factor B = Q @ U or the skew factor
@@ -135,7 +134,7 @@ def apply_block_transform(side: str, x, transposed: bool = False,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] < 1:
         raise ValueError("apply_block_transform expects a nonempty vector")
-    cos_plan, sin_plan, hs = _block_plans(side, x.shape[0], backend)
+    cos_plan, sin_plan, hs = _block_plans(side, x.shape[0])
     y = np.empty_like(x)
     y[:hs] = dtt_apply(cos_plan, x[:hs], transposed)
     if sin_plan is not None:
@@ -301,13 +300,19 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     [[d, b], [-b, d]] with determinant d^2 + b^2 (d = theta + alpha).
     The single vectorized formula (d*z - b*z[partner]) / (d^2 + b^2)
     covers both cases since b = 0 at fixed points.
+
+    A position counts as singular when its determinant is within eps of
+    the squared scale theta^2 + max(alpha^2 + beta^2), i.e. when the
+    shifted eigenvalue |theta + lambda| is within sqrt(eps) of the
+    spectrum's magnitude and rounding alone decides its size.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
     d = theta + X.diag
     det = d * d + X.anti * X.anti
-    bad = np.flatnonzero(det < np.finfo(np.float64).tiny)
+    scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
+    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
     if bad.size:
         j = int(bad[0])
         raise SingularShiftError(

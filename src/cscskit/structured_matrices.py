@@ -33,6 +33,8 @@ def _vector(values, what):
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"{what} must be a nonempty 1-d real vector")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite (got NaN or Inf)")
     v = v.copy()
     v.flags.writeable = False
     return v

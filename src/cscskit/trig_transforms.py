@@ -110,9 +110,9 @@ def _tau(indices, n):
 def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     """Dense orthonormal transform matrix of the given kind and dimension.
 
-    This is the definitional path: entries are evaluated directly from
-    the cosine/sine formulas above.  It is the correctness oracle for
-    the fast path and is also used for small dense work in tests.
+    Entries are evaluated directly from the cosine/sine formulas above.
+    It is the correctness oracle for ``dtt_apply`` and is also used for
+    small dense work in tests; production paths never call it.
     """
     if size < 1:
         raise ValueError(f"transform size must be >= 1, got {size}")
@@ -253,30 +253,22 @@ def _fast_recipes(kind: DttKind, s: int):
 
 
 class DttPlan:
-    """Precomputed application plan for one transform kind and size.
+    """Precomputed DFT-embedded application plan for one transform kind and size.
 
     Immutable after construction; a plan may be shared freely across
-    threads.  ``backend`` selects the O(s^2) definitional product (the
-    oracle) or the DFT-embedded fast path; both agree to ~1e-14.
+    threads.  ``dtt_matrix`` gives the same transform as a dense matrix
+    and is the oracle this path is tested against.
     """
 
-    __slots__ = ("kind", "size", "backend", "_matrix", "_fwd", "_trn")
+    __slots__ = ("kind", "size", "_fwd", "_trn")
 
-    def __init__(self, kind: DttKind, size: int, backend: str = "fast"):
+    def __init__(self, kind: DttKind, size: int):
         if size < 1:
             raise ValueError(f"transform size must be >= 1, got {size}")
-        if backend not in ("fast", "definitional"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.kind = kind
         self.size = size
-        self.backend = backend
-        self._matrix = None
         self._fwd = self._trn = None
-        if backend == "definitional":
-            m = dtt_matrix(kind, size)
-            m.flags.writeable = False
-            self._matrix = m
-        elif size > 1:
+        if size > 1:
             self._fwd, self._trn = _fast_recipes(kind, size)
 
 
@@ -286,9 +278,6 @@ def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     if x.shape != (plan.size,):
         raise ValueError(f"expected a vector of length {plan.size}, got shape {x.shape}")
     tally.record(plan.kind, plan.size)
-    if plan.backend == "definitional":
-        m = plan._matrix
-        return (m.T if transposed else m) @ x
     if plan.size == 1:
         return x.copy()
     recipe = plan._trn if transposed else plan._fwd

@@ -251,6 +251,15 @@ def test_cli_solve_nonconvergent_exits_3(tmp_path):
     assert "not positive definite" in stderr
 
 
+def test_cli_solve_non_finite_bands_exits_2(tmp_path):
+    bands = tmp_path / "bands.txt"
+    bands.write_text("3\n0\nnan\n0\n")
+    code, _, stderr = run_cli(["solve", "--bands-file", str(bands),
+                               "--theta", "1.0"])
+    assert code == 2
+    assert "finite" in stderr
+
+
 def test_cli_radius():
     code, stdout, _ = run_cli(["radius", "--example", "ex3", "--n", "64",
                                "--theta", "3.5"])

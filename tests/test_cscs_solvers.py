@@ -133,11 +133,34 @@ def test_config_validation():
         SolverConfig(theta=1.0, backend="qr")
 
 
-def test_zero_rhs_short_circuits():
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_zero_rhs_short_circuits(backend):
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
-    report = cscs_solve(T, np.zeros(3), SolverConfig(theta=1.0))
+    report = cscs_solve(T, np.zeros(3), SolverConfig(theta=1.0, backend=backend))
     assert report.converged and report.iterations == 0
     assert np.array_equal(report.solution, np.zeros(3))
+    if backend == "dct_dst":
+        assert report.transform_counts == []
+    else:
+        assert report.transform_counts is None
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_near_singular_shift_raises(backend):
+    # C = S = -(1 - 1e-14) I with theta = 1: theta I + C is singular up to
+    # rounding, and iterating on it diverges instead of converging
+    T = toeplitz_from_bands([0.0, 0.0, -2.0 * (1.0 - 1e-14), 0.0, 0.0])
+    with pytest.raises(SingularShiftError):
+        cscs_solve(T, np.ones(3), SolverConfig(theta=1.0, backend=backend))
+
+
+def test_non_finite_rhs_and_initial_guess_rejected():
+    T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="right-hand side must be finite"):
+        cscs_solve(T, np.array([1.0, np.inf, 1.0]), SolverConfig(theta=1.0))
+    cfg = SolverConfig(theta=1.0, x0=np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="initial guess must be finite"):
+        cscs_solve(T, np.ones(3), cfg)
 
 
 # ------------------------------------------------------ iteration_matrix_rho

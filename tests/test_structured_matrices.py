@@ -35,6 +35,11 @@ def test_even_band_length_rejected():
         toeplitz_from_bands([1.0, 2.0])
 
 
+def test_non_finite_band_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        toeplitz_from_bands([1.0, np.nan, 1.0])
+
+
 def test_cscs_split_2x2():
     T = toeplitz_from_bands([1.0, 2.0, 1.0])
     C, S = cscs_split(T)

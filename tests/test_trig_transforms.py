@@ -81,7 +81,7 @@ def test_fast_matches_definitional_all_sizes(kind, rng):
     # full 1..512 sweep per the module invariant
     for s in range(1, 513):
         x = rng.standard_normal(s)
-        fast = DttPlan(kind, s, "fast")
+        fast = DttPlan(kind, s)
         ref = dtt_matrix(kind, s)
         for transposed in (False, True):
             got = dtt_apply(fast, x, transposed)
