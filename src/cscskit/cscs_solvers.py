@@ -7,11 +7,12 @@ Splitting T = C + S, the two-half-step iteration with shift theta > 0 is
 
 The ``dct_dst`` backend runs it in real arithmetic through the real
 Schur forms C = U Omega U.T and S = Utilde Sigma Utilde.T; shifted cores
-are O(n) X-pattern multiplies/solves and every U application is the Q
-butterfly plus one DCT and one DST of about n/2 points.  Adjacent block
-factors cancel between the two half-steps (B.T Q Q.T B == I), so one
-full iteration costs exactly six DCTs and six DSTs; the per-iteration
-tallies are recorded in the report.
+are O(n) X-pattern multiplies/solves and every U or U.T application
+(``real_schur.from_core`` / ``to_core``) is the Q butterfly plus one DCT
+and one DST of about n/2 points.  Adjacent block factors cancel between
+the two half-steps (U.T U == I), so one full iteration costs exactly six
+DCTs and six DSTs; each sweep counts its own in a ``counting()`` block
+and the counts are recorded in the report.
 
 The ``fft`` backend is the complex reference: C = F Lambda F^* and
 S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
@@ -38,11 +39,10 @@ import numpy as np
 from . import _dft
 from .fast_matvec import ToeplitzOperator, toeplitz_matvec
 from .real_schur import (
-    SingularShiftError, apply_block_transform, apply_q, xpattern_apply,
-    xpattern_shifted_solve,
+    SingularShiftError, from_core, to_core, xpattern_apply, xpattern_shifted_solve,
 )
 from .structured_matrices import ToeplitzBands, cscs_split, dense_of
-from .trig_transforms import tally
+from .trig_transforms import Flavor, counting
 
 __all__ = [
     "SolverConfig", "SolveReport", "cscs_solve", "dft",
@@ -152,12 +152,12 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     residuals = []
     converged = False
     for _ in range(cfg.max_iters):
-        before = tally.snapshot() if counted else None
-        x = sweep(x)
+        with counting() as used:
+            x = sweep(x)
         if counted:
-            dct_used, dst_used, size_delta = tally.delta(before, tally.snapshot())
-            counts.append((dct_used, dst_used))
-            sizes.update(size_delta.keys())
+            dct = sum(c for (flavor, _), c in used.items() if flavor is Flavor.COSINE)
+            counts.append((dct, used.total() - dct))
+            sizes.update(size for _, size in used)
         if iterates is not None:
             iterates.append(x.copy())
         rel = np.linalg.norm(b - product(x)) / r0
@@ -175,20 +175,14 @@ def _dct_dst_backend(op, theta, b):
 
     def sweep(x):
         # (theta I - S) x + b: 2 DCTs + 2 DSTs
-        u = apply_block_transform("skew", apply_q(x, transposed=True), transposed=True)
-        u = xpattern_apply(sigma, theta, "minus", u)
-        u = apply_q(apply_block_transform("skew", u)) + b
+        u = to_core("skew", x)
+        u = from_core("skew", xpattern_apply(sigma, theta, "minus", u)) + b
         # first half-step solve fused with the second half-step multiply:
         # (theta I - C)(theta I + C)^{-1} shares the circulant block factor
-        t = apply_block_transform("circulant", apply_q(u), transposed=True)
-        w = xpattern_shifted_solve(omega, theta, t)
-        v = apply_q(apply_block_transform(
-            "circulant", xpattern_apply(omega, theta, "minus", w)),
-            transposed=True) + b
+        w = xpattern_shifted_solve(omega, theta, to_core("circulant", u))
+        v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
         # (theta I + S)^{-1}: 2 DCTs + 2 DSTs
-        z = apply_block_transform("skew", apply_q(v, transposed=True), transposed=True)
-        z = xpattern_shifted_solve(sigma, theta, z)
-        return apply_q(apply_block_transform("skew", z))
+        return from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
 
     return sweep, lambda v: toeplitz_matvec(op, v)
 
@@ -213,7 +207,9 @@ def _fft_backend(T, theta, b):
         u = s_apply(theta - lam_s, x) + b
         w = dft(u, inverse=True)
         v = dft((theta - lam_c) / (theta + lam_c) * w) + b
-        return (np.conj(dbar) * dft(dft(dbar * v) / (theta + lam_s), inverse=True)).real
+        z = np.conj(dbar) * dft(dft(dbar * v) / (theta + lam_s), inverse=True)
+        # a copy, so the solution does not keep the complex buffer alive
+        return z.real.copy()
 
     def product(v):
         return (c_apply(lam_c, v) + s_apply(lam_s, v)).real

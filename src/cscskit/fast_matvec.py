@@ -1,18 +1,16 @@
 """O(n log n) real-arithmetic structured matrix-vector products.
 
-A circulant product runs entirely through real transforms:
+A circulant or skew-circulant product runs entirely through real
+transforms, as the real Schur form read right to left:
 
-    C @ x = Q.T @ B @ Omega @ B.T @ Q @ x,      B = blockdiag(DCT, J DST J)
+    C @ x = U @ Omega @ U.T @ x,      S @ x = Utilde @ Sigma @ Utilde.T @ x,
 
-and the skew-circulant analog swaps the roles of Q and Q.T:
-
-    S @ x = Q @ Btilde @ Sigma @ Btilde.T @ Q.T @ x.
-
-Each product costs one DCT and one DST of about n/2 points per block
-application (so three of each including the spectrum precomputation,
-which operators amortize across calls) plus O(n) butterflies and core
-multiplies.  A Toeplitz product is the sum of the two through the
-splitting T = C + S.
+with U.T and U applied by ``real_schur.to_core`` and ``from_core`` (the
+butterfly Q or Q.T plus one DCT and one DST of about n/2 points each).
+So each product costs two DCTs and two DSTs plus O(n) butterflies and
+core multiplies; the spectrum costs one more of each, which operators
+amortize across calls.  A Toeplitz product is the sum of the two
+through the splitting T = C + S.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -22,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .real_schur import (
-    XPattern, apply_block_transform, apply_q, real_spectrum, xpattern_apply,
-)
+from .real_schur import XPattern, from_core, real_spectrum, to_core, xpattern_apply
 from .structured_matrices import CirculantCol, SkewCirculantCol, ToeplitzBands, cscs_split
 
 __all__ = [
@@ -72,29 +68,24 @@ class ToeplitzOperator:
         return self.circulant_part.n
 
 
-def _check(op, x, kind):
+def _core_product(op, x, kind):
+    """U @ core @ U.T @ x for the operator's side."""
     if op.kind != kind:
         raise ValueError(f"operator holds a {op.kind} spectrum, expected {kind}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"expected a vector of length {op.n}, got shape {x.shape}")
-    return x
+    return from_core(kind, xpattern_apply(op.pattern, 0.0, "none", to_core(kind, x)))
 
 
 def circulant_matvec(op: CirculantOperator, x) -> np.ndarray:
-    """C @ x through Q, the DCT/DST block factor and the Omega core."""
-    x = _check(op, x, "circulant")
-    y = apply_block_transform("circulant", apply_q(x), transposed=True)
-    y = xpattern_apply(op.pattern, 0.0, "none", y)
-    return apply_q(apply_block_transform("circulant", y), transposed=True)
+    """C @ x through the real Schur form C = U @ Omega @ U.T."""
+    return _core_product(op, x, "circulant")
 
 
 def skew_circulant_matvec(op: CirculantOperator, x) -> np.ndarray:
-    """S @ x; mirror of the circulant product with Q and Q.T exchanged."""
-    x = _check(op, x, "skew")
-    y = apply_block_transform("skew", apply_q(x, transposed=True), transposed=True)
-    y = xpattern_apply(op.pattern, 0.0, "none", y)
-    return apply_q(apply_block_transform("skew", y))
+    """S @ x through the real Schur form S = Utilde @ Sigma @ Utilde.T."""
+    return _core_product(op, x, "skew")
 
 
 def toeplitz_matvec(op: ToeplitzOperator, x) -> np.ndarray:

@@ -10,32 +10,32 @@ instead it uses the factorizations
     Q  @ U       = blockdiag(DCT,  J @ DST @ J)     (circulant side)
     Q.T @ Utilde = blockdiag(DCT', J @ DST' @ J)    (skew side)
 
-with the O(n) orthogonal butterfly Q pairing entries j and n-j:
+with the O(n) orthogonal butterfly Q pairing entries j and n-j for
+1 <= j <= h = (n-1)//2 and leaving the rest (index 0, and m = n/2 for
+even n) unchanged:
 
-    even n = 2m:  y[0] = x[0];  y[j]   = (x[j]   + x[n-j]) / sqrt2, 1 <= j <= m-1
-                  y[m] = x[m];  y[m+k] = (x[m+k] - x[m-k]) / sqrt2, 1 <= k <= m-1
-    odd  n = 2m+1: y[0] = x[0]; y[j]   = (x[j]   + x[n-j]) / sqrt2, 1 <= j <= m
-                                y[m+k] = (x[m+k] - x[m+1-k]) / sqrt2, 1 <= k <= m
+    y[j] = (x[j] + x[n-j]) / sqrt2,   y[n-j] = (x[n-j] - x[j]) / sqrt2.
 
-The transform families in the block factor depend on side and parity:
-DCT-I/DST-I (circulant, even n), DCT-V/DST-V (circulant, odd n),
-DCT-II/DST-II (skew, even n), DCT-VI/DST-VI (skew, odd n) -- always one
-cosine and one sine block of about n/2 points each.
+This module is the one place that decides the side.  ``to_core`` (U.T x)
+and ``from_core`` (U y) pair each side with its Q direction, and every
+spectrum, product and solver sweep goes through them.  Everything else
+follows from the sine-block size, (n-1)//2 on the circulant side and
+n//2 on the skew side (``_sine_size``): the cosine block holds the other
+entries, and the transform families are DCT-I/DST-I (circulant, even n),
+DCT-V/DST-V (circulant, odd n), DCT-II/DST-II (skew, even n) and
+DCT-VI/DST-VI (skew, odd n).
 
 The X-pattern entries come straight out of one transformed first
-column: with vhat = B.T @ Q @ col (circulant; B the block factor) the
-recovery is
+column.  With vhat = to_core(side, col) and hs = n - sine size,
 
-    alpha[0] = sqrt(n)   * vhat[0]            (column of U with unit weight)
-    alpha[k] = sqrt(n/2) * vhat[k]            (paired columns, weight sqrt2)
-    alpha[m] = sqrt(n)   * vhat[m]            (even n only)
-    beta[k]  = -sqrt(n/2) * vhat[n-k]
+    alpha[k] = w[k] * vhat[k],            0 <= k < hs
+    beta[k]  = -sqrt(n/2) * vhat[n-1-k],  0 <= k < sine size
 
-and analogously for the skew side with uhat = Btilde.T @ Q.T @ col,
-where the sqrt(n) slot is the middle column for odd n.  The sign of
-each beta is a convention pinned by the congruence test
-``U.T @ dense(M) @ U == expand(real_spectrum(...))`` rather than by any
-eigenvalue labeling.
+where w is sqrt(n) at the fixed points of the pairing (columns of U with
+unit weight: 0 and n/2 on the circulant side, (n-1)/2 on the skew side)
+and sqrt(n/2) elsewhere.  The sign of each beta is a convention pinned
+by the congruence test ``U.T @ dense(M) @ U == expand(real_spectrum(...))``
+rather than by any eigenvalue labeling.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
@@ -53,8 +53,8 @@ from .trig_transforms import (
 
 __all__ = [
     "SingularShiftError", "XPattern", "SpectralPair",
-    "apply_q", "apply_block_transform", "dense_u_oracle", "real_spectrum",
-    "xpattern_apply", "xpattern_shifted_solve",
+    "apply_q", "apply_block_transform", "dense_u_oracle", "from_core",
+    "real_spectrum", "to_core", "xpattern_apply", "xpattern_shifted_solve",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -74,54 +74,46 @@ def apply_q(x, transposed: bool = False) -> np.ndarray:
     if x.ndim != 1 or x.shape[0] < 1:
         raise ValueError("apply_q expects a nonempty vector")
     n = x.shape[0]
-    if n == 1:
-        return x.copy()
-    m = n // 2
+    h = (n - 1) // 2
+    head, tail = x[1:h + 1], x[n - h:]
+    plus, minus = (np.subtract, np.add) if transposed else (np.add, np.subtract)
     y = np.empty_like(x)
+    # the fixed points: 0, and n/2 for even n
     y[0] = x[0]
-    if n % 2 == 0:
-        y[m] = x[m]
-        head, tail = x[1:m], x[m + 1:]
-        rhead, rtail = x[m - 1:0:-1], x[n - 1:m:-1]
-        if not transposed:
-            y[1:m] = (head + rtail) / _SQRT2
-            y[m + 1:] = (tail - rhead) / _SQRT2
-        else:
-            y[1:m] = (head - rtail) / _SQRT2
-            y[m + 1:] = (tail + rhead) / _SQRT2
-    else:
-        head, tail = x[1:m + 1], x[m + 1:]
-        rhead, rtail = x[m:0:-1], x[n - 1:m:-1]
-        if not transposed:
-            y[1:m + 1] = (head + rtail) / _SQRT2
-            y[m + 1:] = (tail - rhead) / _SQRT2
-        else:
-            y[1:m + 1] = (head - rtail) / _SQRT2
-            y[m + 1:] = (tail + rhead) / _SQRT2
+    y[h + 1:n - h] = x[h + 1:n - h]
+    y[1:h + 1] = plus(head, tail[::-1]) / _SQRT2
+    y[n - h:] = minus(tail, head[::-1]) / _SQRT2
     return y
+
+
+def _sine_size(side: str, n: int) -> int:
+    """Size of the sine block: (n-1)//2 on the circulant side, n//2 on the skew side.
+
+    It is the number of conjugate pairs, and it fixes the rest of the
+    layout: the cosine block holds the other n - size entries, whose
+    alphas come first in the core; the betas are the sine block reversed.
+    """
+    if side == "circulant":
+        return (n - 1) // 2
+    if side == "skew":
+        return n // 2
+    raise ValueError(f"unknown side {side!r}")
+
+
+# (side, n % 2) -> (cosine kind, sine kind) of the block factor
+_FAMILIES = {
+    ("circulant", 0): (DCT_I, DST_I), ("circulant", 1): (DCT_V, DST_V),
+    ("skew", 0): (DCT_II, DST_II), ("skew", 1): (DCT_VI, DST_VI),
+}
 
 
 @lru_cache(maxsize=None)
 def _block_plans(side: str, n: int):
-    """(cosine plan, sine plan, head size) for the block factor at size n."""
-    m = n // 2
-    if side == "circulant":
-        if n % 2 == 0:
-            cos_plan = DttPlan(DCT_I, m + 1)
-            sin_plan = DttPlan(DST_I, m - 1) if m >= 2 else None
-        else:
-            cos_plan = DttPlan(DCT_V, m + 1)
-            sin_plan = DttPlan(DST_V, m) if m >= 1 else None
-        return cos_plan, sin_plan, cos_plan.size
-    if side == "skew":
-        if n % 2 == 0:
-            cos_plan = DttPlan(DCT_II, m)
-            sin_plan = DttPlan(DST_II, m)
-        else:
-            cos_plan = DttPlan(DCT_VI, m + 1)
-            sin_plan = DttPlan(DST_VI, m) if m >= 1 else None
-        return cos_plan, sin_plan, cos_plan.size
-    raise ValueError(f"unknown side {side!r}")
+    """(cosine plan, sine plan or None, cosine size) of the block factor at size n."""
+    sine = _sine_size(side, n)
+    cos_kind, sin_kind = _FAMILIES[side, n % 2]
+    return (DttPlan(cos_kind, n - sine), DttPlan(sin_kind, sine) if sine else None,
+            n - sine)
 
 
 def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
@@ -140,6 +132,17 @@ def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     if sin_plan is not None:
         y[hs:] = dtt_apply(sin_plan, x[:hs - 1:-1], transposed)[::-1]
     return y
+
+
+def to_core(side: str, x) -> np.ndarray:
+    """U.T @ x: B.T @ Q @ x (circulant side) or Btilde.T @ Q.T @ x (skew side)."""
+    return apply_block_transform(side, apply_q(x, transposed=(side == "skew")),
+                                 transposed=True)
+
+
+def from_core(side: str, y) -> np.ndarray:
+    """U @ y: Q.T @ B @ y (circulant side) or Q @ Btilde @ y (skew side)."""
+    return apply_q(apply_block_transform(side, y), transposed=(side != "skew"))
 
 
 @dataclass(frozen=True)
@@ -206,28 +209,16 @@ class SpectralPair:
     def expand(self) -> XPattern:
         """Lossless expansion to the full-length X-pattern core."""
         n = self.n
+        p = _partner_indices(self.kind, n)
+        j = np.arange(self.alphas.shape[0])
+        # circulant pairs start after the fixed point 0, skew pairs at 0
+        k = np.arange(self.betas.shape[0]) + (self.kind == "circulant")
         diag = np.zeros(n)
         anti = np.zeros(n)
-        if self.kind == "circulant":
-            m = n // 2
-            diag[0] = self.alphas[0]
-            if n % 2 == 0 and n > 1:
-                diag[m] = self.alphas[m]
-            k = np.arange(1, (n - 1) // 2 + 1)
-            diag[k] = self.alphas[k]
-            diag[n - k] = self.alphas[k]
-            anti[k] = self.betas
-            anti[n - k] = -self.betas
-            return XPattern(n, "circulant", diag, anti)
-        m = n // 2
-        k = np.arange(m)
-        diag[k] = self.alphas[:m]
-        diag[n - 1 - k] = self.alphas[:m]
+        diag[j] = diag[p[j]] = self.alphas
         anti[k] = self.betas
-        anti[n - 1 - k] = -self.betas
-        if n % 2 == 1:
-            diag[m] = self.alphas[m]
-        return XPattern(n, "skew", diag, anti)
+        anti[p[k]] = -self.betas
+        return XPattern(n, self.kind, diag, anti)
 
     def eigenvalues(self) -> np.ndarray:
         """Full complex eigenvalue multiset (conjugate pairs restored)."""
@@ -247,31 +238,13 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     if col.ndim != 1 or col.shape[0] < 1:
         raise ValueError("real_spectrum expects a nonempty first column")
     n = col.shape[0]
-    m = n // 2
-    parity = "even" if n % 2 == 0 else "odd"
+    hs = n - _sine_size(kind, n)
+    vhat = to_core(kind, col)
+    fixed = _partner_indices(kind, n)[:hs] == np.arange(hs)
     half = np.sqrt(n / 2.0)
-    full = np.sqrt(float(n))
-    if kind == "circulant":
-        vhat = apply_block_transform("circulant", apply_q(col), transposed=True)
-        if parity == "even":
-            alphas = np.concatenate(([full * vhat[0]], half * vhat[1:m],
-                                     [full * vhat[m]]))
-            betas = -half * vhat[n - 1:m:-1]
-        else:
-            alphas = np.concatenate(([full * vhat[0]], half * vhat[1:m + 1]))
-            betas = -half * vhat[n - 1:m:-1]
-        return SpectralPair(alphas, betas, parity, "circulant")
-    if kind == "skew":
-        uhat = apply_block_transform("skew", apply_q(col, transposed=True),
-                                     transposed=True)
-        if parity == "even":
-            alphas = half * uhat[:m]
-            betas = -half * uhat[n - 1:m - 1:-1]
-        else:
-            alphas = np.concatenate((half * uhat[:m], [full * uhat[m]]))
-            betas = -half * uhat[n - 1:m:-1]
-        return SpectralPair(alphas, betas, parity, "skew")
-    raise ValueError(f"unknown kind {kind!r}")
+    alphas = np.where(fixed, np.sqrt(float(n)), half) * vhat[:hs]
+    betas = -half * vhat[n - 1:hs - 1:-1]
+    return SpectralPair(alphas, betas, "even" if n % 2 == 0 else "odd", kind)
 
 
 def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:

@@ -20,23 +20,24 @@ Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
 the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
 a separate inverse entry point.
 
-A module-level :class:`TransformTally` counts ``dtt_apply`` invocations
-(split cosine/sine, with a size histogram).  It exists so solvers can
-report their per-iteration transform budget; counts are best-effort
-diagnostics, not synchronized across threads.
+Inside a ``counting()`` block, ``dtt_apply`` counts its calls by
+(flavor, size).  The counter lives in a context variable, so each thread
+(or asyncio task) sees only its own calls; solvers use it to report
+their per-sweep transform budget.
 """
 
+import contextvars
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._dft import dft_vector
 
 __all__ = [
-    "Family", "Flavor", "DttKind", "DttPlan", "TransformTally", "tally",
-    "dtt_matrix", "dtt_apply",
+    "Family", "Flavor", "DttKind", "DttPlan", "counting", "dtt_matrix", "dtt_apply",
     "DCT_I", "DCT_II", "DCT_V", "DCT_VI", "DST_I", "DST_II", "DST_V", "DST_VI",
 ]
 
@@ -74,31 +75,21 @@ DST_V = DttKind(Family.V, Flavor.SINE)
 DST_VI = DttKind(Family.VI, Flavor.SINE)
 
 
-@dataclass
-class TransformTally:
-    """Running count of transform applications (diagnostic only)."""
-
-    dct_calls: int = 0
-    dst_calls: int = 0
-    sizes: Counter = field(default_factory=Counter)
-
-    def record(self, kind: DttKind, size: int):
-        if kind.flavor is Flavor.COSINE:
-            self.dct_calls += 1
-        else:
-            self.dst_calls += 1
-        self.sizes[size] += 1
-
-    def snapshot(self):
-        return (self.dct_calls, self.dst_calls, Counter(self.sizes))
-
-    @staticmethod
-    def delta(before, after):
-        """(dct, dst, sizes Counter) consumed between two snapshots."""
-        return (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+_counts = contextvars.ContextVar("cscskit_dtt_counts", default=None)
 
 
-tally = TransformTally()
+@contextmanager
+def counting():
+    """Count ``dtt_apply`` calls in this context; yields a Counter keyed by (Flavor, size).
+
+    A nested block counts in its own Counter until it exits.
+    """
+    counts = Counter()
+    token = _counts.set(counts)
+    try:
+        yield counts
+    finally:
+        _counts.reset(token)
 
 
 def _tau(indices, n):
@@ -277,7 +268,9 @@ def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (plan.size,):
         raise ValueError(f"expected a vector of length {plan.size}, got shape {x.shape}")
-    tally.record(plan.kind, plan.size)
+    counts = _counts.get()
+    if counts is not None:
+        counts[plan.kind.flavor, plan.size] += 1
     if plan.size == 1:
         return x.copy()
     recipe = plan._trn if transposed else plan._fwd

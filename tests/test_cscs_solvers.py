@@ -1,5 +1,8 @@
 """CSCS solver, DFT baseline, spectral-radius and shift-scan diagnostics."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,7 @@ def test_converged_solution_verifies_against_naive(backend, rng):
     assert report.converged
     rel = np.linalg.norm(b - naive_matvec(T, report.solution)) / np.linalg.norm(b)
     assert rel <= cfg.tol
+    assert report.solution.flags.c_contiguous and report.solution.flags.owndata
 
 
 def test_exact_solution_is_a_fixed_point(rng):
@@ -106,6 +110,30 @@ def test_report_residuals_and_budget(rng):
     # six cosine and six sine transforms per sweep, sizes about n/2
     assert set(report.transform_counts) == {(6, 6)}
     assert all(abs(s - n / 2) <= 2 for s in report.transform_sizes)
+
+
+def test_transform_counts_are_per_solve_under_threads():
+    # concurrent solves must each count only their own sweeps' transforms
+    T = gen_coeffs(ProblemSpec("ex1", 1024, 0.9))
+    reports = [None] * 3
+
+    def solve(i):
+        reports[i] = cscs_solve(T, np.ones(T.n), SolverConfig(theta=1.985))
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(reports))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for report in reports:
+        assert report.converged
+        assert set(report.transform_counts) == {(6, 6)}
 
 
 def test_non_positive_definite_warns_but_runs():

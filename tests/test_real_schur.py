@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from cscskit.real_schur import (
     SingularShiftError, XPattern, apply_block_transform, apply_q,
-    dense_u_oracle, real_spectrum, xpattern_apply, xpattern_shifted_solve,
+    dense_u_oracle, from_core, real_spectrum, to_core, xpattern_apply,
+    xpattern_shifted_solve,
 )
 from cscskit.structured_matrices import CirculantCol, SkewCirculantCol, dense_of
 from cscskit.trig_transforms import DCT_I, dtt_matrix
@@ -77,6 +78,10 @@ def test_block_factor_equals_q_times_u(side, n):
                           for col in U.T])
     B = np.column_stack([apply_block_transform(side, e) for e in np.eye(n)])
     assert np.abs(B - QU).max() < 1e-12
+    # the basis change U (from_core) and its inverse U.T (to_core)
+    eye = np.eye(n)
+    assert np.abs(np.column_stack([from_core(side, e) for e in eye]) - U).max() < 1e-12
+    assert np.abs(np.column_stack([to_core(side, col) for col in U.T]) - eye).max() < 1e-12
 
 
 def test_block_transform_round_trip(rng):
