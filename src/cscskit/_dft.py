@@ -18,13 +18,14 @@ phase arguments small and the transform accurate for large N.
 
 Twiddle, bit-reversal and chirp tables are cached per length; all cached
 arrays are frozen (read-only) so plans can be shared between threads.
+Bit-reversal and twiddle tables exist only for powers of two, so their
+caches are bounded by the word size; the chirp tables, one per length,
+are kept for the 16 most recent lengths.
 """
 
-import numpy as np
+from functools import lru_cache
 
-_bitrev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[int, np.ndarray] = {}
-_bluestein_cache: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+import numpy as np
 
 
 def _freeze(a):
@@ -32,26 +33,19 @@ def _freeze(a):
     return a
 
 
+@lru_cache(maxsize=None)
 def _bitrev(n):
-    perm = _bitrev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.intp)
-        perm = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            perm = (perm << 1) | ((idx >> b) & 1)
-        perm = _freeze(perm)
-        _bitrev_cache[n] = perm
-    return perm
+    bits = n.bit_length() - 1
+    idx = np.arange(n, dtype=np.intp)
+    perm = np.zeros(n, dtype=np.intp)
+    for b in range(bits):
+        perm = (perm << 1) | ((idx >> b) & 1)
+    return _freeze(perm)
 
 
+@lru_cache(maxsize=None)
 def _twiddle(step):
-    w = _twiddle_cache.get(step)
-    if w is None:
-        w = np.exp(-2j * np.pi * np.arange(step // 2) / step)
-        w = _freeze(w)
-        _twiddle_cache[step] = w
-    return w
+    return _freeze(np.exp(-2j * np.pi * np.arange(step // 2) / step))
 
 
 def _fft_pow2(x):
@@ -77,22 +71,19 @@ def _ifft_pow2(x):
     return np.conj(_fft_pow2(np.conj(x))) / x.shape[0]
 
 
+@lru_cache(maxsize=16)
 def _bluestein_tables(n):
-    tables = _bluestein_cache.get(n)
-    if tables is None:
-        k = np.arange(n, dtype=np.int64)
-        # exact integer reduction of k^2 modulo 2n keeps phases accurate
-        sq = (k * k) % (2 * n)
-        chirp = np.exp(-1j * np.pi * sq / n)
-        b = np.conj(chirp)
-        length = 1 << (2 * n - 1).bit_length() if 2 * n - 1 > 1 else 1
-        bext = np.zeros(length, dtype=np.complex128)
-        bext[:n] = b
-        if n > 1:
-            bext[length - n + 1:] = b[1:][::-1]
-        tables = (_freeze(chirp), _freeze(_fft_pow2(bext)), length)
-        _bluestein_cache[n] = tables
-    return tables
+    k = np.arange(n, dtype=np.int64)
+    # exact integer reduction of k^2 modulo 2n keeps phases accurate
+    sq = (k * k) % (2 * n)
+    chirp = np.exp(-1j * np.pi * sq / n)
+    b = np.conj(chirp)
+    length = 1 << (2 * n - 1).bit_length() if 2 * n - 1 > 1 else 1
+    bext = np.zeros(length, dtype=np.complex128)
+    bext[:n] = b
+    if n > 1:
+        bext[length - n + 1:] = b[1:][::-1]
+    return _freeze(chirp), _freeze(_fft_pow2(bext)), length
 
 
 def dft_vector(x):

@@ -30,8 +30,8 @@ from .bench_cli import (
 from .cscs_solvers import (
     SolverConfig, cscs_solve, iteration_matrix_rho, theta_scan,
 )
-from .real_schur import SingularShiftError, real_spectrum
-from .structured_matrices import cscs_split
+from .fast_matvec import ToeplitzOperator
+from .real_schur import SingularShiftError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,22 +81,18 @@ def _cmd_solve(args):
 
 
 def _cmd_spectrum(args):
-    T = _problem(args)
-    cpart, spart = cscs_split(T)
+    op = ToeplitzOperator.from_bands(_problem(args))
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("part,k,alpha,beta\n")
-        for part, col, kind in (("circulant", cpart.col, "circulant"),
-                                ("skew", spart.col, "skew")):
+        for part, factor in (("circulant", op.circulant_part), ("skew", op.skew_part)):
             if args.part not in (None, part):
                 continue
-            spec = real_spectrum(kind, col)
-            betas = spec.betas
-            offset = 1 if kind == "circulant" else 0
-            for k, alpha in enumerate(spec.alphas):
-                i = k - offset
-                beta = betas[i] if 0 <= i < betas.shape[0] else 0.0
-                out.write(f"{part},{k},{alpha:.17g},{beta:.17g}\n")
+            # one row per eigenvalue pair (or real eigenvalue): its real
+            # part on the core's diagonal, its imaginary part on the anti-diagonal
+            X = factor.pattern
+            for k in np.flatnonzero(np.arange(X.n) <= X.partner):
+                out.write(f"{part},{k},{X.diag[k]:.17g},{X.anti[k]:.17g}\n")
     finally:
         if args.out:
             out.close()

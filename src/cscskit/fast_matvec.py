@@ -31,23 +31,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CirculantOperator:
-    """Precomputed spectral core for a circulant or skew-circulant matrix."""
+    """Precomputed spectral core for a circulant or skew-circulant matrix.
 
-    n: int
-    kind: str
+    The core holds the eigenvalues in DFT order: diag + 1j*anti is
+    conj(dft(c)) for a circulant with first column c, and
+    dft(s * exp(-i pi k/n)) for a skew-circulant with first column s.
+    """
+
     pattern: XPattern
+
+    @property
+    def n(self) -> int:
+        return self.pattern.n
+
+    @property
+    def kind(self) -> str:
+        return self.pattern.pairing
 
     @classmethod
     def from_circulant(cls, col) -> "CirculantOperator":
         col = col.col if isinstance(col, CirculantCol) else col
-        pattern = real_spectrum("circulant", col).expand()
-        return cls(pattern.n, "circulant", pattern)
+        return cls(real_spectrum("circulant", col).expand())
 
     @classmethod
     def from_skew_circulant(cls, col) -> "CirculantOperator":
         col = col.col if isinstance(col, SkewCirculantCol) else col
-        pattern = real_spectrum("skew", col).expand()
-        return cls(pattern.n, "skew", pattern)
+        return cls(real_spectrum("skew", col).expand())
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+# per-size tables kept at once: a process that meets many sizes must not
+# hold tables for all of them
+_CACHED_SIZES = 16
 
 
 class SingularShiftError(ValueError):
@@ -107,7 +110,7 @@ _FAMILIES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_SIZES)
 def _block_plans(side: str, n: int):
     """(cosine plan, sine plan or None, cosine size) of the block factor at size n."""
     sine = _sine_size(side, n)
@@ -172,7 +175,7 @@ class XPattern:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_SIZES)
 def _partner_indices(pairing: str, n: int) -> np.ndarray:
     j = np.arange(n)
     if pairing == "circulant":
@@ -197,7 +200,6 @@ class SpectralPair:
 
     alphas: np.ndarray
     betas: np.ndarray
-    parity: str
     kind: str
 
     @property
@@ -223,9 +225,7 @@ class SpectralPair:
     def eigenvalues(self) -> np.ndarray:
         """Full complex eigenvalue multiset (conjugate pairs restored)."""
         x = self.expand()
-        p = x.partner
-        j = np.arange(x.n)
-        return x.diag + 1j * np.where(p == j, 0.0, x.anti)
+        return x.diag + 1j * x.anti  # anti is zero at the fixed points
 
 
 def real_spectrum(kind: str, col) -> SpectralPair:
@@ -244,7 +244,7 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     half = np.sqrt(n / 2.0)
     alphas = np.where(fixed, np.sqrt(float(n)), half) * vhat[:hs]
     betas = -half * vhat[n - 1:hs - 1:-1]
-    return SpectralPair(alphas, betas, "even" if n % 2 == 0 else "odd", kind)
+    return SpectralPair(alphas, betas, kind)
 
 
 def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:

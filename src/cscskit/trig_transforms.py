@@ -12,9 +12,25 @@ With ``tau_l = 1/sqrt(2)`` at the boundary indices (l = 0 or l = n) and
     DST-V   (s = n-1):  2/sqrt(2n-1)   [ sin(2 j k pi / (2n-1))            ]  j,k = 1..n-1
     DST-VI  (s = n-1):  2/sqrt(2n-1)   [ sin(j (2k-1) pi / (2n-1))         ]  j,k = 1..n-1
 
-where s is the matrix dimension used throughout this module.  Families
-I/II embed into a complex DFT of even length 2n, families V/VI into one
-of odd length 2n-1; either way a transform of size s costs O(s log s).
+where s is the matrix dimension used throughout this module.  All eight
+are one DFT embedding: with row and column indices j, k = 0..s-1,
+
+    M[j,k] = scale * row[j] * col[k] * trig(2 pi (j+a)(k+b) / L),
+
+where trig is cos for a DCT and sin for a DST, scale = 2/sqrt(L), and
+row/col are 1 except 1/sqrt(2) at the ends the tau/iota weights mark:
+
+    kind     L        a   b     kind     L        a   b
+    DCT-I    2s-2     0   0     DST-I    2s+2     1   1
+    DCT-II   2s       0   1/2   DST-II   2s       1   1/2
+    DCT-V    2s-1     0   0     DST-V    2s+1     1   1
+    DCT-VI   2s-1     0   1/2   DST-VI   2s+1     1   1/2
+
+So y = M @ x is one complex DFT of length L (even for I/II, odd for
+V/VI): x goes in at offset int(b), the output is read from int(a), and
+a half-sample b is a phase on the output.  M.T is the same rule with
+(a, row) and (b, col) swapped, which moves the half sample to the
+input.  Either way a transform of size s costs O(s log s).
 
 Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
 the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
@@ -169,7 +185,7 @@ class _FastRecipe:
     out_start: int
     post: np.ndarray | None
     take_real: bool
-    out_w: np.ndarray | None
+    out_w: np.ndarray
 
     def apply(self, x):
         s = x.shape[0]
@@ -179,68 +195,46 @@ class _FastRecipe:
         if self.post is not None:
             seg = seg * self.post
         y = seg.real.copy() if self.take_real else -seg.imag
-        if self.out_w is not None:
-            y *= self.out_w
+        y *= self.out_w
         return y
 
 
-def _fast_recipes(kind: DttKind, s: int):
-    """(forward, transposed) recipes; assumes s >= 2."""
-    fam, cos = kind.family, kind.flavor is Flavor.COSINE
-    if fam is Family.I:
-        if cos:
-            n = s - 1
-            t = _tau(np.arange(s), n)
-            fwd = _FastRecipe(t, 0, 2 * n, 0, None, True, np.sqrt(2.0 / n) * t)
-        else:
-            n = s + 1
-            fwd = _FastRecipe(None, 1, 2 * n, 1, None, False,
-                              np.full(s, np.sqrt(2.0 / n)))
-        return fwd, fwd  # DCT-I and DST-I matrices are symmetric
-    if fam is Family.II:
-        n = s
-        scale = np.sqrt(2.0 / n)
-        if cos:
-            j = np.arange(s)
-            t = _tau(j, n)
-            phase = np.exp(-1j * np.pi * j / (2 * n))
-            fwd = _FastRecipe(None, 0, 2 * n, 0, phase, True, scale * t)
-            trn = _FastRecipe(t * phase, 0, 2 * n, 0, None, True, np.full(s, scale))
-        else:
-            j = np.arange(1, s + 1)
-            t = _tau(j, n)
-            phase = np.exp(-1j * np.pi * j / (2 * n))
-            fwd = _FastRecipe(None, 0, 2 * n, 1, phase, False, scale * t)
-            trn = _FastRecipe(t * phase, 1, 2 * n, 0, None, False, np.full(s, scale))
-        return fwd, trn
-    if fam is Family.V:
-        if cos:
-            big = 2 * s - 1
-            t = _tau(np.arange(s), s)
-            fwd = _FastRecipe(t, 0, big, 0, None, True, 2.0 / np.sqrt(big) * t)
-        else:
-            big = 2 * s + 1
-            fwd = _FastRecipe(None, 1, big, 1, None, False,
-                              np.full(s, 2.0 / np.sqrt(big)))
-        return fwd, fwd  # the V matrices are symmetric as well
-    if cos:
-        big = 2 * s - 1
-        j = np.arange(s)
-        t = _tau(j, s)
-        iota = np.ones(s)
-        iota[s - 1] = 1.0 / _SQRT2
-        phase = np.exp(-1j * np.pi * j / big)
-        scale = 2.0 / np.sqrt(big)
-        fwd = _FastRecipe(iota, 0, big, 0, phase, True, scale * t)
-        trn = _FastRecipe(t * phase, 0, big, 0, None, True, scale * iota)
-        return fwd, trn
-    big = 2 * s + 1
-    j = np.arange(1, s + 1)
-    phase = np.exp(-1j * np.pi * j / big)
-    scale = np.full(s, 2.0 / np.sqrt(big))
-    fwd = _FastRecipe(None, 0, big, 1, phase, False, scale)
-    trn = _FastRecipe(phase, 1, big, 0, None, False, scale)
-    return fwd, trn
+# kind -> (L - 2s, a, b, row ends, col ends) of the rule in the module
+# docstring; the listed ends (0 first, -1 last) weigh 1/sqrt2, the rest 1
+_EMBEDDINGS = {
+    DCT_I: (-2, 0, 0, (0, -1), (0, -1)),
+    DST_I: (2, 1, 1, (), ()),
+    DCT_II: (0, 0, 0.5, (0,), ()),
+    DST_II: (0, 1, 0.5, (-1,), ()),
+    DCT_V: (-1, 0, 0, (0,), (0,)),
+    DST_V: (1, 1, 1, (), ()),
+    DCT_VI: (-1, 0, 0.5, (0,), (-1,)),
+    DST_VI: (1, 1, 0.5, (), ()),
+}
+
+
+def _weights(s, ends):
+    if not ends:
+        return None
+    w = np.ones(s)
+    w[list(ends)] = 1.0 / _SQRT2
+    return w
+
+
+def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _FastRecipe:
+    """y = M @ x under the rule with these L, a, b and weights; a, b not both half-integers."""
+    out_start, offset = int(a), int(b)
+    pre, post = _weights(s, col_ends), None
+    if b != offset:  # half-sample column shift: a phase on the output
+        post = np.exp(-1j * np.pi * (np.arange(s) + out_start) / length)
+    if a != out_start:  # half-sample row shift: a phase on the input
+        phase = np.exp(-1j * np.pi * (np.arange(s) + offset) / length)
+        pre = phase if pre is None else pre * phase
+    # 2/sqrt(L), rounded as each family's formula: sqrt(2/n) with n = L/2 for I/II
+    scale = np.sqrt(2.0 / (length // 2)) if length % 2 == 0 else 2.0 / np.sqrt(length)
+    row = _weights(s, row_ends)
+    return _FastRecipe(pre, offset, length, out_start, post, cosine,
+                       np.full(s, scale) if row is None else scale * row)
 
 
 class DttPlan:
@@ -260,7 +254,12 @@ class DttPlan:
         self.size = size
         self._fwd = self._trn = None
         if size > 1:
-            self._fwd, self._trn = _fast_recipes(kind, size)
+            grow, a, b, row, col = _EMBEDDINGS[kind]
+            cosine, length = kind.flavor is Flavor.COSINE, 2 * size + grow
+            self._fwd = _recipe(cosine, size, length, a, b, row, col)
+            # M.T swaps (a, row) with (b, col); a symmetric M is its own transpose
+            self._trn = (self._fwd if (a, row) == (b, col)
+                         else _recipe(cosine, size, length, b, a, col, row))
 
 
 def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:

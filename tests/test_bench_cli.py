@@ -12,7 +12,8 @@ from cscskit.bench_cli import (
     read_csv, read_vector, run_bench, write_csv, write_markdown, write_vector,
 )
 from cscskit.cli import main
-from cscskit.structured_matrices import dense_of
+from cscskit.real_schur import real_spectrum
+from cscskit.structured_matrices import cscs_split, dense_of
 
 
 # ---------------------------------------------------------------- oracle
@@ -278,12 +279,25 @@ def test_cli_radius_singular_exits_3(tmp_path):
 
 
 def test_cli_spectrum():
-    code, stdout, _ = run_cli(["spectrum", "--example", "ex3", "--n", "8"])
-    assert code == 0
-    lines = stdout.strip().splitlines()
-    assert lines[0] == "part,k,alpha,beta"
-    assert any(line.startswith("circulant,") for line in lines[1:])
-    assert any(line.startswith("skew,") for line in lines[1:])
+    # each row is (alpha_k, beta) of real_spectrum, beta = 0 where the
+    # eigenvalue is real; circulant betas start at k = 1, skew at k = 0
+    for n in (1, 2, 3, 8, 9):
+        cpart, spart = cscs_split(gen_coeffs(ProblemSpec("ex3", n)))
+        want = []
+        for part, col, first in (("circulant", cpart.col, 1), ("skew", spart.col, 0)):
+            spec = real_spectrum(part, col)
+            betas = dict(enumerate(spec.betas, start=first))
+            want += [(part, k, alpha, betas.get(k, 0.0))
+                     for k, alpha in enumerate(spec.alphas)]
+        for part in (None, "skew"):
+            argv = ["spectrum", "--example", "ex3", "--n", str(n)]
+            code, stdout, _ = run_cli(argv + (["--part", part] if part else []))
+            assert code == 0
+            lines = stdout.strip().splitlines()
+            assert lines[0] == "part,k,alpha,beta"
+            rows = [(p, int(k), float(a), float(b))
+                    for p, k, a, b in (line.split(",") for line in lines[1:])]
+            assert rows == [w for w in want if part in (None, w[0])], (n, part)
 
 
 def test_cli_bench_csv(tmp_path):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from cscskit import cscs_solvers
 from cscskit.bench_cli import ProblemSpec, gen_coeffs
 from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
@@ -75,6 +76,18 @@ def test_converged_solution_verifies_against_naive(backend, rng):
     rel = np.linalg.norm(b - naive_matvec(T, report.solution)) / np.linalg.norm(b)
     assert rel <= cfg.tol
     assert report.solution.flags.c_contiguous and report.solution.flags.owndata
+
+
+def test_fft_backend_setup_runs_no_dft(monkeypatch):
+    # the eigenvalues come from the operator's cores: a one-sweep solve
+    # from x0 = 0 runs the sweep's six DFTs and the residual's four only
+    calls = []
+    real_dft = cscs_solvers.dft
+    monkeypatch.setattr(cscs_solvers, "dft",
+                        lambda x, inverse=False: calls.append(len(x)) or real_dft(x, inverse))
+    T = gen_coeffs(ProblemSpec("ex3", 16))
+    cscs_solve(T, np.ones(16), SolverConfig(theta=3.585, max_iters=1, backend="fft"))
+    assert calls == [16] * 10
 
 
 def test_exact_solution_is_a_fixed_point(rng):

@@ -114,3 +114,15 @@ def test_kind_and_dimension_guards(rng):
         skew_circulant_matvec(op, np.ones(4))
     with pytest.raises(ValueError):
         circulant_matvec(op, np.ones(5))
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 4000, 4097])
+def test_cores_hold_the_spectrum_in_dft_order(n, rng):
+    # the fft backend reads its eigenvalues straight off the cores;
+    # np.fft is an oracle independent of the library's DFT engine
+    c, s = rng.standard_normal(n), rng.standard_normal(n)
+    cases = ((CirculantOperator.from_circulant(c), np.conj(np.fft.fft(c))),
+             (CirculantOperator.from_skew_circulant(s),
+              np.fft.fft(s * np.exp(-1j * np.pi * np.arange(n) / n))))
+    for op, want in cases:
+        assert rel_err(op.pattern.diag + 1j * op.pattern.anti, want) < 1e-12, op.kind

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cscskit import _dft, real_schur
 from cscskit.real_schur import (
     SingularShiftError, XPattern, apply_block_transform, apply_q,
     dense_u_oracle, from_core, real_spectrum, to_core, xpattern_apply,
@@ -175,6 +176,20 @@ def test_spectrum_lengths_follow_parity():
     assert even_s.alphas.shape == (4,) and even_s.betas.shape == (4,)
     odd_s = real_spectrum("skew", np.ones(9))
     assert odd_s.alphas.shape == (5,) and odd_s.betas.shape == (4,)
+
+
+def test_per_size_caches_stay_bounded():
+    # a process that meets many sizes keeps tables for a bounded number
+    caches = (real_schur._block_plans, real_schur._partner_indices,
+              _dft._bluestein_tables)
+    bounds = [cache.cache_info().maxsize for cache in caches]
+    assert None not in bounds
+    for n in range(100, 100 + 3 * max(bounds)):
+        for kind in ("circulant", "skew"):
+            real_spectrum(kind, np.ones(n)).expand()
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
 
 
 # ---------------------------------------------------------------- X-pattern
