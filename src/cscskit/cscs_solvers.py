@@ -28,10 +28,12 @@ are built once by ``ToeplitzOperator.from_bands``, whose cores also give
 the positive-definiteness warnings and the fail-fast singular-shift
 check.  A backend contributes only its sweep and its Toeplitz product.
 
-Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2 or
-after ``max_iters`` sweeps.  Residuals are recomputed each sweep, never
-recursively updated: with ``toeplitz_matvec`` on the solve's operator
-for ``dct_dst``, and with the backend's own complex product for ``fft``.
+Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
+after ``max_iters`` sweeps, or at the first non-finite residual; the
+report's ``stop_reason`` says which.  Residuals are recomputed each
+sweep, never recursively updated: with ``toeplitz_matvec`` on the
+solve's operator for ``dct_dst``, and with the backend's own complex
+product for ``fft``.
 """
 
 import warnings as _warnings
@@ -96,6 +98,7 @@ class SolveReport:
     iterations: int
     residuals: np.ndarray          # relative residual after each full sweep
     converged: bool
+    stop_reason: str               # "converged", "max_iters" or "non_finite"
     warnings: list = field(default_factory=list)
     iterates: list | None = None
     transform_counts: list | None = None   # per-sweep (n_dct, n_dst), dct_dst only
@@ -129,7 +132,7 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
     is singular, and ``ValueError`` for a non-finite ``b`` or ``x0``.
     Indefiniteness of C or S is only a recorded warning; the sweep
-    proceeds regardless.
+    proceeds regardless until the residual stops being finite.
     """
     n, theta = T.n, cfg.theta
     b = _finite_vector(b, n, "right-hand side")
@@ -150,10 +153,11 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     iterates = [x.copy()] if cfg.record_iterates else None
     counts, sizes = ([], set()) if counted else (None, None)
     if r0 == 0.0:
-        return SolveReport(x, 0, np.empty(0), True, notes, iterates, counts, sizes)
+        return SolveReport(x, 0, np.empty(0), True, "converged", notes, iterates,
+                           counts, sizes)
 
     residuals = []
-    converged = False
+    stop = "max_iters"
     for _ in range(cfg.max_iters):
         with counting() as used:
             x = sweep(x)
@@ -166,10 +170,16 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
         rel = np.linalg.norm(b - product(x)) / r0
         residuals.append(rel)
         if rel <= cfg.tol:
-            converged = True
+            stop = "converged"
             break
-    return SolveReport(x, len(residuals), np.array(residuals), converged, notes,
-                       iterates, counts, sizes)
+        if not np.isfinite(rel):
+            # every later sweep would only carry the NaN or Inf along
+            notes.append(f"relative residual is {rel} after sweep {len(residuals)}; "
+                         "stopped")
+            stop = "non_finite"
+            break
+    return SolveReport(x, len(residuals), np.array(residuals), stop == "converged",
+                       stop, notes, iterates, counts, sizes)
 
 
 def _dct_dst_backend(op, theta, b):

@@ -209,7 +209,7 @@ class SpectralPair:
         return self.alphas.shape[0] + self.betas.shape[0]
 
     def expand(self) -> XPattern:
-        """Lossless expansion to the full-length X-pattern core."""
+        """Lossless expansion to the full-length X-pattern core, with read-only arrays."""
         n = self.n
         p = _partner_indices(self.kind, n)
         j = np.arange(self.alphas.shape[0])
@@ -220,6 +220,8 @@ class SpectralPair:
         diag[j] = diag[p[j]] = self.alphas
         anti[k] = self.betas
         anti[p[k]] = -self.betas
+        # operators share these arrays across products and solves
+        diag.flags.writeable = anti.flags.writeable = False
         return XPattern(n, self.kind, diag, anti)
 
     def eigenvalues(self) -> np.ndarray:

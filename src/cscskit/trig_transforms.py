@@ -26,11 +26,27 @@ row/col are 1 except 1/sqrt(2) at the ends the tau/iota weights mark:
     DCT-V    2s-1     0   0     DST-V    2s+1     1   1
     DCT-VI   2s-1     0   1/2   DST-VI   2s+1     1   1/2
 
-So y = M @ x is one complex DFT of length L (even for I/II, odd for
-V/VI): x goes in at offset int(b), the output is read from int(a), and
-a half-sample b is a phase on the output.  M.T is the same rule with
+So y = M @ x reads s entries of the DFT A of a length-L vector a: x
+goes into a at offset int(b), the output is read from int(a), and a
+half-sample b is a phase on the output.  M.T is the same rule with
 (a, row) and (b, col) swapped, which moves the half sample to the
-input.  Either way a transform of size s costs O(s log s).
+input.
+
+Each transform runs one complex DFT: of L/2 points for even L
+(families I and II), of L points for odd L (families V and VI), so a
+transform of size s costs O(s log s).  With w = exp(-2 pi i / L) and
+indices taken mod L/2, the two even-L identities are
+
+* real a (no input phase): with Z = DFT_{L/2}(a[0::2] + i a[1::2]),
+
+      A[k] = ((Z[k] + conj Z[-k]) - i w^k (Z[k] - conj Z[-k])) / 2,
+
+  where every output range lies in k = 0..L/2;
+* input phase (transposed DCT-II/DST-II): the output is Re A or -Im A,
+  the DFT G of g[j] = (a[j] + conj a[-j]) / 2 or of
+  g[j] = i (a[j] - conj a[-j]) / 2.  G is real, so with h = L/2
+
+      G[2q] + i G[2q+1] = DFT_h((g[j] + g[j+h]) + i w^j (g[j] - g[j+h]))[q].
 
 Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
 the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
@@ -47,6 +63,7 @@ import enum
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +194,10 @@ class _FastRecipe:
     apply(x): a[offset:offset+s] = x * pre ; A = dft(a, length)
               seg = A[out_start : out_start+s] * post
               y = (Re(seg) if take_real else -Im(seg)) * out_w
+
+    For an even length, ``twiddle`` holds w^k (k = 0..length/2) and the
+    DFT runs on length/2 points by one of the two identities in the
+    module docstring; an odd length runs the full DFT.
     """
 
     pre: np.ndarray | None
@@ -186,17 +207,59 @@ class _FastRecipe:
     post: np.ndarray | None
     take_real: bool
     out_w: np.ndarray
+    twiddle: np.ndarray | None
 
     def apply(self, x):
         s = x.shape[0]
-        a = np.zeros(self.length, dtype=np.complex128)
-        a[self.offset:self.offset + s] = x if self.pre is None else x * self.pre
-        seg = dft_vector(a)[self.out_start:self.out_start + s]
+        v = x if self.pre is None else x * self.pre
+        tw = self.twiddle
+        # even length: a stays real unless there is an input phase
+        a = np.zeros(self.length, dtype=np.complex128 if tw is None else v.dtype)
+        a[self.offset:self.offset + s] = v
+        lo, hi = self.out_start, self.out_start + s
+        if tw is None:
+            seg = dft_vector(a)[lo:hi]
+        elif a.dtype.kind == "c":  # the output is Re or -Im of A, read as one real DFT
+            y = _hermitian_dft(a, tw, self.take_real)[lo:hi]
+            y *= self.out_w
+            return y
+        else:
+            seg = _real_dft(a, tw, lo, hi)
         if self.post is not None:
             seg = seg * self.post
         y = seg.real.copy() if self.take_real else -seg.imag
         y *= self.out_w
         return y
+
+
+def _real_dft(a, tw, lo, hi):
+    """DFT_L(a)[lo:hi] of a real a of even length L, for hi <= L/2 + 1."""
+    z = dft_vector(a.view(np.complex128))  # z_j = a[2j] + i a[2j+1]
+    z = np.concatenate((z, z[:1]))  # Z[k] for k = 0..L/2, indices mod L/2
+    zk, zmk = z[lo:hi], z[::-1][lo:hi].conj()  # Z[k], conj Z[-k]
+    return 0.5 * ((zk + zmk) - 1j * tw[lo:hi] * (zk - zmk))
+
+
+def _hermitian_dft(a, tw, take_real):
+    """Re DFT_L(a) if take_real, else -Im DFT_L(a), for a complex a of even length L."""
+    ar = np.empty_like(a)  # conj a[-j]
+    ar[0] = a[0]
+    ar[1:] = a[:0:-1]
+    ar = ar.conj()
+    # DFT_L(g) is real: g is the Hermitian part of a, or i times its anti-Hermitian part
+    g = 0.5 * (a + ar) if take_real else 0.5j * (a - ar)
+    m = a.shape[0] // 2
+    lo, hi = g[:m], g[m:]
+    # G[2q] + i G[2q+1], so the float view is G in order
+    return dft_vector((lo + hi) + 1j * tw[:m] * (lo - hi)).view(np.float64)
+
+
+@lru_cache(maxsize=16)
+def _half_twiddle(length):
+    """w^k = exp(-2 pi i k / length) for k = 0..length/2, read-only."""
+    tw = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
+    tw.flags.writeable = False
+    return tw
 
 
 # kind -> (L - 2s, a, b, row ends, col ends) of the rule in the module
@@ -234,7 +297,8 @@ def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _Fas
     scale = np.sqrt(2.0 / (length // 2)) if length % 2 == 0 else 2.0 / np.sqrt(length)
     row = _weights(s, row_ends)
     return _FastRecipe(pre, offset, length, out_start, post, cosine,
-                       np.full(s, scale) if row is None else scale * row)
+                       np.full(s, scale) if row is None else scale * row,
+                       _half_twiddle(length) if length % 2 == 0 else None)
 
 
 class DttPlan:

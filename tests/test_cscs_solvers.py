@@ -158,6 +158,33 @@ def test_non_positive_definite_warns_but_runs():
     assert report.iterations == 5
 
 
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_diverging_solve_stops_at_first_non_finite_residual(backend):
+    # indefinite bands at a small shift: the iterates grow until the
+    # residual overflows, after which every sweep would be NaN
+    n = 64
+    bands = np.zeros(2 * n - 1)
+    bands[n - 1] = -1.0
+    bands[n - 2] = bands[n] = 3.0
+    T = toeplitz_from_bands(bands)
+    with pytest.warns(RuntimeWarning):
+        report = cscs_solve(T, np.ones(n), SolverConfig(theta=0.05, backend=backend))
+    assert report.stop_reason == "non_finite" and not report.converged
+    assert report.iterations == len(report.residuals) < 500
+    assert np.isfinite(report.residuals[:-1]).all()
+    assert not np.isfinite(report.residuals[-1])
+    assert len(report.warnings) == 3 and "stopped" in report.warnings[-1]
+
+
+def test_stop_reason_names_why_the_solve_stopped():
+    T = gen_coeffs(ProblemSpec("ex1", 64, 0.9))
+    done = cscs_solve(T, np.ones(64), SolverConfig(theta=1.5))
+    assert done.converged and done.stop_reason == "converged"
+    cut = cscs_solve(T, np.ones(64), SolverConfig(theta=1.5, max_iters=2))
+    assert not cut.converged and cut.stop_reason == "max_iters"
+    assert cut.iterations == 2 and np.isfinite(cut.residuals).all()
+
+
 def test_singular_shift_raises():
     # C = S = -I and theta = 1 makes theta I + C exactly singular
     T = toeplitz_from_bands([0.0, 0.0, -2.0, 0.0, 0.0])
@@ -179,6 +206,7 @@ def test_zero_rhs_short_circuits(backend):
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
     report = cscs_solve(T, np.zeros(3), SolverConfig(theta=1.0, backend=backend))
     assert report.converged and report.iterations == 0
+    assert report.stop_reason == "converged"
     assert np.array_equal(report.solution, np.zeros(3))
     if backend == "dct_dst":
         assert report.transform_counts == []

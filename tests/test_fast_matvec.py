@@ -126,3 +126,15 @@ def test_cores_hold_the_spectrum_in_dft_order(n, rng):
               np.fft.fft(s * np.exp(-1j * np.pi * np.arange(n) / n))))
     for op, want in cases:
         assert rel_err(op.pattern.diag + 1j * op.pattern.anti, want) < 1e-12, op.kind
+
+
+def test_operator_cores_are_read_only():
+    # every product, solve and scan on the operator reads these arrays
+    op = ToeplitzOperator.from_bands(toeplitz_from_bands([0.2, 0.5, 3.0, 0.5, 0.2]))
+    x = np.ones(3)
+    before = toeplitz_matvec(op, x)
+    for part in (op.circulant_part, op.skew_part):
+        for values in (part.pattern.diag, part.pattern.anti):
+            with pytest.raises(ValueError):
+                values[0] += 1.0
+    assert np.array_equal(toeplitz_matvec(op, x), before)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscskit import _dft, real_schur
+from cscskit import _dft, real_schur, trig_transforms
 from cscskit.real_schur import (
     SingularShiftError, XPattern, apply_block_transform, apply_q,
     dense_u_oracle, from_core, real_spectrum, to_core, xpattern_apply,
@@ -83,6 +83,52 @@ def test_block_factor_equals_q_times_u(side, n):
     eye = np.eye(n)
     assert np.abs(np.column_stack([from_core(side, e) for e in eye]) - U).max() < 1e-12
     assert np.abs(np.column_stack([to_core(side, col) for col in U.T]) - eye).max() < 1e-12
+
+
+def _core_layout(side, n):
+    """(cosine size, alpha weights, first paired index, sine size) of the core."""
+    sine = (n - 1) // 2 if side == "circulant" else n // 2
+    k = np.arange(n - sine)
+    fixed = (2 * k) % n == 0 if side == "circulant" else 2 * k == n - 1
+    weight = np.where(fixed, np.sqrt(n), np.sqrt(n / 2))
+    return n - sine, weight, int(side == "circulant"), sine
+
+
+def _fft_to_core(side, x):
+    # the core holds conj(fft(x)) (circulant) or fft(x * exp(-i pi j/n))
+    # (skew) in DFT order: alphas on the diagonal, betas on the anti-diagonal
+    n = x.shape[0]
+    hs, weight, first, sine = _core_layout(side, n)
+    lam = (np.conj(np.fft.fft(x)) if side == "circulant"
+           else np.fft.fft(x * np.exp(-1j * np.pi * np.arange(n) / n)))
+    betas = lam.imag[first:first + sine]
+    return np.concatenate((lam.real[:hs] / weight, -betas[::-1] / np.sqrt(n / 2)))
+
+
+def _fft_from_core(side, y):
+    n = y.shape[0]
+    hs, weight, first, sine = _core_layout(side, n)
+    head = weight * y[:hs] + 0j
+    head.imag[first:first + sine] = -np.sqrt(n / 2) * y[hs:][::-1]
+    j = np.arange(hs)
+    lam = np.empty(n, dtype=np.complex128)
+    lam[j] = head
+    if side == "circulant":
+        lam[(n - j) % n] = np.conj(head)
+        return np.fft.ifft(np.conj(lam)).real
+    lam[n - 1 - j] = np.conj(head)
+    return (np.fft.ifft(lam) * np.exp(1j * np.pi * np.arange(n) / n)).real
+
+
+@pytest.mark.parametrize("n", [4000, 4096, 4097, 65536])
+@pytest.mark.parametrize("side", ("circulant", "skew"))
+def test_basis_change_matches_numpy_fft_at_scale(side, n, rng):
+    # dtt_matrix is O(n^2); at the benchmark's sizes np.fft is the oracle
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    for got, want in ((to_core(side, x), _fft_to_core(side, x)),
+                      (from_core(side, y), _fft_from_core(side, y)),
+                      (from_core(side, to_core(side, x)), x)):
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_block_transform_round_trip(rng):
@@ -181,7 +227,7 @@ def test_spectrum_lengths_follow_parity():
 def test_per_size_caches_stay_bounded():
     # a process that meets many sizes keeps tables for a bounded number
     caches = (real_schur._block_plans, real_schur._partner_indices,
-              _dft._bluestein_tables)
+              _dft._bluestein_tables, trig_transforms._half_twiddle)
     bounds = [cache.cache_info().maxsize for cache in caches]
     assert None not in bounds
     for n in range(100, 100 + 3 * max(bounds)):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cscskit import trig_transforms
 from cscskit.trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
     DttKind, DttPlan, Family, Flavor, counting, dtt_apply, dtt_matrix,
@@ -13,6 +14,14 @@ from cscskit.trig_transforms import (
 ALL_KINDS = (DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI)
 
 SQ2 = np.sqrt(2.0)
+
+# DFT embedding length L of each kind at size s (module docstring table)
+EMBED_LENGTH = {
+    DCT_I: lambda s: 2 * s - 2, DST_I: lambda s: 2 * s + 2,
+    DCT_II: lambda s: 2 * s, DST_II: lambda s: 2 * s,
+    DCT_V: lambda s: 2 * s - 1, DST_V: lambda s: 2 * s + 1,
+    DCT_VI: lambda s: 2 * s - 1, DST_VI: lambda s: 2 * s + 1,
+}
 
 
 def test_kind_space_is_eight():
@@ -119,3 +128,23 @@ def test_tally_counts_applications():
         dtt_apply(DttPlan(DST_I, 5), np.ones(5))
     dtt_apply(DttPlan(DST_I, 5), np.ones(5))  # outside the block: not counted
     assert used == {(Flavor.COSINE, 8): 1, (Flavor.SINE, 5): 2}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
+    lengths = []
+    dft_vector = trig_transforms.dft_vector
+
+    def recording(x):
+        lengths.append(len(x))
+        return dft_vector(x)
+
+    monkeypatch.setattr(trig_transforms, "dft_vector", recording)
+    for s in (*range(2, 40), 256, 257, 4096):
+        length = EMBED_LENGTH[kind](s)
+        want = length // 2 if length % 2 == 0 else length
+        plan = DttPlan(kind, s)
+        for transposed in (False, True):
+            lengths.clear()
+            dtt_apply(plan, rng.standard_normal(s), transposed)
+            assert lengths == [want], (s, transposed)
