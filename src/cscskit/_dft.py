@@ -6,21 +6,28 @@ Forward transform (unnormalized):
     X[k] =  sum x[j] * exp(-2*pi*i*j*k/N),   0 <= k < N.
             j=0
 
-Power-of-two lengths run through an iterative radix-2 decimation-in-time
-FFT; every other length is reduced to a power-of-two cyclic convolution
-with Bluestein's chirp identity
+``dft_vector(x, n)`` also takes a window: the first m = len(x) outputs
+of the n-point DFT of x zero-padded to n (m <= n), which is what a DFT
+embedding with few inputs and few outputs needs.
 
-    j*k = (j^2 + k^2 - (k - j)^2) / 2,
+A full DFT of power-of-two length runs through an iterative radix-2
+decimation-in-time FFT; every other length, and every window, is
+reduced to a power-of-two cyclic convolution with Bluestein's chirp
+identity
 
-so the cost is O(N log N) for all N.  Chirp phases are built from
-``j^2 mod 2N`` computed in exact integer arithmetic, which keeps the
-phase arguments small and the transform accurate for large N.
+    j*k = (j^2 + k^2 - (k - j)^2) / 2.
+
+The convolution takes m inputs to m outputs, so its length is the power
+of two >= 2m - 1 whatever n is, and the cost is O(m log m).  Chirp
+phases are built from ``j^2 mod 2N`` computed in exact integer
+arithmetic, which keeps the phase arguments small and the transform
+accurate for large N.
 
 Twiddle, bit-reversal and chirp tables are cached per length; all cached
 arrays are frozen (read-only) so plans can be shared between threads.
 Bit-reversal and twiddle tables exist only for powers of two, so their
-caches are bounded by the word size; the chirp tables, one per length,
-are kept for the 16 most recent lengths.
+caches are bounded by the word size; the chirp tables, one per (n, m),
+are kept for the 16 most recent.
 """
 
 from functools import lru_cache
@@ -72,33 +79,40 @@ def _ifft_pow2(x):
 
 
 @lru_cache(maxsize=16)
-def _bluestein_tables(n):
-    k = np.arange(n, dtype=np.int64)
+def _bluestein_tables(n, m):
+    k = np.arange(m, dtype=np.int64)
     # exact integer reduction of k^2 modulo 2n keeps phases accurate
     sq = (k * k) % (2 * n)
     chirp = np.exp(-1j * np.pi * sq / n)
     b = np.conj(chirp)
-    length = 1 << (2 * n - 1).bit_length() if 2 * n - 1 > 1 else 1
+    length = 1 << (2 * m - 1).bit_length() if 2 * m - 1 > 1 else 1
     bext = np.zeros(length, dtype=np.complex128)
-    bext[:n] = b
-    if n > 1:
-        bext[length - n + 1:] = b[1:][::-1]
+    bext[:m] = b
+    if m > 1:
+        bext[length - m + 1:] = b[1:][::-1]
     return _freeze(chirp), _freeze(_fft_pow2(bext)), length
 
 
-def dft_vector(x):
-    """Unnormalized forward DFT of a 1-d array, any length >= 1."""
+def dft_vector(x, n=None):
+    """Unnormalized forward DFT of a 1-d array of any length m >= 1.
+
+    With n >= m, returns X[0:m] of the n-point DFT of x zero-padded to n.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if n == 0:
+    m = x.shape[0]
+    if m == 0:
         raise ValueError("dft of an empty vector")
-    if n & (n - 1) == 0:
+    if n is None:
+        n = m
+    elif n < m:
+        raise ValueError(f"dft length {n} is shorter than the input length {m}")
+    if n == m and n & (n - 1) == 0:
         return _fft_pow2(x)
-    chirp, bfft, length = _bluestein_tables(n)
+    chirp, bfft, length = _bluestein_tables(n, m)
     a = np.zeros(length, dtype=np.complex128)
-    a[:n] = x * chirp
+    a[:m] = x * chirp
     conv = _ifft_pow2(_fft_pow2(a) * bfft)
-    return conv[:n] * chirp
+    return conv[:m] * chirp
 
 
 def idft_vector(x):

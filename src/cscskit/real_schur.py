@@ -155,13 +155,21 @@ class XPattern:
     ``pairing`` fixes the partner map: (n-j) mod n for the circulant
     core Omega, n-1-j for the skew core Sigma.  Stored redundantly at
     full length so apply/solve stay branch-free; anti is zero at fixed
-    points and antisymmetric across each pair.
+    points and antisymmetric across each pair.  ``diag`` and ``anti`` are
+    read-only float64 copies of the arrays passed in, so operators can
+    share a pattern across products and solves.
     """
 
     n: int
     pairing: str
     diag: np.ndarray
     anti: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "anti"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @property
     def partner(self) -> np.ndarray:
@@ -209,7 +217,7 @@ class SpectralPair:
         return self.alphas.shape[0] + self.betas.shape[0]
 
     def expand(self) -> XPattern:
-        """Lossless expansion to the full-length X-pattern core, with read-only arrays."""
+        """Lossless expansion to the full-length X-pattern core."""
         n = self.n
         p = _partner_indices(self.kind, n)
         j = np.arange(self.alphas.shape[0])
@@ -220,8 +228,6 @@ class SpectralPair:
         diag[j] = diag[p[j]] = self.alphas
         anti[k] = self.betas
         anti[p[k]] = -self.betas
-        # operators share these arrays across products and solves
-        diag.flags.writeable = anti.flags.writeable = False
         return XPattern(n, self.kind, diag, anti)
 
     def eigenvalues(self) -> np.ndarray:

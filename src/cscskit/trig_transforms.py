@@ -32,10 +32,17 @@ half-sample b is a phase on the output.  M.T is the same rule with
 (a, row) and (b, col) swapped, which moves the half sample to the
 input.
 
-Each transform runs one complex DFT: of L/2 points for even L
-(families I and II), of L points for odd L (families V and VI), so a
-transform of size s costs O(s log s).  With w = exp(-2 pi i / L) and
-indices taken mod L/2, the two even-L identities are
+Each transform runs one complex DFT, so a transform of size s costs
+O(s log s).  Take w = exp(-2 pi i / L).  For odd L (families V and VI)
+the DFT takes the s inputs to the s outputs: with lo = int(a) and
+offset = int(b), the offsets fold into the phases,
+
+    A[lo+k] = w^(offset (lo+k)) sum_j (v[j] w^(j lo)) w^(j k),
+
+which is the first s outputs of the L-point DFT of s points: one chirp
+convolution on a power of two >= 2s - 1 points.  For even L (families I and II) the
+DFT has L/2 points.  With indices taken mod L/2, the two even-L
+identities are
 
 * real a (no input phase): with Z = DFT_{L/2}(a[0::2] + i a[1::2]),
 
@@ -197,7 +204,9 @@ class _FastRecipe:
 
     For an even length, ``twiddle`` holds w^k (k = 0..length/2) and the
     DFT runs on length/2 points by one of the two identities in the
-    module docstring; an odd length runs the full DFT.
+    module docstring.  An odd length has its offsets folded into ``pre``
+    and ``post`` (both offsets are 0), so the DFT reads the s outputs
+    straight off the s inputs.
     """
 
     pre: np.ndarray | None
@@ -213,17 +222,17 @@ class _FastRecipe:
         s = x.shape[0]
         v = x if self.pre is None else x * self.pre
         tw = self.twiddle
-        # even length: a stays real unless there is an input phase
-        a = np.zeros(self.length, dtype=np.complex128 if tw is None else v.dtype)
-        a[self.offset:self.offset + s] = v
-        lo, hi = self.out_start, self.out_start + s
         if tw is None:
-            seg = dft_vector(a)[lo:hi]
-        elif a.dtype.kind == "c":  # the output is Re or -Im of A, read as one real DFT
-            y = _hermitian_dft(a, tw, self.take_real)[lo:hi]
-            y *= self.out_w
-            return y
+            seg = dft_vector(v, self.length)
         else:
+            # a stays real unless there is an input phase
+            a = np.zeros(self.length, dtype=v.dtype)
+            a[self.offset:self.offset + s] = v
+            lo, hi = self.out_start, self.out_start + s
+            if a.dtype.kind == "c":  # the output is Re or -Im of A, read as one real DFT
+                y = _hermitian_dft(a, tw, self.take_real)[lo:hi]
+                y *= self.out_w
+                return y
             seg = _real_dft(a, tw, lo, hi)
         if self.post is not None:
             seg = seg * self.post
@@ -287,11 +296,19 @@ def _weights(s, ends):
 def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _FastRecipe:
     """y = M @ x under the rule with these L, a, b and weights; a, b not both half-integers."""
     out_start, offset = int(a), int(b)
+    k = np.arange(s)
+    # phases exp(-pi i e / L) by their integer exponents e
+    e_out = (k + out_start) * (b != offset)  # half-sample column shift
+    e_in = (k + offset) * (a != out_start)  # half-sample row shift
+    if length % 2:  # fold the offsets into the phases (module docstring)
+        e_out = e_out + 2 * offset * (k + out_start)
+        e_in = e_in + 2 * out_start * k
+        out_start = offset = 0
     pre, post = _weights(s, col_ends), None
-    if b != offset:  # half-sample column shift: a phase on the output
-        post = np.exp(-1j * np.pi * (np.arange(s) + out_start) / length)
-    if a != out_start:  # half-sample row shift: a phase on the input
-        phase = np.exp(-1j * np.pi * (np.arange(s) + offset) / length)
+    if e_out.any():
+        post = np.exp(-1j * np.pi * e_out / length)
+    if e_in.any():
+        phase = np.exp(-1j * np.pi * e_in / length)
         pre = phase if pre is None else pre * phase
     # 2/sqrt(L), rounded as each family's formula: sqrt(2/n) with n = L/2 for I/II
     scale = np.sqrt(2.0 / (length // 2)) if length % 2 == 0 else 2.0 / np.sqrt(length)

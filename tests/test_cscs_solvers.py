@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from cscskit import cscs_solvers
+from cscskit import _dft, cscs_solvers
 from cscskit.bench_cli import ProblemSpec, gen_coeffs
 from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
@@ -51,6 +51,26 @@ def test_dft_inverse_matches_definitional(rng):
     x = rng.standard_normal(90) + 1j * rng.standard_normal(90)
     assert np.allclose(dft(x, inverse=True), dft_oracle(x, inverse=True),
                        atol=1e-12)
+
+
+WINDOWS = [(m, n) for m in (1, 2, 3, 128, 129, 2048, 2049)
+           for n in sorted({m, m + 1, 2 * m - 1, 2 * m + 1, 1 << (m - 1).bit_length()})]
+
+
+@pytest.mark.parametrize("m, n", WINDOWS)
+def test_windowed_dft_matches_numpy_fft(m, n, rng):
+    # the first m outputs of the n-point DFT of m points; np.fft is an
+    # oracle independent of the engine
+    x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    want = np.fft.fft(x, n)[:m]
+    got = _dft.dft_vector(x, n)
+    assert got.shape == (m,)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_windowed_dft_rejects_a_shorter_length():
+    with pytest.raises(ValueError):
+        _dft.dft_vector(np.ones(5), 4)
 
 
 # --------------------------------------------------------------- cscs_solve

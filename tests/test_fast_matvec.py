@@ -7,6 +7,7 @@ from cscskit.fast_matvec import (
     CirculantOperator, ToeplitzOperator, circulant_matvec,
     skew_circulant_matvec, toeplitz_matvec,
 )
+from cscskit.real_schur import XPattern
 from cscskit.structured_matrices import (
     CirculantCol, SkewCirculantCol, naive_matvec, toeplitz_from_bands,
 )
@@ -138,3 +139,19 @@ def test_operator_cores_are_read_only():
             with pytest.raises(ValueError):
                 values[0] += 1.0
     assert np.array_equal(toeplitz_matvec(op, x), before)
+
+
+def test_operator_keeps_its_own_copy_of_the_caller_arrays():
+    # an operator built from the caller's own arrays must not follow
+    # later writes to them
+    diag, anti = np.array([3.0, 1.0, 1.0]), np.zeros(3)
+    op = CirculantOperator(XPattern(3, "circulant", diag, anti))
+    x = np.ones(3)
+    before = circulant_matvec(op, x)
+    assert np.allclose(before, [3.0, 3.0, 3.0], atol=1e-14)
+    diag[0] += 1.0
+    anti[1] += 1.0
+    assert np.array_equal(circulant_matvec(op, x), before)
+    for values in (op.pattern.diag, op.pattern.anti):
+        with pytest.raises(ValueError):
+            values[0] += 1.0

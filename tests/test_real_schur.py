@@ -120,7 +120,7 @@ def _fft_from_core(side, y):
     return (np.fft.ifft(lam) * np.exp(1j * np.pi * np.arange(n) / n)).real
 
 
-@pytest.mark.parametrize("n", [4000, 4096, 4097, 65536])
+@pytest.mark.parametrize("n", [4000, 4096, 4097, 65536, 65537])
 @pytest.mark.parametrize("side", ("circulant", "skew"))
 def test_basis_change_matches_numpy_fft_at_scale(side, n, rng):
     # dtt_matrix is O(n^2); at the benchmark's sizes np.fft is the oracle

@@ -132,17 +132,19 @@ def test_tally_counts_applications():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
+    # even L: one DFT of L/2 points; odd L: the first s outputs of the
+    # L-point DFT of s points, one windowed DFT
     lengths = []
     dft_vector = trig_transforms.dft_vector
 
-    def recording(x):
-        lengths.append(len(x))
-        return dft_vector(x)
+    def recording(x, n=None):
+        lengths.append((len(x), len(x) if n is None else n))
+        return dft_vector(x, n)
 
     monkeypatch.setattr(trig_transforms, "dft_vector", recording)
     for s in (*range(2, 40), 256, 257, 4096):
         length = EMBED_LENGTH[kind](s)
-        want = length // 2 if length % 2 == 0 else length
+        want = (length // 2,) * 2 if length % 2 == 0 else (s, length)
         plan = DttPlan(kind, s)
         for transposed in (False, True):
             lengths.clear()
