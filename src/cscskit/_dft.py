@@ -17,8 +17,11 @@ identity
 
     j*k = (j^2 + k^2 - (k - j)^2) / 2.
 
-The convolution takes m inputs to m outputs, so its length is the power
-of two >= 2m - 1 whatever n is, and the cost is O(m log m).  Chirp
+The convolution takes m inputs to m outputs, so its lags k - j run over
+-(m-1)..(m-1) whatever n is.  Its length is the power of two >= 2m - 2:
+a cyclic convolution of 2m - 2 points merges only the lags +(m-1) and
+-(m-1), and the chirp exp(i*pi*d^2/n) is even in d, so both read the
+same value.  The cost is O(m log m).  Chirp
 phases are built from ``j^2 mod 2N`` computed in exact integer
 arithmetic, which keeps the phase arguments small and the transform
 accurate for large N.
@@ -85,7 +88,8 @@ def _bluestein_tables(n, m):
     sq = (k * k) % (2 * n)
     chirp = np.exp(-1j * np.pi * sq / n)
     b = np.conj(chirp)
-    length = 1 << (2 * m - 1).bit_length() if 2 * m - 1 > 1 else 1
+    # lags +-(m-1) share an index at length 2m - 2 and an even chirp value
+    length = 1 << (2 * m - 3).bit_length() if m > 1 else 1
     bext = np.zeros(length, dtype=np.complex128)
     bext[:m] = b
     if m > 1:

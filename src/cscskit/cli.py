@@ -118,6 +118,8 @@ def _parse_grid(text):
         raise _ConfigError(f"--grid expects start:stop:steps, got {text!r}") from None
     if steps < 1:
         raise _ConfigError("--grid needs at least one step")
+    if not np.isfinite([start, stop]).all():
+        raise _ConfigError(f"--grid start and stop must be finite, got {text!r}")
     return np.linspace(start, stop, steps)
 
 

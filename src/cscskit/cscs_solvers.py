@@ -80,10 +80,10 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.theta < np.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.backend not in ("dct_dst", "fft"):
@@ -276,8 +276,8 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("theta grid must be a nonempty 1-d vector")
-    if not np.all(grid > 0):
-        raise ValueError("theta grid entries must be positive")
+    if not np.all((grid > 0) & (grid < np.inf)):
+        raise ValueError("theta grid entries must be positive and finite")
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
     bounds = np.array([_factor_bound(omega, th) * _factor_bound(sigma, th)

@@ -40,7 +40,7 @@ offset = int(b), the offsets fold into the phases,
     A[lo+k] = w^(offset (lo+k)) sum_j (v[j] w^(j lo)) w^(j k),
 
 which is the first s outputs of the L-point DFT of s points: one chirp
-convolution on a power of two >= 2s - 1 points.  For even L (families I and II) the
+convolution on a power of two >= 2s - 2 points.  For even L (families I and II) the
 DFT has L/2 points.  With indices taken mod L/2, the two even-L
 identities are
 

@@ -327,6 +327,13 @@ def test_cli_theta_scan():
     assert "# best theta = " in stdout
 
 
+def test_cli_theta_scan_non_finite_grid_exits_2():
+    code, stdout, stderr = run_cli(["theta-scan", "--example", "ex3", "--n", "16",
+                                    "--grid", "1:inf:5"])
+    assert code == 2
+    assert stdout == "" and "finite" in stderr
+
+
 def test_cli_missing_problem_is_config_error():
     code, _, stderr = run_cli(["radius", "--theta", "1.0"])
     assert code == 2

@@ -1,5 +1,6 @@
 """CSCS solver, DFT baseline, spectral-radius and shift-scan diagnostics."""
 
+import math
 import sys
 import threading
 
@@ -14,6 +15,7 @@ from cscskit.cscs_solvers import (
 )
 from cscskit.real_schur import SingularShiftError
 from cscskit.structured_matrices import naive_matvec, toeplitz_from_bands
+from cscskit.trig_transforms import DCT_V, DCT_VI, DST_V, DST_VI, DttPlan, dtt_apply
 
 from conftest import random_bands
 
@@ -53,7 +55,7 @@ def test_dft_inverse_matches_definitional(rng):
                        atol=1e-12)
 
 
-WINDOWS = [(m, n) for m in (1, 2, 3, 128, 129, 2048, 2049)
+WINDOWS = [(m, n) for m in (1, 2, 3, 5, 17, 128, 129, 2048, 2049, 4097)
            for n in sorted({m, m + 1, 2 * m - 1, 2 * m + 1, 1 << (m - 1).bit_length()})]
 
 
@@ -71,6 +73,34 @@ def test_windowed_dft_matches_numpy_fft(m, n, rng):
 def test_windowed_dft_rejects_a_shorter_length():
     with pytest.raises(ValueError):
         _dft.dft_vector(np.ones(5), 4)
+
+
+def test_chirp_convolution_is_the_smallest_power_of_two(monkeypatch, rng):
+    # the lags k - j run over -(m-1)..(m-1) and the chirp is even in the
+    # lag, so a cyclic convolution of 2m - 2 points is exact
+    lengths = []
+    fft_pow2 = _dft._fft_pow2
+
+    def recording(x):
+        lengths.append(len(x))
+        return fft_pow2(x)
+
+    monkeypatch.setattr(_dft, "_fft_pow2", recording)
+    for m in (2, 3, 5, 9, 17, 129, 2049, 4097):
+        want = 2 ** math.ceil(math.log2(2 * m - 2))
+        for n in (m, 2 * m - 1, 2 * m + 1):
+            lengths.clear()
+            _dft.dft_vector(rng.standard_normal(m), n)
+            assert lengths and set(lengths) == {want}, (m, n)
+    # n = 4097: DCT-V/VI of 2049 points and DST-V/VI of 2048 points
+    for kind, s in ((DCT_V, 2049), (DST_V, 2048), (DCT_VI, 2049), (DST_VI, 2048)):
+        for transposed in (False, True):
+            lengths.clear()
+            dtt_apply(DttPlan(kind, s), rng.standard_normal(s), transposed)
+            assert lengths and set(lengths) == {4096}, (str(kind), transposed)
+    lengths.clear()
+    dft(rng.standard_normal(4097))
+    assert lengths and set(lengths) == {8192}
 
 
 # --------------------------------------------------------------- cscs_solve
@@ -221,6 +251,18 @@ def test_config_validation():
         SolverConfig(theta=1.0, backend="qr")
 
 
+def test_config_rejects_an_infinite_theta():
+    # caught here, not blamed on a pattern index by the singular-shift check
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        SolverConfig(theta=np.inf)
+
+
+def test_config_rejects_an_infinite_tol():
+    # tol = inf would report convergence after one sweep
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SolverConfig(theta=1.0, tol=np.inf)
+
+
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])
 def test_zero_rhs_short_circuits(backend):
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
@@ -326,3 +368,10 @@ def test_theta_scan_empty_grid():
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         theta_scan(T, np.array([]))
+
+
+def test_theta_scan_rejects_a_non_finite_grid_entry():
+    # an infinite shift would come back as a NaN bound
+    T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        theta_scan(T, [1.0, np.inf, 2.0])
