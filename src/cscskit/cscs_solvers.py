@@ -84,8 +84,8 @@ class SolverConfig:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if self.backend not in ("dct_dst", "fft"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -237,6 +237,8 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
     rho < 1 iff the iteration converges for every initial guess.  Dense
     O(n^3) work, guarded at n <= 4096.
     """
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     n = T.n
     if n > RHO_DENSE_GUARD:
         raise ValueError(

@@ -245,6 +245,8 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     col = np.asarray(col, dtype=np.float64)
     if col.ndim != 1 or col.shape[0] < 1:
         raise ValueError("real_spectrum expects a nonempty first column")
+    if not np.isfinite(col).all():
+        raise ValueError("real_spectrum expects a finite first column (got NaN or Inf)")
     n = col.shape[0]
     hs = n - _sine_size(kind, n)
     vhat = to_core(kind, col)
@@ -290,6 +292,8 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
+    if not np.isfinite(theta):
+        raise ValueError(f"shift theta must be finite, got {theta}")
     d = theta + X.diag
     det = d * d + X.anti * X.anti
     scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)

@@ -33,27 +33,47 @@ half-sample b is a phase on the output.  M.T is the same rule with
 input.
 
 Each transform runs one complex DFT, so a transform of size s costs
-O(s log s).  Take w = exp(-2 pi i / L).  For odd L (families V and VI)
-the DFT takes the s inputs to the s outputs: with lo = int(a) and
-offset = int(b), the offsets fold into the phases,
+O(s log s).  Families I, V and VI run the embedding; family II runs
+Makhoul's reordering instead (below).  Take w = exp(-2 pi i / L).  For
+odd L (families V and VI) the DFT takes the s inputs to the s outputs:
+with lo = int(a) and offset = int(b), the offsets fold into the phases,
 
     A[lo+k] = w^(offset (lo+k)) sum_j (v[j] w^(j lo)) w^(j k),
 
 which is the first s outputs of the L-point DFT of s points: one chirp
-convolution on a power of two >= 2s - 2 points.  For even L (families I and II) the
-DFT has L/2 points.  With indices taken mod L/2, the two even-L
-identities are
+convolution on a power of two >= 2s - 2 points.  For even L (family I)
+the input is real and the DFT has L/2 points: with indices taken mod
+L/2 and Z = DFT_{L/2}(a[0::2] + i a[1::2]),
 
-* real a (no input phase): with Z = DFT_{L/2}(a[0::2] + i a[1::2]),
+    A[k] = ((Z[k] + conj Z[-k]) - i w^k (Z[k] - conj Z[-k])) / 2,
 
-      A[k] = ((Z[k] + conj Z[-k]) - i w^k (Z[k] - conj Z[-k])) / 2,
+where every output range lies in k = 0..L/2.
 
-  where every output range lies in k = 0..L/2;
-* input phase (transposed DCT-II/DST-II): the output is Re A or -Im A,
-  the DFT G of g[j] = (a[j] + conj a[-j]) / 2 or of
-  g[j] = i (a[j] - conj a[-j]) / 2.  G is real, so with h = L/2
+Family II needs no padding (Makhoul, "A fast cosine transform in one
+and two dimensions", IEEE TASSP 1980).  With
+C(x)_j = sum_k x[k] cos(pi j (2k+1) / (2s)), reorder
+v[:ceil(s/2)] = x[0::2] and v[ceil(s/2):] = x[1::2][::-1]; then with
+V = DFT_s(v), a DFT of real input,
 
-      G[2q] + i G[2q+1] = DFT_h((g[j] + g[j+h]) + i w^j (g[j] - g[j+h]))[q].
+    C(x)_j = Re(e^(-i pi j / (2s)) V[j]),    V[s-j] = conj V[j],
+
+so outputs j <= s/2 are Re and the others -Im of the first s//2 + 1
+phased entries.  The transpose runs backwards: v = Re DFT_s(y_j
+e^(-i pi j / (2s))), then x[0::2] = v[:ceil(s/2)] and
+x[1::2] = v[ceil(s/2):][::-1].  DST-II = R DCT-II diag((-1)^k), with R
+the reversal, so DST-II and its transpose are the same recipes with a
+sign on one side and a reversal on the other.  For even s, DFT_s(v) is
+the identity above at L = s, and Re DFT_s(a) is the DFT G of the
+Hermitian part g[j] = (a[j] + conj a[-j]) / 2 of a.  G is real, so
+with h = s/2 and w = exp(-2 pi i / s)
+
+    G[2q] + i G[2q+1] = DFT_h((g[j] + g[j+h]) + i w^j (g[j] - g[j+h]))[q].
+
+So one transform of size s costs one complex DFT of
+
+* s/2 points for DCT-II/DST-II at even s, and s points at odd s;
+* L/2 = s - 1 (DCT-I) or s + 1 (DST-I) points for family I;
+* s inputs to s outputs, one chirp convolution, for families V and VI.
 
 Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
 the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
@@ -196,17 +216,20 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FastRecipe:
-    """One direction of a fast transform as a phased, padded DFT.
+    """One direction of a family I, V or VI transform as a phased, padded DFT.
 
     apply(x): a[offset:offset+s] = x * pre ; A = dft(a, length)
               seg = A[out_start : out_start+s] * post
               y = (Re(seg) if take_real else -Im(seg)) * out_w
 
-    For an even length, ``twiddle`` holds w^k (k = 0..length/2) and the
-    DFT runs on length/2 points by one of the two identities in the
-    module docstring.  An odd length has its offsets folded into ``pre``
-    and ``post`` (both offsets are 0), so the DFT reads the s outputs
-    straight off the s inputs.
+    For an even length (family I), ``twiddle`` holds w^k (k = 0..length/2),
+    the input is real and the DFT runs on length/2 points by the real-input
+    identity in the module docstring.  An odd length (families V and VI)
+    has its offsets folded into ``pre`` and ``post`` (both offsets are 0),
+    so the DFT reads the s outputs straight off the s inputs.  Family II
+    is not padded: ``_MakhoulRecipe`` reorders its s inputs (x[0::2], then
+    x[1::2] reversed) into one s-point real DFT, which runs on s/2 complex
+    points for even s and on s points for odd s.
     """
 
     pre: np.ndarray | None
@@ -221,19 +244,12 @@ class _FastRecipe:
     def apply(self, x):
         s = x.shape[0]
         v = x if self.pre is None else x * self.pre
-        tw = self.twiddle
-        if tw is None:
+        if self.twiddle is None:
             seg = dft_vector(v, self.length)
         else:
-            # a stays real unless there is an input phase
-            a = np.zeros(self.length, dtype=v.dtype)
+            a = np.zeros(self.length)
             a[self.offset:self.offset + s] = v
-            lo, hi = self.out_start, self.out_start + s
-            if a.dtype.kind == "c":  # the output is Re or -Im of A, read as one real DFT
-                y = _hermitian_dft(a, tw, self.take_real)[lo:hi]
-                y *= self.out_w
-                return y
-            seg = _real_dft(a, tw, lo, hi)
+            seg = _real_dft(a, self.twiddle, self.out_start, self.out_start + s)
         if self.post is not None:
             seg = seg * self.post
         y = seg.real.copy() if self.take_real else -seg.imag
@@ -241,22 +257,68 @@ class _FastRecipe:
         return y
 
 
+@dataclass(frozen=True)
+class _MakhoulRecipe:
+    """One direction of a DCT-II or DST-II as Makhoul's s-point real DFT.
+
+    forward (``post`` set):     v = x[order] * pre ; W = DFT_s(v)[0 : s//2+1] * post
+                                y = float_view(W)[pick] * out_w
+    transposed (``post`` None): v = x[order] * pre ; y = (Re DFT_s(v))[pick] * out_w
+
+    ``order`` None reads x as it is, ``pre`` None weighs nothing, and the
+    float view of W interleaves Re W and Im W.  For even s, ``twiddle``
+    holds w^k (w = exp(-2 pi i / s), k = 0..s/2) and the DFT runs on s/2
+    complex points; for odd s it runs on s points.
+    """
+
+    order: np.ndarray | None
+    pre: np.ndarray | None
+    post: np.ndarray | None
+    pick: np.ndarray
+    out_w: np.ndarray
+    twiddle: np.ndarray | None
+
+    def apply(self, x):
+        v = x if self.order is None else x[self.order]
+        if self.pre is not None:
+            v = v * self.pre
+        if self.post is None:  # the phase is on the input
+            u = _hermitian_dft(v, self.twiddle)
+        else:
+            u = _real_dft(v, self.twiddle, 0, self.post.shape[0]) * self.post
+            u = u.view(np.float64)
+        y = u[self.pick]
+        y *= self.out_w
+        return y
+
+
 def _real_dft(a, tw, lo, hi):
-    """DFT_L(a)[lo:hi] of a real a of even length L, for hi <= L/2 + 1."""
+    """DFT_L(a)[lo:hi] of a real a of length L, for hi <= L//2 + 1.
+
+    An even L runs one complex DFT of L/2 points with tw = w^k
+    (k = 0..L/2); an odd L runs one complex DFT of L points.
+    """
+    if a.shape[0] % 2:
+        return dft_vector(a)[lo:hi]
     z = dft_vector(a.view(np.complex128))  # z_j = a[2j] + i a[2j+1]
     z = np.concatenate((z, z[:1]))  # Z[k] for k = 0..L/2, indices mod L/2
     zk, zmk = z[lo:hi], z[::-1][lo:hi].conj()  # Z[k], conj Z[-k]
     return 0.5 * ((zk + zmk) - 1j * tw[lo:hi] * (zk - zmk))
 
 
-def _hermitian_dft(a, tw, take_real):
-    """Re DFT_L(a) if take_real, else -Im DFT_L(a), for a complex a of even length L."""
+def _hermitian_dft(a, tw):
+    """Re DFT_L(a) for a complex a of length L.
+
+    An even L runs one complex DFT of L/2 points with tw = w^k
+    (k = 0..L/2 - 1 used); an odd L runs one complex DFT of L points.
+    """
+    if a.shape[0] % 2:
+        return dft_vector(a).real
     ar = np.empty_like(a)  # conj a[-j]
     ar[0] = a[0]
     ar[1:] = a[:0:-1]
     ar = ar.conj()
-    # DFT_L(g) is real: g is the Hermitian part of a, or i times its anti-Hermitian part
-    g = 0.5 * (a + ar) if take_real else 0.5j * (a - ar)
+    g = 0.5 * (a + ar)  # the Hermitian part of a: DFT_L(g) = Re DFT_L(a)
     m = a.shape[0] // 2
     lo, hi = g[:m], g[m:]
     # G[2q] + i G[2q+1], so the float view is G in order
@@ -272,12 +334,11 @@ def _half_twiddle(length):
 
 
 # kind -> (L - 2s, a, b, row ends, col ends) of the rule in the module
-# docstring; the listed ends (0 first, -1 last) weigh 1/sqrt2, the rest 1
+# docstring; the listed ends (0 first, -1 last) weigh 1/sqrt2, the rest 1.
+# Family II runs on ``_makhoul`` instead.
 _EMBEDDINGS = {
     DCT_I: (-2, 0, 0, (0, -1), (0, -1)),
     DST_I: (2, 1, 1, (), ()),
-    DCT_II: (0, 0, 0.5, (0,), ()),
-    DST_II: (0, 1, 0.5, (-1,), ()),
     DCT_V: (-1, 0, 0, (0,), (0,)),
     DST_V: (1, 1, 1, (), ()),
     DCT_VI: (-1, 0, 0.5, (0,), (-1,)),
@@ -310,7 +371,7 @@ def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _Fas
     if e_in.any():
         phase = np.exp(-1j * np.pi * e_in / length)
         pre = phase if pre is None else pre * phase
-    # 2/sqrt(L), rounded as each family's formula: sqrt(2/n) with n = L/2 for I/II
+    # 2/sqrt(L), rounded as each family's formula: sqrt(2/n) with n = L/2 for I
     scale = np.sqrt(2.0 / (length // 2)) if length % 2 == 0 else 2.0 / np.sqrt(length)
     row = _weights(s, row_ends)
     return _FastRecipe(pre, offset, length, out_start, post, cosine,
@@ -318,8 +379,37 @@ def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _Fas
                        _half_twiddle(length) if length % 2 == 0 else None)
 
 
+def _makhoul(cosine: bool, s: int):
+    """Forward and transposed recipes of DCT-II (cosine) or DST-II of size s.
+
+    Makhoul's reordering (module docstring): with W = e^(-pi i j / 2s) V,
+    the DCT reads Re W_j for j <= s//2 and -Im W_(s-j) above, both from the
+    float view of W at ``pick``.
+    """
+    h = s // 2
+    j = np.arange(s)
+    order = np.concatenate((j[0::2], j[1::2][::-1]))  # v = x[order]
+    unorder = np.empty(s, dtype=np.intp)  # x = v[unorder]
+    unorder[order] = j
+    phase = np.exp(-1j * np.pi * j / (2 * s))
+    scale = np.sqrt(2.0 / s)
+    row = _weights(s, (0,))
+    low = j <= h
+    pick = np.where(low, 2 * j, 2 * (s - j) + 1)
+    out_w = np.where(low, scale, -scale) * row
+    tw = _half_twiddle(s) if s % 2 == 0 else None
+    post = phase[:h + 1].copy()  # a view would keep all s phases alive
+    if cosine:
+        return (_MakhoulRecipe(order, None, post, pick, out_w, tw),
+                _MakhoulRecipe(None, row * phase, None, unorder, np.full(s, scale), tw))
+    # DST-II = R DCT-II diag((-1)^k) with R the reversal, so DST-II.T = diag((-1)^k) DCT-II.T R
+    sign = 1.0 - 2.0 * (j % 2)
+    return (_MakhoulRecipe(order, sign[order], post, pick[::-1], out_w[::-1], tw),
+            _MakhoulRecipe(j[::-1], row * phase, None, unorder, scale * sign, tw))
+
+
 class DttPlan:
-    """Precomputed DFT-embedded application plan for one transform kind and size.
+    """Precomputed fast application plan for one transform kind and size.
 
     Immutable after construction; a plan may be shared freely across
     threads.  ``dtt_matrix`` gives the same transform as a dense matrix
@@ -334,7 +424,9 @@ class DttPlan:
         self.kind = kind
         self.size = size
         self._fwd = self._trn = None
-        if size > 1:
+        if size > 1 and kind.family is Family.II:
+            self._fwd, self._trn = _makhoul(kind.flavor is Flavor.COSINE, size)
+        elif size > 1:
             grow, a, b, row, col = _EMBEDDINGS[kind]
             cosine, length = kind.flavor is Flavor.COSINE, 2 * size + grow
             self._fwd = _recipe(cosine, size, length, a, b, row, col)

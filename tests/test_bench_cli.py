@@ -278,6 +278,13 @@ def test_cli_radius_singular_exits_3(tmp_path):
     assert "singular" in stderr
 
 
+def test_cli_radius_negative_theta_exits_2():
+    code, stdout, stderr = run_cli(["radius", "--example", "ex1", "--n", "8",
+                                    "--p", "0.9", "--theta", "-1"])
+    assert code == 2
+    assert stdout == "" and "theta must be positive" in stderr
+
+
 def test_cli_spectrum():
     # each row is (alpha_k, beta) of real_spectrum, beta = 0 where the
     # eigenvalue is real; circulant betas start at k = 1, skew at k = 0

@@ -257,6 +257,12 @@ def test_config_rejects_an_infinite_theta():
         SolverConfig(theta=np.inf)
 
 
+def test_config_rejects_a_non_integer_max_iters():
+    # caught here, not as a TypeError from range() inside the solve
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolverConfig(theta=1.0, max_iters=2.5)
+
+
 def test_config_rejects_an_infinite_tol():
     # tol = inf would report convergence after one sweep
     with pytest.raises(ValueError, match="tol must be positive and finite"):
@@ -307,6 +313,14 @@ def test_rho_guard():
     bands[n - 1] = 1.0
     with pytest.raises(ValueError):
         iteration_matrix_rho(toeplitz_from_bands(bands), 1.0)
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, np.nan, np.inf])
+def test_rho_rejects_a_shift_that_is_not_positive_and_finite(theta):
+    # theta = -1 used to return a radius (160.5 for ex1 at n = 8)
+    T = gen_coeffs(ProblemSpec("ex1", 8, 0.9))
+    with pytest.raises(ValueError, match="theta must be positive and finite"):
+        iteration_matrix_rho(T, theta)
 
 
 def test_rho_singular_shift():

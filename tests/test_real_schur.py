@@ -120,7 +120,7 @@ def _fft_from_core(side, y):
     return (np.fft.ifft(lam) * np.exp(1j * np.pi * np.arange(n) / n)).real
 
 
-@pytest.mark.parametrize("n", [4000, 4096, 4097, 65536, 65537])
+@pytest.mark.parametrize("n", [4000, 4002, 4096, 4097, 65536, 65537, 65538])
 @pytest.mark.parametrize("side", ("circulant", "skew"))
 def test_basis_change_matches_numpy_fft_at_scale(side, n, rng):
     # dtt_matrix is O(n^2); at the benchmark's sizes np.fft is the oracle
@@ -224,6 +224,14 @@ def test_spectrum_lengths_follow_parity():
     assert odd_s.alphas.shape == (5,) and odd_s.betas.shape == (4,)
 
 
+def test_real_spectrum_rejects_a_non_finite_column():
+    # a NaN would spread into every alpha and beta, an Inf into RuntimeWarnings
+    for kind in ("circulant", "skew"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite first column"):
+                real_spectrum(kind, np.array([1.0, bad, 0.0]))
+
+
 def test_per_size_caches_stay_bounded():
     # a process that meets many sizes keeps tables for a bounded number
     caches = (real_schur._block_plans, real_schur._partner_indices,
@@ -309,3 +317,11 @@ def test_shifted_solve_singular_names_index():
     with pytest.raises(SingularShiftError) as err:
         xpattern_shifted_solve(X, -1.0, np.ones(3))
     assert err.value.index == 0
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_shifted_solve_rejects_a_non_finite_shift(theta):
+    # not NaNs out, and not a singular shift blamed on pattern index 0
+    X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        xpattern_shifted_solve(X, theta, np.ones(3))

@@ -132,8 +132,10 @@ def test_tally_counts_applications():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
-    # even L: one DFT of L/2 points; odd L: the first s outputs of the
-    # L-point DFT of s points, one windowed DFT
+    # family II: Makhoul's s-point real DFT, one DFT of s/2 points for
+    # even s and of s points for odd s; otherwise even L: one DFT of L/2
+    # points; odd L: the first s outputs of the L-point DFT of s points,
+    # one windowed DFT
     lengths = []
     dft_vector = trig_transforms.dft_vector
 
@@ -143,8 +145,11 @@ def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
 
     monkeypatch.setattr(trig_transforms, "dft_vector", recording)
     for s in (*range(2, 40), 256, 257, 4096):
-        length = EMBED_LENGTH[kind](s)
-        want = (length // 2,) * 2 if length % 2 == 0 else (s, length)
+        if kind.family is Family.II:
+            want = (s // 2,) * 2 if s % 2 == 0 else (s, s)
+        else:
+            length = EMBED_LENGTH[kind](s)
+            want = (length // 2,) * 2 if length % 2 == 0 else (s, length)
         plan = DttPlan(kind, s)
         for transposed in (False, True):
             lengths.clear()
