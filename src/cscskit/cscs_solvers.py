@@ -25,8 +25,10 @@ sequences agree to rounding.
 
 Both backends share one iteration loop and one setup: the split spectra
 are built once by ``ToeplitzOperator.from_bands``, whose cores also give
-the positive-definiteness warnings and the fail-fast singular-shift
-check.  A backend contributes only its sweep and its Toeplitz product.
+the positive-definiteness warnings, and the shifted cores theta I + C and
+theta I + S are built once per solve.  Building them is the fail-fast
+singular-shift check, and the ``dct_dst`` sweeps reuse their tables.  A
+backend contributes only its sweep and its Toeplitz product.
 
 Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
 after ``max_iters`` sweeps, or at the first non-finite residual; the
@@ -43,9 +45,7 @@ import numpy as np
 
 from . import _dft
 from .fast_matvec import ToeplitzOperator, toeplitz_matvec
-from .real_schur import (
-    SingularShiftError, from_core, to_core, xpattern_apply, xpattern_shifted_solve,
-)
+from .real_schur import SingularShiftError, _ShiftedCore, from_core, to_core
 from .structured_matrices import ToeplitzBands, cscs_split, dense_of
 from .trig_transforms import Flavor, counting
 
@@ -140,12 +140,13 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
          else _finite_vector(cfg.x0, n, "initial guess").copy())
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
-    # fail fast on a singular shift instead of inside the first sweep
-    xpattern_shifted_solve(op.circulant_part.pattern, theta, np.zeros(n))
-    xpattern_shifted_solve(op.skew_part.pattern, theta, np.zeros(n))
+    # theta*I + C and theta*I + S, built once per solve: a singular shift
+    # raises here instead of inside the first sweep
+    omega = _ShiftedCore(op.circulant_part.pattern, theta)
+    sigma = _ShiftedCore(op.skew_part.pattern, theta)
     counted = cfg.backend == "dct_dst"
     if counted:
-        sweep, product = _dct_dst_backend(op, theta, b)
+        sweep, product = _dct_dst_backend(op, omega, sigma, b)
     else:
         sweep, product = _fft_backend(op, theta, b)
 
@@ -182,20 +183,18 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
                        stop, notes, iterates, counts, sizes)
 
 
-def _dct_dst_backend(op, theta, b):
-    """(sweep, Toeplitz product) in real arithmetic through the operator's cores."""
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+def _dct_dst_backend(op, omega, sigma, b):
+    """(sweep, Toeplitz product) in real arithmetic through the shifted cores."""
 
     def sweep(x):
         # (theta I - S) x + b: 2 DCTs + 2 DSTs
-        u = to_core("skew", x)
-        u = from_core("skew", xpattern_apply(sigma, theta, "minus", u)) + b
+        u = from_core("skew", sigma.minus_apply(to_core("skew", x))) + b
         # first half-step solve fused with the second half-step multiply:
         # (theta I - C)(theta I + C)^{-1} shares the circulant block factor
-        w = xpattern_shifted_solve(omega, theta, to_core("circulant", u))
-        v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
+        w = omega.solve(to_core("circulant", u))
+        v = from_core("circulant", omega.minus_apply(w)) + b
         # (theta I + S)^{-1}: 2 DCTs + 2 DSTs
-        return from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
+        return from_core("skew", sigma.solve(to_core("skew", v)))
 
     return sweep, lambda v: toeplitz_matvec(op, v)
 
@@ -257,8 +256,12 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
 
 
 def _factor_bound(pattern, theta):
-    num = (theta - pattern.diag) ** 2 + pattern.anti ** 2
-    den = (theta + pattern.diag) ** 2 + pattern.anti ** 2
+    # entries j and partner(j) give the same ratio, and the first n//2 + 1
+    # entries hold one of each pair on either side
+    half = pattern.n // 2 + 1
+    diag, anti = pattern.diag[:half], pattern.anti[:half]
+    num = (theta - diag) ** 2 + anti ** 2
+    den = (theta + diag) ** 2 + anti ** 2
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")  # 0/0 at an exactly singular grid point
         vals = np.sqrt(num / den)

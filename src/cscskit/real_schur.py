@@ -37,6 +37,14 @@ and sqrt(n/2) elsewhere.  The sign of each beta is a convention pinned
 by the congruence test ``U.T @ dense(M) @ U == expand(real_spectrum(...))``
 rather than by any eigenvalue labeling.
 
+A shifted core theta*I + X is solved and theta*I - X applied in O(n):
+each pair of positions is a 2x2 system with determinant
+(theta + alpha)^2 + beta^2.  ``_ShiftedCore`` checks theta, runs the
+singular check and keeps theta + diag, that determinant and
+theta - diag for one (pattern, theta); ``xpattern_shifted_solve`` runs
+on it, and ``cscs_solve`` builds one per core per solve, so its sweeps
+reuse the tables and a singular shift fails before the first sweep.
+
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
 """
@@ -168,6 +176,9 @@ class XPattern:
     def __post_init__(self):
         for name in ("diag", "anti"):
             values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != (self.n,):
+                raise ValueError(f"XPattern {name} must have shape ({self.n},), "
+                                 f"got {values.shape}")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
 
@@ -257,15 +268,57 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     return SpectralPair(alphas, betas, kind)
 
 
+def _finite_shift(theta):
+    if not np.isfinite(theta):
+        raise ValueError(f"shift theta must be finite, got {theta}")
+
+
+class _ShiftedCore:
+    """theta*I + X and theta*I - X of one X-pattern, built once per (pattern, theta).
+
+    Construction raises as ``xpattern_shifted_solve`` does: ValueError
+    for a non-finite theta, SingularShiftError for a singular position.
+    ``solve`` and ``minus_apply`` are the arithmetic of
+    ``xpattern_shifted_solve`` and ``xpattern_apply(..., "minus", ...)``.
+    """
+
+    __slots__ = ("anti", "partner", "plus", "minus", "det")
+
+    def __init__(self, X: XPattern, theta: float):
+        _finite_shift(theta)
+        d = theta + X.diag
+        det = d * d + X.anti * X.anti
+        scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
+        bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
+        if bad.size:
+            j = int(bad[0])
+            raise SingularShiftError(
+                f"shift theta={theta} is singular at pattern index {j} "
+                f"(alpha={X.diag[j]}, beta={X.anti[j]})", index=j)
+        self.anti, self.partner = X.anti, X.partner
+        self.plus, self.minus, self.det = d, theta - X.diag, det
+
+    def solve(self, z):
+        """(theta*I + X)^-1 z."""
+        return (self.plus * z - self.anti * z[self.partner]) / self.det
+
+    def minus_apply(self, y):
+        """(theta*I - X) y."""
+        return self.minus * y - self.anti * y[self.partner]
+
+
 def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:
     """O(n) product with the (optionally shifted) X-pattern core.
 
     sign='plus' gives (shift*I + X) y, 'minus' gives (shift*I - X) y,
-    'none' gives the plain product X y (shift ignored).
+    'none' gives the plain product X y (shift ignored).  A shifted
+    product needs a finite shift.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {y.shape}")
+    if sign in ("plus", "minus"):
+        _finite_shift(shift)
     cross = X.anti * y[X.partner]
     if sign == "plus":
         return (shift + X.diag) * y + cross
@@ -292,18 +345,7 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
-    if not np.isfinite(theta):
-        raise ValueError(f"shift theta must be finite, got {theta}")
-    d = theta + X.diag
-    det = d * d + X.anti * X.anti
-    scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
-    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
-    if bad.size:
-        j = int(bad[0])
-        raise SingularShiftError(
-            f"shift theta={theta} is singular at pattern index {j} "
-            f"(alpha={X.diag[j]}, beta={X.anti[j]})", index=j)
-    return (d * z - X.anti * z[X.partner]) / det
+    return _ShiftedCore(X, theta).solve(z)
 
 
 def dense_u_oracle(kind: str, n: int) -> np.ndarray:

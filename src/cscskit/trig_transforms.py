@@ -32,42 +32,65 @@ half-sample b is a phase on the output.  M.T is the same rule with
 (a, row) and (b, col) swapped, which moves the half sample to the
 input.
 
-Each transform runs one complex DFT, so a transform of size s costs
-O(s log s).  Families I, V and VI run the embedding; family II runs
-Makhoul's reordering instead (below).  Take w = exp(-2 pi i / L).  For
-odd L (families V and VI) the DFT takes the s inputs to the s outputs:
-with lo = int(a) and offset = int(b), the offsets fold into the phases,
+Each transform is pack -> one complex DFT -> unpack, so a transform of
+size s costs O(s log s).  Every phase, scale, end weight and real-input
+split lives in complex tables built once per ``DttPlan``; the packing
+and unpacking are slices and elementwise products.  Families I, V and VI
+run the embedding; family II runs Makhoul's reordering instead (below).
+Take w = exp(-2 pi i / L).  For odd L (families V and VI) the DFT takes
+the s inputs to the s outputs: with lo = int(a) and offset = int(b), the
+offsets fold into the phases,
 
     A[lo+k] = w^(offset (lo+k)) sum_j (v[j] w^(j lo)) w^(j k),
 
 which is the first s outputs of the L-point DFT of s points: one chirp
-convolution on a power of two >= 2s - 2 points.  For even L (family I)
-the input is real and the DFT has L/2 points: with indices taken mod
-L/2 and Z = DFT_{L/2}(a[0::2] + i a[1::2]),
+convolution on a power of two >= 2s - 2 points.  The output phase, the
+weights and the choice of Re (DCT) or -Im (DST) fold into one table T,
+y = Re(A T), because -Im u = Re(i u).  For even L (family I) the input
+is real and the DFT has L/2 points: with indices taken mod L/2 and
+Z = DFT_{L/2}(a[0::2] + i a[1::2]),
 
-    A[k] = ((Z[k] + conj Z[-k]) - i w^k (Z[k] - conj Z[-k])) / 2,
+    A[k] = Z[k] (1 - i w^k) / 2 + conj Z[-k] (1 + i w^k) / 2,
 
-where every output range lies in k = 0..L/2.
+where every output range lies in k = 0..L/2.  So t_k A[k], for any table
+t of output weights (times i for a DST), is
+
+    t_k A[k] = Z[k] P[k] + conj(Z[-k] Q[k]),
+    P = t (1 - i w^k) / 2,   Q = conj(t (1 + i w^k) / 2),
+
+and family I reads y_k = Re(Z[k] P[k]) + Re(Z[-k] Q[k]), with Z[-k]
+from a reversed view of Z.
 
 Family II needs no padding (Makhoul, "A fast cosine transform in one
 and two dimensions", IEEE TASSP 1980).  With
 C(x)_j = sum_k x[k] cos(pi j (2k+1) / (2s)), reorder
-v[:ceil(s/2)] = x[0::2] and v[ceil(s/2):] = x[1::2][::-1]; then with
-V = DFT_s(v), a DFT of real input,
+v = [x[0::2], x[1::2][::-1]]; then with V = DFT_s(v), a DFT of real
+input,
 
-    C(x)_j = Re(e^(-i pi j / (2s)) V[j]),    V[s-j] = conj V[j],
+    C(x)_j = Re(e^(-i pi j / (2s)) V[j]),    V[s-j] = conj V[j].
 
-so outputs j <= s/2 are Re and the others -Im of the first s//2 + 1
-phased entries.  The transpose runs backwards: v = Re DFT_s(y_j
-e^(-i pi j / (2s))), then x[0::2] = v[:ceil(s/2)] and
-x[1::2] = v[ceil(s/2):][::-1].  DST-II = R DCT-II diag((-1)^k), with R
-the reversal, so DST-II and its transpose are the same recipes with a
-sign on one side and a reversal on the other.  For even s, DFT_s(v) is
-the identity above at L = s, and Re DFT_s(a) is the DFT G of the
-Hermitian part g[j] = (a[j] + conj a[-j]) / 2 of a.  G is real, so
-with h = s/2 and w = exp(-2 pi i / s)
+So with t_j = sqrt(2/s) row_j e^(-i pi j / (2s)) (row_0 = 1/sqrt2, the
+other rows 1) and W_k = t_k V[k] for k = 0..s//2, the DCT-II is
+y[:s//2+1] = Re W and y[s//2+1:] = -Im W[s-1-s//2:0:-1].  For even s,
+V comes from Z = DFT_{s/2} of v's complex view by the split above at
+L = s, so W_k = Z[k] P[k] + conj(Z[-k] Q[k]) with the phase, the scale
+and the 1/sqrt2 at k = 0 in P and Q; for odd s, W = V t over the first
+s//2 + 1 entries of the s-point DFT.  The transpose runs backwards:
+with c = y, v = Re DFT_s(c t), then x[0::2] = v[:ceil(s/2)] and
+x[1::2] = v[ceil(s/2):][::-1].  Re DFT_s(a) is the DFT G of the
+Hermitian part g_j = (a_j + conj a_-j) / 2 of a, here
+g_j = t_j (c_j + i c_(s-j)) / 2 for j >= 1 and g_0 = t_0 c_0.  G is real,
+so for even s, with h = s/2 and w = exp(-2 pi i / s),
 
-    G[2q] + i G[2q+1] = DFT_h((g[j] + g[j+h]) + i w^j (g[j] - g[j+h]))[q].
+    G[2q] + i G[2q+1] = DFT_h(u)[q],
+    u_q = g_q (1 + i w^q) + g_(q+h) (1 - i w^q)
+        = E_q (c_q + i c_(s-q)) + F_q (c_(q+h) + i c_(h-q)),
+
+with E = t (1 + i w^q) / 2 (E_0 = t_0 (1 + i), c_s taken as 0) and
+F = t_(q+h) (1 - i w^q) / 2: the float view of DFT_h(u) is v.  For odd
+s, v = Re DFT_s(c t).  DST-II = R DCT-II diag((-1)^k), with R the
+reversal, so DST-II and its transpose run the same tables with
+x[1::2] negated on one side and y reversed on the other.
 
 So one transform of size s costs one complex DFT of
 
@@ -214,123 +237,137 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     return 2.0 / np.sqrt(big) * np.sin(np.pi * np.outer(j, 2 * k - 1) / big)
 
 
+def _wrapped(z):
+    """Z_k for k = 0..len(z), indices mod len(z): the range a real-input split reads."""
+    return np.concatenate((z, z[:1]))
+
+
+def _split_tables(t, k, length):
+    """(P, Q) with t_k DFT_length(a)_k = Z_k P_k + conj(Z_-k Q_k) for a real a.
+
+    For an even length, Z = DFT_{length/2}(a[0::2] + i a[1::2]) and the
+    real-input identity of the module docstring gives P = t (1 - i w^k) / 2
+    and Q = conj(t (1 + i w^k) / 2), w = exp(-2 pi i / length).  For an odd
+    length, Z is the DFT itself: P = t and Q is None.
+    """
+    t = np.asarray(t, dtype=np.complex128)
+    if length % 2:
+        return t, None
+    iw = 1j * np.exp(-2j * np.pi * k / length)
+    return 0.5 * t * (1 - iw), np.conj(0.5 * t * (1 + iw))
+
+
 @dataclass(frozen=True)
 class _FastRecipe:
-    """One direction of a family I, V or VI transform as a phased, padded DFT.
+    """One direction of a family I, V or VI transform as a padded DFT and a table.
 
-    apply(x): a[offset:offset+s] = x * pre ; A = dft(a, length)
-              seg = A[out_start : out_start+s] * post
-              y = (Re(seg) if take_real else -Im(seg)) * out_w
+    apply(x): a[offset:offset+s] = x * pre ; Z = DFT(a)
+              y_k = Re(Z_k P_k) + Re(Z_-k Q_k),  k = out_start..out_start+s-1
 
-    For an even length (family I), ``twiddle`` holds w^k (k = 0..length/2),
-    the input is real and the DFT runs on length/2 points by the real-input
-    identity in the module docstring.  An odd length (families V and VI)
-    has its offsets folded into ``pre`` and ``post`` (both offsets are 0),
-    so the DFT reads the s outputs straight off the s inputs.  Family II
-    is not padded: ``_MakhoulRecipe`` reorders its s inputs (x[0::2], then
-    x[1::2] reversed) into one s-point real DFT, which runs on s/2 complex
-    points for even s and on s points for odd s.
+    For an even length L (family I) the input is real, Z is the DFT of
+    L/2 points of a's complex view and P, Q hold the real-input split,
+    the output weights and, for a DST, the factor i (-Im u = Re(i u)).
+    An odd length (families V and VI) has its offsets folded into the
+    phases of ``pre`` and ``p`` (both offsets are 0), Z is the first s
+    outputs of the L-point DFT of the s inputs, and Q is None.
     """
 
     pre: np.ndarray | None
     offset: int
     length: int
     out_start: int
-    post: np.ndarray | None
-    take_real: bool
-    out_w: np.ndarray
-    twiddle: np.ndarray | None
+    p: np.ndarray
+    q: np.ndarray | None
 
     def apply(self, x):
         s = x.shape[0]
-        v = x if self.pre is None else x * self.pre
-        if self.twiddle is None:
-            seg = dft_vector(v, self.length)
+        if self.q is None:
+            z = dft_vector(x if self.pre is None else x * self.pre, self.length)
+            z *= self.p
+            return z.real.copy()
+        a = np.zeros(self.length)
+        if self.pre is None:
+            a[self.offset:self.offset + s] = x
         else:
-            a = np.zeros(self.length)
-            a[self.offset:self.offset + s] = v
-            seg = _real_dft(a, self.twiddle, self.out_start, self.out_start + s)
-        if self.post is not None:
-            seg = seg * self.post
-        y = seg.real.copy() if self.take_real else -seg.imag
-        y *= self.out_w
-        return y
+            np.multiply(x, self.pre, out=a[self.offset:self.offset + s])
+        z = _wrapped(dft_vector(a.view(np.complex128)))
+        lo, hi = self.out_start, self.out_start + s
+        return np.add((z[lo:hi] * self.p).real, (z[::-1][lo:hi] * self.q).real)
 
 
 @dataclass(frozen=True)
 class _MakhoulRecipe:
     """One direction of a DCT-II or DST-II as Makhoul's s-point real DFT.
 
-    forward (``post`` set):     v = x[order] * pre ; W = DFT_s(v)[0 : s//2+1] * post
-                                y = float_view(W)[pick] * out_w
-    transposed (``post`` None): v = x[order] * pre ; y = (Re DFT_s(v))[pick] * out_w
+    forward:    v = [x[0::2], x[1::2][::-1]] ; Z = DFT(v)
+                W_k = Z_k P_k + conj(Z_-k Q_k),  k = 0..s//2
+                y[:s//2+1] = Re W,  y[s//2+1:] = -Im W[s-1-s//2:0:-1]
+    transposed: u = E (c_q + i c_(s-q)) + F (c_(q+h) + i c_(h-q)) ; v = DFT(u)
+                x[0::2] = v[:ceil(s/2)],  x[1::2] = v[ceil(s/2):][::-1]
 
-    ``order`` None reads x as it is, ``pre`` None weighs nothing, and the
-    float view of W interleaves Re W and Im W.  For even s, ``twiddle``
-    holds w^k (w = exp(-2 pi i / s), k = 0..s/2) and the DFT runs on s/2
-    complex points; for odd s it runs on s points.
+    ``p`` and ``q`` hold P and Q forward, E and F transposed (module
+    docstring).  For even s the DFT has s/2 points; for odd s it has s
+    points, q is None and the transposed u is c * p.  A DST-II (``sine``)
+    negates x[1::2] and reverses y.
     """
 
-    order: np.ndarray | None
-    pre: np.ndarray | None
-    post: np.ndarray | None
-    pick: np.ndarray
-    out_w: np.ndarray
-    twiddle: np.ndarray | None
+    sine: bool
+    transposed: bool
+    p: np.ndarray
+    q: np.ndarray | None
 
     def apply(self, x):
-        v = x if self.order is None else x[self.order]
-        if self.pre is not None:
-            v = v * self.pre
-        if self.post is None:  # the phase is on the input
-            u = _hermitian_dft(v, self.twiddle)
+        if self.transposed:
+            return self._transposed(x)
+        s = x.shape[0]
+        h, m = s // 2, s - s // 2
+        v = np.empty(s)
+        v[:m] = x[0::2]
+        if self.sine:
+            np.negative(x[1::2][::-1], out=v[m:])
         else:
-            u = _real_dft(v, self.twiddle, 0, self.post.shape[0]) * self.post
-            u = u.view(np.float64)
-        y = u[self.pick]
-        y *= self.out_w
-        return y
+            v[m:] = x[1::2][::-1]
+        out = np.empty(s)
+        y = out[::-1] if self.sine else out
+        hi = slice(s - 1 - h, 0, -1)  # k = s - j for the outputs j > s//2
+        if self.q is None:  # odd s
+            w = dft_vector(v)[:h + 1]
+            w *= self.p
+            y[:h + 1] = w.real
+            np.negative(w.imag[hi], out=y[h + 1:])
+            return out
+        z = _wrapped(dft_vector(v.view(np.complex128)))
+        a = z * self.p
+        b = z[::-1] * self.q  # W = a + conj(b)
+        np.add(a.real, b.real, out=y[:h + 1])
+        np.subtract(b.imag[hi], a.imag[hi], out=y[h + 1:])
+        return out
 
-
-def _real_dft(a, tw, lo, hi):
-    """DFT_L(a)[lo:hi] of a real a of length L, for hi <= L//2 + 1.
-
-    An even L runs one complex DFT of L/2 points with tw = w^k
-    (k = 0..L/2); an odd L runs one complex DFT of L points.
-    """
-    if a.shape[0] % 2:
-        return dft_vector(a)[lo:hi]
-    z = dft_vector(a.view(np.complex128))  # z_j = a[2j] + i a[2j+1]
-    z = np.concatenate((z, z[:1]))  # Z[k] for k = 0..L/2, indices mod L/2
-    zk, zmk = z[lo:hi], z[::-1][lo:hi].conj()  # Z[k], conj Z[-k]
-    return 0.5 * ((zk + zmk) - 1j * tw[lo:hi] * (zk - zmk))
-
-
-def _hermitian_dft(a, tw):
-    """Re DFT_L(a) for a complex a of length L.
-
-    An even L runs one complex DFT of L/2 points with tw = w^k
-    (k = 0..L/2 - 1 used); an odd L runs one complex DFT of L points.
-    """
-    if a.shape[0] % 2:
-        return dft_vector(a).real
-    ar = np.empty_like(a)  # conj a[-j]
-    ar[0] = a[0]
-    ar[1:] = a[:0:-1]
-    ar = ar.conj()
-    g = 0.5 * (a + ar)  # the Hermitian part of a: DFT_L(g) = Re DFT_L(a)
-    m = a.shape[0] // 2
-    lo, hi = g[:m], g[m:]
-    # G[2q] + i G[2q+1], so the float view is G in order
-    return dft_vector((lo + hi) + 1j * tw[:m] * (lo - hi)).view(np.float64)
-
-
-@lru_cache(maxsize=16)
-def _half_twiddle(length):
-    """w^k = exp(-2 pi i k / length) for k = 0..length/2, read-only."""
-    tw = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
-    tw.flags.writeable = False
-    return tw
+    def _transposed(self, y):
+        s = y.shape[0]
+        h, m = s // 2, s - s // 2
+        c = y[::-1] if self.sine else y
+        if self.q is None:  # odd s
+            v = dft_vector(c * self.p).real
+        else:
+            u = np.empty(h, dtype=np.complex128)
+            u.real = c[:h]
+            u.imag[0] = 0.0
+            u.imag[1:] = c[:h:-1]
+            f = np.empty(h, dtype=np.complex128)
+            f.real = c[h:]
+            f.imag = c[h:0:-1]
+            u *= self.p
+            f *= self.q
+            u += f
+            v = dft_vector(u).view(np.float64)
+        x = np.empty(s)
+        x[0::2] = v[:m]
+        if self.sine:
+            np.negative(v[:m - 1:-1], out=x[1::2])
+        else:
+            x[1::2] = v[:m - 1:-1]
+        return x
 
 
 # kind -> (L - 2s, a, b, row ends, col ends) of the rule in the module
@@ -365,47 +402,40 @@ def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _Fas
         e_out = e_out + 2 * offset * (k + out_start)
         e_in = e_in + 2 * out_start * k
         out_start = offset = 0
-    pre, post = _weights(s, col_ends), None
-    if e_out.any():
-        post = np.exp(-1j * np.pi * e_out / length)
+    pre = _weights(s, col_ends)
     if e_in.any():
         phase = np.exp(-1j * np.pi * e_in / length)
         pre = phase if pre is None else pre * phase
     # 2/sqrt(L), rounded as each family's formula: sqrt(2/n) with n = L/2 for I
     scale = np.sqrt(2.0 / (length // 2)) if length % 2 == 0 else 2.0 / np.sqrt(length)
     row = _weights(s, row_ends)
-    return _FastRecipe(pre, offset, length, out_start, post, cosine,
-                       np.full(s, scale) if row is None else scale * row,
-                       _half_twiddle(length) if length % 2 == 0 else None)
+    t = np.full(s, scale) if row is None else scale * row
+    if e_out.any():
+        t = t * np.exp(-1j * np.pi * e_out / length)
+    if not cosine:
+        t = 1j * t  # -Im u = Re(i u)
+    p, q = _split_tables(t, k + out_start, length)
+    return _FastRecipe(pre, offset, length, out_start, p, q)
 
 
-def _makhoul(cosine: bool, s: int):
-    """Forward and transposed recipes of DCT-II (cosine) or DST-II of size s.
+def _makhoul(sine: bool, s: int):
+    """Forward and transposed recipes of DCT-II (or DST-II, ``sine``) of size s.
 
-    Makhoul's reordering (module docstring): with W = e^(-pi i j / 2s) V,
-    the DCT reads Re W_j for j <= s//2 and -Im W_(s-j) above, both from the
-    float view of W at ``pick``.
+    Both directions weigh by t_j = sqrt(2/s) row_j e^(-i pi j / 2s).  The
+    forward tables split t_k DFT_s(v)_k (k = 0..s//2) over Z by
+    ``_split_tables``.  The transposed tables fold the Hermitian part of
+    c_j t_j to s/2 points (module docstring); odd s keeps t.
     """
     h = s // 2
     j = np.arange(s)
-    order = np.concatenate((j[0::2], j[1::2][::-1]))  # v = x[order]
-    unorder = np.empty(s, dtype=np.intp)  # x = v[unorder]
-    unorder[order] = j
-    phase = np.exp(-1j * np.pi * j / (2 * s))
-    scale = np.sqrt(2.0 / s)
-    row = _weights(s, (0,))
-    low = j <= h
-    pick = np.where(low, 2 * j, 2 * (s - j) + 1)
-    out_w = np.where(low, scale, -scale) * row
-    tw = _half_twiddle(s) if s % 2 == 0 else None
-    post = phase[:h + 1].copy()  # a view would keep all s phases alive
-    if cosine:
-        return (_MakhoulRecipe(order, None, post, pick, out_w, tw),
-                _MakhoulRecipe(None, row * phase, None, unorder, np.full(s, scale), tw))
-    # DST-II = R DCT-II diag((-1)^k) with R the reversal, so DST-II.T = diag((-1)^k) DCT-II.T R
-    sign = 1.0 - 2.0 * (j % 2)
-    return (_MakhoulRecipe(order, sign[order], post, pick[::-1], out_w[::-1], tw),
-            _MakhoulRecipe(j[::-1], row * phase, None, unorder, scale * sign, tw))
+    t = np.sqrt(2.0 / s) * _weights(s, (0,)) * np.exp(-1j * np.pi * j / (2 * s))
+    forward = _MakhoulRecipe(sine, False, *_split_tables(t[:h + 1], j[:h + 1], s))
+    if s % 2:
+        return forward, _MakhoulRecipe(sine, True, t, None)
+    iw = 1j * np.exp(-2j * np.pi * j[:h] / s)
+    e = 0.5 * t[:h] * (1 + iw)
+    e[0] *= 2  # g_0 = Re(c_0 t_0) has no partner term c_s
+    return forward, _MakhoulRecipe(sine, True, e, 0.5 * t[h:] * (1 - iw))
 
 
 class DttPlan:
@@ -425,7 +455,7 @@ class DttPlan:
         self.size = size
         self._fwd = self._trn = None
         if size > 1 and kind.family is Family.II:
-            self._fwd, self._trn = _makhoul(kind.flavor is Flavor.COSINE, size)
+            self._fwd, self._trn = _makhoul(kind.flavor is Flavor.SINE, size)
         elif size > 1:
             grow, a, b, row, col = _EMBEDDINGS[kind]
             cosine, length = kind.flavor is Flavor.COSINE, 2 * size + grow

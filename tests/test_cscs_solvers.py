@@ -13,7 +13,10 @@ from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
     theta_scan,
 )
-from cscskit.real_schur import SingularShiftError
+from cscskit.fast_matvec import ToeplitzOperator
+from cscskit.real_schur import (
+    SingularShiftError, from_core, to_core, xpattern_apply, xpattern_shifted_solve,
+)
 from cscskit.structured_matrices import naive_matvec, toeplitz_from_bands
 from cscskit.trig_transforms import DCT_V, DCT_VI, DST_V, DST_VI, DttPlan, dtt_apply
 
@@ -235,6 +238,25 @@ def test_stop_reason_names_why_the_solve_stopped():
     assert cut.iterations == 2 and np.isfinite(cut.residuals).all()
 
 
+@pytest.mark.parametrize("n", [64, 65, 66])
+def test_one_sweep_is_the_public_x_pattern_sweep(n):
+    # the solve's shifted cores, built once per solve, do the same
+    # arithmetic as the public X-pattern functions, bit for bit
+    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    rng = np.random.default_rng(n)
+    b, x = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
+    theta = 1.985
+    report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
+    op = ToeplitzOperator.from_bands(T)
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    u = from_core("skew", xpattern_apply(sigma, theta, "minus", to_core("skew", x))) + b
+    w = xpattern_shifted_solve(omega, theta, to_core("circulant", u))
+    v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
+    want = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
+    assert report.iterations == 1
+    assert np.array_equal(report.solution, want)
+
+
 def test_singular_shift_raises():
     # C = S = -I and theta = 1 makes theta I + C exactly singular
     T = toeplitz_from_bands([0.0, 0.0, -2.0, 0.0, 0.0])
@@ -382,6 +404,24 @@ def test_theta_scan_empty_grid():
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         theta_scan(T, np.array([]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
+def test_theta_scan_bounds_equal_a_full_pattern_evaluation(n, rng):
+    # the scan evaluates each conjugate pair once; the max runs over the
+    # same values as over the whole pattern, so the bounds are bitwise equal
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    grid = np.linspace(0.25, 8.0, 36)
+    op = ToeplitzOperator.from_bands(T)
+
+    def full(pattern, theta):
+        num = (theta - pattern.diag) ** 2 + pattern.anti ** 2
+        den = (theta + pattern.diag) ** 2 + pattern.anti ** 2
+        return np.max(np.sqrt(num / den))
+
+    want = [full(op.circulant_part.pattern, th) * full(op.skew_part.pattern, th)
+            for th in grid]
+    assert np.array_equal(theta_scan(T, grid)[1], want)
 
 
 def test_theta_scan_rejects_a_non_finite_grid_entry():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscskit import _dft, real_schur, trig_transforms
+from cscskit import _dft, real_schur
 from cscskit.real_schur import (
     SingularShiftError, XPattern, apply_block_transform, apply_q,
     dense_u_oracle, from_core, real_spectrum, to_core, xpattern_apply,
@@ -235,7 +235,7 @@ def test_real_spectrum_rejects_a_non_finite_column():
 def test_per_size_caches_stay_bounded():
     # a process that meets many sizes keeps tables for a bounded number
     caches = (real_schur._block_plans, real_schur._partner_indices,
-              _dft._bluestein_tables, trig_transforms._half_twiddle)
+              _dft._bluestein_tables)
     bounds = [cache.cache_info().maxsize for cache in caches]
     assert None not in bounds
     for n in range(100, 100 + 3 * max(bounds)):
@@ -325,3 +325,25 @@ def test_shifted_solve_rejects_a_non_finite_shift(theta):
     X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
     with pytest.raises(ValueError, match="theta must be finite"):
         xpattern_shifted_solve(X, theta, np.ones(3))
+
+
+@pytest.mark.parametrize("diag, anti", [
+    ([1.0, 2.0, 3.0], np.zeros(4)),
+    (np.zeros(4), np.zeros(5)),
+    (np.zeros((2, 2)), np.zeros(4)),
+])
+def test_xpattern_rejects_a_wrong_length(diag, anti):
+    # not a numpy broadcast error inside the first product
+    with pytest.raises(ValueError, match=r"must have shape \(4,\)"):
+        XPattern(4, "circulant", diag, anti)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_xpattern_apply_rejects_a_non_finite_shift(sign, theta):
+    # as xpattern_shifted_solve does, instead of returning NaN or Inf
+    X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        xpattern_apply(X, theta, sign, np.ones(3))
+    # the plain product ignores the shift
+    assert np.array_equal(xpattern_apply(X, theta, "none", np.ones(3)), X.diag)
