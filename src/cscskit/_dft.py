@@ -10,10 +10,16 @@ Forward transform (unnormalized):
 of the n-point DFT of x zero-padded to n (m <= n), which is what a DFT
 embedding with few inputs and few outputs needs.
 
-A full DFT of power-of-two length runs through an iterative radix-2
-decimation-in-time FFT; every other length, and every window, is
-reduced to a power-of-two cyclic convolution with Bluestein's chirp
-identity
+A full DFT of power-of-two length n runs without bit reversal.  A leaf
+multiplies the transposed input x.reshape(m, n/m).T by the m-point DFT
+matrix (m = min(n, 32)), so row j holds the m-point DFT of x[j::n/m].
+Radix-4 stages (and one radix-2 stage when log2(n/m) is odd) then merge
+rows: a stage of radix q turns the (rows, L) layout into (rows/q, qL),
+row j becoming the qL-point DFT of x[j::rows/q], with the long axis
+innermost.  Each stage reads one buffer and writes the other.
+
+Every other length, and every window, is reduced to a power-of-two
+cyclic convolution with Bluestein's chirp identity
 
     j*k = (j^2 + k^2 - (k - j)^2) / 2.
 
@@ -26,11 +32,11 @@ phases are built from ``j^2 mod 2N`` computed in exact integer
 arithmetic, which keeps the phase arguments small and the transform
 accurate for large N.
 
-Twiddle, bit-reversal and chirp tables are cached per length; all cached
+DFT-matrix, twiddle and chirp tables are cached per length; all cached
 arrays are frozen (read-only) so plans can be shared between threads.
-Bit-reversal and twiddle tables exist only for powers of two, so their
-caches are bounded by the word size; the chirp tables, one per (n, m),
-are kept for the 16 most recent.
+DFT matrices and stage twiddles are keyed by powers of two only, so
+their caches are bounded by the word size; the chirp tables, one per
+(n, m), are kept for the 16 most recent.
 """
 
 from functools import lru_cache
@@ -44,37 +50,50 @@ def _freeze(a):
 
 
 @lru_cache(maxsize=None)
-def _bitrev(n):
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.intp)
-    perm = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        perm = (perm << 1) | ((idx >> b) & 1)
-    return _freeze(perm)
+def _dft_matrix(m):
+    j = np.arange(m)
+    # exact integer reduction of j*k modulo m keeps phases accurate
+    return _freeze(np.exp(-2j * np.pi * (np.outer(j, j) % m) / m))
 
 
 @lru_cache(maxsize=None)
-def _twiddle(step):
-    return _freeze(np.exp(-2j * np.pi * np.arange(step // 2) / step))
+def _stage_twiddles(length, radix):
+    """w^(q*k) for q = 1..radix-1, k < length, w = exp(-2 pi i / (radix*length))."""
+    q = np.arange(1, radix)[:, None, None]
+    return _freeze(np.exp(-2j * np.pi * (q * np.arange(length)) / (radix * length)))
 
 
 def _fft_pow2(x):
-    """In-order radix-2 FFT of a complex array whose length is a power of two."""
+    """In-order FFT of an array whose length is a power of two."""
     n = x.shape[0]
-    if n == 1:
-        return x.astype(np.complex128)
-    a = x[_bitrev(n)].astype(np.complex128)
-    half = 1
-    while half < n:
-        step = 2 * half
-        w = _twiddle(step)
-        blocks = a.reshape(-1, step)
-        lo = blocks[:, :half].copy()
-        hi = blocks[:, half:] * w
-        blocks[:, :half] = lo + hi
-        blocks[:, half:] = lo - hi
-        half = step
-    return a
+    m = min(n, 32)
+    a = x.reshape(m, -1).T @ _dft_matrix(m)
+    spare = np.empty(n, dtype=np.complex128)
+    length = m
+    if (n // m).bit_length() % 2 == 0:  # log2(n/m) is odd
+        b0, b1 = a.reshape(2, -1, length)
+        out = spare.reshape(-1, 2, length)
+        b1 *= _stage_twiddles(length, 2)[0]
+        np.add(b0, b1, out=out[:, 0])
+        np.subtract(b0, b1, out=out[:, 1])
+        a, spare, length = out, a, 2 * length
+    while length < n:
+        # out[:, p] = sum_q (-i)^(p q) w^(q k) b_q: radix-2 on (b0, b2)
+        # and (b1, b3), then radix-2 across with b1 - b3 rotated by -i
+        b0, b1, b2, b3 = b = a.reshape(4, -1, length)
+        out = spare.reshape(-1, 4, length)
+        b[1:] *= _stage_twiddles(length, 4)
+        np.subtract(b0, b2, out=out[:, 1])
+        b0 += b2
+        np.subtract(b1, b3, out=b2)
+        b1 += b3
+        np.add(b0, b1, out=out[:, 0])
+        np.subtract(b0, b1, out=out[:, 2])
+        b2 *= -1j
+        np.subtract(out[:, 1], b2, out=out[:, 3])
+        out[:, 1] += b2
+        a, spare, length = out, a, 4 * length
+    return a.reshape(n)
 
 
 def _ifft_pow2(x):
@@ -103,9 +122,9 @@ def dft_vector(x, n=None):
     With n >= m, returns X[0:m] of the n-point DFT of x zero-padded to n.
     """
     x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"dft of an array of shape {x.shape}; expected a non-empty vector")
     m = x.shape[0]
-    if m == 0:
-        raise ValueError("dft of an empty vector")
     if n is None:
         n = m
     elif n < m:

@@ -62,8 +62,9 @@ def dft(x, inverse: bool = False) -> np.ndarray:
 
     Forward: X[k] = sum_j x[j] exp(-2 pi i j k / n) (unnormalized);
     inverse divides by n so that dft(dft(x), inverse=True) == x.
-    Power-of-two lengths use radix-2 directly, everything else goes
-    through Bluestein's chirp reduction.
+    Power-of-two lengths run a 32-point DFT-matrix leaf and radix-4
+    stages directly, everything else goes through Bluestein's chirp
+    reduction.
     """
     return _dft.idft_vector(x) if inverse else _dft.dft_vector(x)
 

@@ -418,24 +418,26 @@ def _recipe(cosine: bool, s: int, length: int, a, b, row_ends, col_ends) -> _Fas
     return _FastRecipe(pre, offset, length, out_start, p, q)
 
 
-def _makhoul(sine: bool, s: int):
-    """Forward and transposed recipes of DCT-II (or DST-II, ``sine``) of size s.
+@lru_cache(maxsize=16)
+def _makhoul(s: int):
+    """Forward (P, Q) and transposed (E, F) tables of DCT-II and DST-II of size s.
 
-    Both directions weigh by t_j = sqrt(2/s) row_j e^(-i pi j / 2s).  The
-    forward tables split t_k DFT_s(v)_k (k = 0..s//2) over Z by
-    ``_split_tables``.  The transposed tables fold the Hermitian part of
-    c_j t_j to s/2 points (module docstring); odd s keeps t.
+    Both kinds weigh by t_j = sqrt(2/s) row_j e^(-i pi j / 2s), so the two
+    plans of one size share these tables.  The forward tables split
+    t_k DFT_s(v)_k (k = 0..s//2) over Z by ``_split_tables``.  The
+    transposed tables fold the Hermitian part of c_j t_j to s/2 points
+    (module docstring); odd s keeps t.
     """
     h = s // 2
     j = np.arange(s)
     t = np.sqrt(2.0 / s) * _weights(s, (0,)) * np.exp(-1j * np.pi * j / (2 * s))
-    forward = _MakhoulRecipe(sine, False, *_split_tables(t[:h + 1], j[:h + 1], s))
+    forward = _split_tables(t[:h + 1], j[:h + 1], s)
     if s % 2:
-        return forward, _MakhoulRecipe(sine, True, t, None)
+        return forward, (t, None)
     iw = 1j * np.exp(-2j * np.pi * j[:h] / s)
     e = 0.5 * t[:h] * (1 + iw)
     e[0] *= 2  # g_0 = Re(c_0 t_0) has no partner term c_s
-    return forward, _MakhoulRecipe(sine, True, e, 0.5 * t[h:] * (1 - iw))
+    return forward, (e, 0.5 * t[h:] * (1 - iw))
 
 
 class DttPlan:
@@ -455,7 +457,10 @@ class DttPlan:
         self.size = size
         self._fwd = self._trn = None
         if size > 1 and kind.family is Family.II:
-            self._fwd, self._trn = _makhoul(kind.flavor is Flavor.SINE, size)
+            sine = kind.flavor is Flavor.SINE
+            forward, transposed = _makhoul(size)
+            self._fwd = _MakhoulRecipe(sine, False, *forward)
+            self._trn = _MakhoulRecipe(sine, True, *transposed)
         elif size > 1:
             grow, a, b, row, col = _EMBEDDINGS[kind]
             cosine, length = kind.flavor is Flavor.COSINE, 2 * size + grow

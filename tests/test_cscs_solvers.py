@@ -78,6 +78,29 @@ def test_windowed_dft_rejects_a_shorter_length():
         _dft.dft_vector(np.ones(5), 4)
 
 
+@pytest.mark.parametrize("bad", [np.ones((4, 4)), np.ones((1, 4)), np.float64(1.0), []],
+                         ids=["4x4", "1x4", "0-d", "empty"])
+def test_dft_rejects_input_that_is_not_a_vector(bad):
+    for transform in (dft, lambda x: dft(x, inverse=True), _dft.dft_vector,
+                      _dft.idft_vector):
+        with pytest.raises(ValueError, match="expected a non-empty vector"):
+            transform(bad)
+
+
+@pytest.mark.parametrize("log2n", range(18))
+def test_fft_pow2_matches_numpy_fft(log2n, rng):
+    # leaf-only sizes (n <= 32) and both parities of the stage count
+    n = 1 << log2n
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    kept = z.copy()
+    for x in (z, z.real):  # complex, and real through a strided view
+        want = np.fft.fft(x)
+        assert np.abs(_dft._fft_pow2(x) - want).max() <= 1e-14 * np.abs(want).max()
+    # the leaf reads a complex128 vector in place and writes new arrays
+    got = _dft.dft_vector(z)
+    assert np.array_equal(z, kept) and not np.shares_memory(got, z)
+
+
 def test_chirp_convolution_is_the_smallest_power_of_two(monkeypatch, rng):
     # the lags k - j run over -(m-1)..(m-1) and the chirp is even in the
     # lag, so a cyclic convolution of 2m - 2 points is exact

@@ -121,6 +121,15 @@ def test_property_orthogonal_round_trip(size, kind_idx, seed):
     assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
 
 
+@pytest.mark.parametrize("s", [2, 3, 8, 9, 4096])
+def test_dct_ii_and_dst_ii_plans_share_their_tables(s):
+    # both kinds weigh by the same Makhoul tables; a skew block factor
+    # builds the pair at every even n
+    cos, sin = DttPlan(DCT_II, s), DttPlan(DST_II, s)
+    for a, b in ((cos._fwd, sin._fwd), (cos._trn, sin._trn)):
+        assert a.p is b.p and a.q is b.q
+
+
 def test_tally_counts_applications():
     with counting() as used:
         dtt_apply(DttPlan(DCT_II, 8), np.ones(8))
