@@ -16,7 +16,8 @@ matrix (m = min(n, 32)), so row j holds the m-point DFT of x[j::n/m].
 Radix-4 stages (and one radix-2 stage when log2(n/m) is odd) then merge
 rows: a stage of radix q turns the (rows, L) layout into (rows/q, qL),
 row j becoming the qL-point DFT of x[j::rows/q], with the long axis
-innermost.  Each stage reads one buffer and writes the other.
+innermost.  Each stage twiddles one buffer in place and writes its
+butterflies into the other.
 
 Every other length, and every window, is reduced to a power-of-two
 cyclic convolution with Bluestein's chirp identity
