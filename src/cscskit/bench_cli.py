@@ -30,11 +30,14 @@ scalar per line at 17 significant digits (lossless round trip).
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cscs_solvers import SolverConfig, cscs_solve, iteration_matrix_rho
+from .cscs_solvers import (
+    RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
+)
 from .structured_matrices import ToeplitzBands, toeplitz_from_bands
 
 __all__ = [
@@ -121,9 +124,13 @@ def run_bench(entries, rho_up_to: int | None = None) -> list[BenchRow]:
     ``entries`` is an iterable of (ProblemSpec, thetas, backends); one
     cell is run per (spec, theta, backend) in input order with b = ones
     and zero initial guess.  The spectral radius is computed for cells
-    with n <= rho_up_to (dense eigenvalues; omit for large n).  A
-    failing cell is marked and the campaign continues.
+    with n <= rho_up_to (dense eigenvalues; omit for large n); a
+    rho_up_to above ``RHO_DENSE_GUARD`` raises ValueError before any
+    cell runs.  A failing cell is marked and the campaign continues.
     """
+    if rho_up_to is not None and rho_up_to > RHO_DENSE_GUARD:
+        raise ValueError(f"rho_up_to={rho_up_to} exceeds the dense spectral "
+                         f"radius guard n <= {RHO_DENSE_GUARD}")
     rows = []
     for spec, thetas, backends in entries:
         for theta in thetas:
@@ -155,19 +162,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(row) -> list[str]:
+    """The nine CSV cells of a row, in header order."""
+    return [_fmt(getattr(row, name)) for name in CSV_HEADER.split(",")]
+
+
+@contextmanager
+def _opened(out):
+    """Yield a handle for ``out``: open and close a path, pass a handle through."""
+    if isinstance(out, (str, bytes, os.PathLike)):
+        with open(out, "w") as fh:
+            yield fh
+    else:
+        yield out
+
+
 def write_csv(rows, out) -> None:
     """Write benchmark rows as CSV (exact header, 17 significant digits)."""
-    own = isinstance(out, (str, bytes, os.PathLike))
-    fh = open(out, "w") if own else out
-    try:
+    with _opened(out) as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(v) for v in (
-                r.example, r.n, r.p, r.theta, r.backend,
-                r.iterations, r.rel_residual, r.rho, r.elapsed_ms)) + "\n")
-    finally:
-        if own:
-            fh.close()
+            fh.write(",".join(_cells(r)) + "\n")
 
 
 def read_csv(path) -> list[BenchRow]:
@@ -194,21 +209,13 @@ def read_csv(path) -> list[BenchRow]:
 
 def write_markdown(rows, out) -> None:
     """Secondary human-readable table formatter."""
-    own = isinstance(out, (str, bytes, os.PathLike))
-    fh = open(out, "w") if own else out
-    try:
-        cols = CSV_HEADER.split(",") + ["status"]
+    cols = CSV_HEADER.split(",") + ["status"]
+    with _opened(out) as fh:
         fh.write("| " + " | ".join(cols) + " |\n")
         fh.write("|" + "|".join("---" for _ in cols) + "|\n")
         for r in rows:
             status = "error: " + r.error if r.error else "ok"
-            cells = [_fmt(v) for v in (
-                r.example, r.n, r.p, r.theta, r.backend, r.iterations,
-                r.rel_residual, r.rho, r.elapsed_ms)] + [status]
-            fh.write("| " + " | ".join(cells) + " |\n")
-    finally:
-        if own:
-            fh.close()
+            fh.write("| " + " | ".join(_cells(r) + [status]) + " |\n")
 
 
 def write_vector(path, v) -> None:

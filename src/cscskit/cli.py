@@ -13,8 +13,10 @@ with --n and, for ex1, --p) or from a band-coefficient file
 (--bands-file, vector format: length 2n-1 then one coefficient per
 line, ascending t[-(n-1)]..t[n-1]).
 
-Exit codes: 0 success, 2 argument/config errors, 3 numerical failures
-(singular shift, non-convergence, guard violations at runtime).
+Exit codes: 0 success; 2 argument/config errors, including NaN or Inf
+input and the dense guard (radius at n > 4096, --rho-up-to above 4096);
+3 numerical failures (singular shift, non-convergence, every bench cell
+failed).
 """
 
 import argparse
@@ -24,11 +26,11 @@ import sys
 import numpy as np
 
 from .bench_cli import (
-    ProblemSpec, gen_coeffs, load_bands_file, run_bench, write_csv,
+    ProblemSpec, _opened, gen_coeffs, load_bands_file, run_bench, write_csv,
     write_markdown, write_vector,
 )
 from .cscs_solvers import (
-    SolverConfig, cscs_solve, iteration_matrix_rho, theta_scan,
+    RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho, theta_scan,
 )
 from .fast_matvec import ToeplitzOperator
 from .real_schur import SingularShiftError
@@ -64,11 +66,7 @@ def _cmd_solve(args):
     T = _problem(args)
     cfg = SolverConfig(theta=args.theta, tol=args.tol, max_iters=args.maxit,
                        backend=args.backend)
-    try:
-        report = cscs_solve(T, np.ones(T.n), cfg)
-    except SingularShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = cscs_solve(T, np.ones(T.n), cfg)
     for note in report.warnings:
         print(f"warning: {note}", file=sys.stderr)
     final = report.residuals[-1] if report.residuals.size else 0.0
@@ -82,8 +80,7 @@ def _cmd_solve(args):
 
 def _cmd_spectrum(args):
     op = ToeplitzOperator.from_bands(_problem(args))
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _opened(args.out or sys.stdout) as out:
         out.write("part,k,alpha,beta\n")
         for part, factor in (("circulant", op.circulant_part), ("skew", op.skew_part)):
             if args.part not in (None, part):
@@ -93,19 +90,11 @@ def _cmd_spectrum(args):
             X = factor.pattern
             for k in np.flatnonzero(np.arange(X.n) <= X.partner):
                 out.write(f"{part},{k},{X.diag[k]:.17g},{X.anti[k]:.17g}\n")
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 
 def _cmd_radius(args):
-    T = _problem(args)
-    try:
-        rho = iteration_matrix_rho(T, args.theta)
-    except SingularShiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    rho = iteration_matrix_rho(_problem(args), args.theta)
     print(f"{rho:.17g}")
     return EXIT_OK
 
@@ -127,49 +116,46 @@ def _cmd_theta_scan(args):
     T = _problem(args)
     grid = _parse_grid(args.grid)
     best, bounds = theta_scan(T, grid)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _opened(args.out or sys.stdout) as out:
         out.write("theta,bound\n")
         for th, bd in zip(grid, bounds):
             out.write(f"{th:.17g},{bd:.17g}\n")
         out.write(f"# best theta = {best:.17g}\n")
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 
 def _bench_entries(args):
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                cells = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise _ConfigError(f"bad config JSON: {exc}") from None
-        entries = []
-        for cell in cells:
-            try:
-                spec = ProblemSpec(cell["example"], int(cell["n"]),
-                                   cell.get("p"))
-                entries.append((spec, [float(t) for t in cell["thetas"]],
-                                list(cell.get("backends", ["dct_dst"]))))
-            except (KeyError, TypeError) as exc:
-                raise _ConfigError(f"bad config cell {cell!r}: {exc}") from None
-        return entries
-    if not args.example or not args.n or not args.theta:
-        raise _ConfigError("bench needs --config, or --example/--n/--theta")
-    return [(ProblemSpec(args.example, n, args.p), args.theta, args.backend)
-            for n in args.n]
+    if not args.config:
+        if not args.example or not args.n or not args.theta:
+            raise _ConfigError("bench needs --config, or --example/--n/--theta")
+        return [(ProblemSpec(args.example, n, args.p), args.theta,
+                 args.backend or ["dct_dst"]) for n in args.n]
+    with open(args.config) as fh:
+        try:
+            cells = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _ConfigError(f"bad config JSON: {exc}") from None
+    if not isinstance(cells, list):
+        raise _ConfigError(f"config must be a JSON list of cells, got {cells!r}")
+    entries = []
+    for cell in cells:
+        try:
+            n = cell["n"]
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise TypeError(f"n must be an integer, got {n!r}")
+            entries.append((ProblemSpec(cell["example"], n, cell.get("p")),
+                            [float(t) for t in cell["thetas"]],
+                            list(cell.get("backends", ["dct_dst"]))))
+        except (KeyError, TypeError) as exc:
+            raise _ConfigError(f"bad config cell {cell!r}: {exc}") from None
+    return entries
 
 
 def _cmd_bench(args):
     entries = _bench_entries(args)
     rows = run_bench(entries, rho_up_to=args.rho_up_to)
     writer = write_markdown if args.format == "markdown" else write_csv
-    if args.out:
-        writer(rows, args.out)
-    else:
-        writer(rows, sys.stdout)
+    writer(rows, args.out or sys.stdout)
     for r in rows:
         if r.error:
             print(f"warning: cell ({r.example}, n={r.n}, theta={r.theta}, "
@@ -216,7 +202,8 @@ def build_parser():
                    help="backend (repeatable; default dct_dst)")
     p.add_argument("--config", help="JSON campaign file")
     p.add_argument("--rho-up-to", type=int, default=None,
-                   help="compute the dense spectral radius for n up to this")
+                   help="compute the dense spectral radius for n up to this "
+                        f"(at most {RHO_DENSE_GUARD})")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
@@ -232,10 +219,11 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "bench" and args.backend is None:
-        args.backend = ["dct_dst"]
     try:
         return args.func(args)
+    except SingularShiftError as exc:  # a ValueError, so caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (_ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

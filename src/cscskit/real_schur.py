@@ -179,8 +179,11 @@ class XPattern:
             if values.shape != (self.n,):
                 raise ValueError(f"XPattern {name} must have shape ({self.n},), "
                                  f"got {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"XPattern {name} must be finite (got NaN or Inf)")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+        _partner_indices(self.pairing, self.n)  # rejects an unknown pairing
 
     @property
     def partner(self) -> np.ndarray:

@@ -40,12 +40,20 @@ def _vector(values, what):
     return v
 
 
+def _require_shape(values, shape, what):
+    if np.shape(values) != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {np.shape(values)}")
+
+
 @dataclass(frozen=True)
 class ToeplitzBands:
     """Toeplitz matrix as diagonal coefficients t[-(n-1)] .. t[n-1], ascending."""
 
     n: int
     coeffs: np.ndarray
+
+    def __post_init__(self):
+        _require_shape(self.coeffs, (2 * self.n - 1,), "Toeplitz coeffs")
 
     def t(self, k: int) -> float:
         """Diagonal coefficient t[k], -(n-1) <= k <= n-1."""
@@ -67,6 +75,9 @@ class CirculantCol:
     n: int
     col: np.ndarray
 
+    def __post_init__(self):
+        _require_shape(self.col, (self.n,), "first column")
+
 
 @dataclass(frozen=True)
 class SkewCirculantCol:
@@ -74,6 +85,9 @@ class SkewCirculantCol:
 
     n: int
     col: np.ndarray
+
+    def __post_init__(self):
+        _require_shape(self.col, (self.n,), "first column")
 
 
 def toeplitz_from_bands(coeffs) -> ToeplitzBands:

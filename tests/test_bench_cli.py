@@ -3,15 +3,18 @@
 import io
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cscskit import bench_cli
 from cscskit.bench_cli import (
     CSV_HEADER, BenchRow, ProblemSpec, VectorFormatError, gen_coeffs,
     read_csv, read_vector, run_bench, write_csv, write_markdown, write_vector,
 )
 from cscskit.cli import main
+from cscskit.cscs_solvers import RHO_DENSE_GUARD
 from cscskit.real_schur import real_spectrum
 from cscskit.structured_matrices import cscs_split, dense_of
 
@@ -177,6 +180,15 @@ def test_failed_cell_is_marked_and_campaign_continues():
     assert rows[1].error is None
 
 
+def test_rho_up_to_above_the_dense_guard_fails_before_any_cell():
+    # raises before the n = 4100 solve runs, not after it as a failed cell
+    entries = [(ProblemSpec("ex3", RHO_DENSE_GUARD + 4), [3.5], ["dct_dst"])]
+    with pytest.raises(ValueError, match="guard"):
+        run_bench(entries, rho_up_to=RHO_DENSE_GUARD + 1)
+    assert run_bench([(ProblemSpec("ex3", 8), [], ["dct_dst"])],
+                     rho_up_to=RHO_DENSE_GUARD) == []
+
+
 def test_campaign_determinism():
     entries = [(ProblemSpec("ex3", 32), [3.2, 3.5], ["dct_dst", "fft"])]
     a = run_bench(entries)
@@ -324,6 +336,48 @@ def test_cli_bench_config_file(tmp_path):
     code, _, _ = run_cli(["bench", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert len(read_csv(out)) == 2
+
+
+@pytest.mark.parametrize("config, named", [
+    ("5", "got 5"),
+    ("null", "got None"),
+    ('[{"example": "ex3", "n": 16.9, "thetas": [3.5]}]', "got 16.9"),
+    ('[{"example": "ex3", "n": "16", "thetas": [3.5]}]', "got '16'"),
+    ("[7]", "bad config cell 7"),
+], ids=["int", "null", "fractional-n", "string-n", "cell-not-an-object"])
+def test_cli_bench_bad_config_exits_2(tmp_path, config, named):
+    cfg = tmp_path / "cells.json"
+    cfg.write_text(config)
+    code, stdout, stderr = run_cli(["bench", "--config", str(cfg)])
+    assert code == 2
+    assert stdout == "" and named in stderr
+
+
+def test_cli_bench_rho_up_to_above_the_guard_exits_2():
+    code, stdout, stderr = run_cli(["bench", "--example", "ex3", "--n", "8",
+                                    "--theta", "3.5", "--rho-up-to",
+                                    str(RHO_DENSE_GUARD + 1)])
+    assert code == 2
+    assert stdout == "" and "guard" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--example", "ex3", "--n", "9"],
+    ["spectrum", "--example", "ex3", "--n", "8", "--part", "skew"],
+    ["theta-scan", "--example", "ex3", "--n", "16", "--grid", "1.0:5.0:9"],
+    ["bench", "--example", "ex3", "--n", "16", "--theta", "3.5"],
+    ["bench", "--example", "ex3", "--n", "16", "--theta", "3.5",
+     "--backend", "fft", "--format", "markdown"],
+], ids=["spectrum", "spectrum-skew", "theta-scan", "bench-csv", "bench-markdown"])
+def test_cli_out_file_holds_what_stdout_shows(tmp_path, monkeypatch, argv):
+    # a stopped clock, so that both bench runs report the same elapsed_ms
+    monkeypatch.setattr(bench_cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, shown, _ = run_cli(argv)
+    assert code == 0 and len(shown.splitlines()) > 1
+    out = tmp_path / "report.txt"
+    code, stdout, _ = run_cli(argv + ["--out", str(out)])
+    assert code == 0 and stdout == ""
+    assert out.read_text() == shown
 
 
 def test_cli_theta_scan():

@@ -338,6 +338,21 @@ def test_xpattern_rejects_a_wrong_length(diag, anti):
         XPattern(4, "circulant", diag, anti)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["diag", "anti"])
+def test_xpattern_rejects_non_finite_values(name, bad):
+    # the singular check compares NaN as false, so a solve returned NaN
+    values = {"diag": np.array([1.0, 2.0, 2.0]), "anti": np.zeros(3)}
+    values[name][1:] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        XPattern(3, "circulant", values["diag"], values["anti"])
+
+
+def test_xpattern_rejects_an_unknown_pairing():
+    with pytest.raises(ValueError, match="unknown pairing 'bogus'"):
+        XPattern(3, "bogus", np.ones(3), np.zeros(3))
+
+
 @pytest.mark.parametrize("sign", ["plus", "minus"])
 @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
 def test_xpattern_apply_rejects_a_non_finite_shift(sign, theta):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscskit.structured_matrices import (
-    CirculantCol, SkewCirculantCol, cscs_split, dense_of, naive_matvec,
-    toeplitz_from_bands,
+    CirculantCol, SkewCirculantCol, ToeplitzBands, cscs_split, dense_of,
+    naive_matvec, toeplitz_from_bands,
 )
 
 from conftest import random_bands
@@ -119,6 +119,21 @@ def test_naive_matvec_skew_2x2():
 def test_naive_matvec_dimension_error():
     with pytest.raises(ValueError):
         naive_matvec(CirculantCol(3, np.ones(3)), np.ones(4))
+
+
+@pytest.mark.parametrize("build, values", [
+    (ToeplitzBands, np.ones(4)),
+    (ToeplitzBands, np.ones(6)),
+    (ToeplitzBands, np.ones((5, 1))),
+    (CirculantCol, np.ones(4)),
+    (CirculantCol, np.ones((3, 1))),
+    (SkewCirculantCol, np.ones(2)),
+], ids=["bands-4", "bands-6", "bands-2d", "circulant-4", "circulant-2d", "skew-2"])
+def test_value_types_reject_a_wrong_shape(build, values):
+    # not a silent broadcast in cscs_split: ToeplitzBands(3, ones(4)) gave
+    # T @ ones = [3, 3, 3]
+    with pytest.raises(ValueError, match="must have shape"):
+        build(3, values)
 
 
 def test_band_accessor():
