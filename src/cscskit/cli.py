@@ -26,11 +26,12 @@ import sys
 import numpy as np
 
 from .bench_cli import (
-    ProblemSpec, _opened, gen_coeffs, load_bands_file, run_bench, write_csv,
-    write_markdown, write_vector,
+    EXAMPLES, ProblemSpec, _opened, gen_coeffs, load_bands_file, run_bench,
+    write_csv, write_markdown, write_vector,
 )
 from .cscs_solvers import (
-    RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho, theta_scan,
+    BACKENDS, RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
+    theta_scan,
 )
 from .fast_matvec import ToeplitzOperator
 from .real_schur import SingularShiftError
@@ -45,7 +46,7 @@ class _ConfigError(Exception):
 
 
 def _add_problem_flags(p):
-    p.add_argument("--example", choices=("ex1", "ex2", "ex3"),
+    p.add_argument("--example", choices=EXAMPLES,
                    help="built-in problem generator")
     p.add_argument("--bands-file", help="Toeplitz bands from a vector file")
     p.add_argument("--n", type=int, help="problem dimension (with --example)")
@@ -124,6 +125,11 @@ def _cmd_theta_scan(args):
     return EXIT_OK
 
 
+def _is_number(value):
+    # JSON true/false load as bools, which Python counts as integers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _bench_entries(args):
     if not args.config:
         if not args.example or not args.n or not args.theta:
@@ -143,10 +149,23 @@ def _bench_entries(args):
             n = cell["n"]
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TypeError(f"n must be an integer, got {n!r}")
-            entries.append((ProblemSpec(cell["example"], n, cell.get("p")),
-                            [float(t) for t in cell["thetas"]],
-                            list(cell.get("backends", ["dct_dst"]))))
-        except (KeyError, TypeError) as exc:
+            if cell["example"] not in EXAMPLES:
+                raise ValueError(f"unknown example {cell['example']!r}")
+            p = cell.get("p")
+            if p is not None and not _is_number(p):
+                raise TypeError(f"p must be a number, got {p!r}")
+            thetas = cell["thetas"]
+            if not isinstance(thetas, list) or not all(map(_is_number, thetas)):
+                raise TypeError(f"thetas must be a list of numbers, got {thetas!r}")
+            backends = cell.get("backends", ["dct_dst"])
+            if not isinstance(backends, list):
+                raise TypeError(f"backends must be a list, got {backends!r}")
+            for backend in backends:
+                if backend not in BACKENDS:
+                    raise ValueError(f"unknown backend {backend!r}")
+            entries.append((ProblemSpec(cell["example"], n, p),
+                            [float(t) for t in thetas], backends))
+        except (KeyError, TypeError, ValueError) as exc:
             raise _ConfigError(f"bad config cell {cell!r}: {exc}") from None
     return entries
 
@@ -176,7 +195,7 @@ def build_parser():
     p.add_argument("--theta", type=float, required=True, help="positive shift")
     p.add_argument("--tol", type=float, default=1e-7)
     p.add_argument("--maxit", type=int, default=500)
-    p.add_argument("--backend", choices=("dct_dst", "fft"), default="dct_dst")
+    p.add_argument("--backend", choices=BACKENDS, default="dct_dst")
     p.add_argument("--out", help="write the solution vector here")
     p.set_defaults(func=_cmd_solve)
 
@@ -192,13 +211,13 @@ def build_parser():
     p.set_defaults(func=_cmd_radius)
 
     p = sub.add_parser("bench", help="run a benchmark campaign")
-    p.add_argument("--example", choices=("ex1", "ex2", "ex3"))
+    p.add_argument("--example", choices=EXAMPLES)
     p.add_argument("--p", type=float, help="exponent for ex1")
     p.add_argument("--n", type=int, action="append",
                    help="problem size (repeatable)")
     p.add_argument("--theta", type=float, action="append",
                    help="shift (repeatable)")
-    p.add_argument("--backend", choices=("dct_dst", "fft"), action="append",
+    p.add_argument("--backend", choices=BACKENDS, action="append",
                    help="backend (repeatable; default dct_dst)")
     p.add_argument("--config", help="JSON campaign file")
     p.add_argument("--rho-up-to", type=int, default=None,

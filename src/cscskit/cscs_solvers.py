@@ -6,8 +6,8 @@ Splitting T = C + S, the two-half-step iteration with shift theta > 0 is
     (theta I + S) x^(k+1)   = (theta I - C) x^(k+1/2) + b.
 
 The ``dct_dst`` backend runs it in real arithmetic through the real
-Schur forms C = U Omega U.T and S = Utilde Sigma Utilde.T; shifted cores
-are O(n) X-pattern multiplies/solves and every U or U.T application
+Schur forms C = U Omega U.T and S = Utilde Sigma Utilde.T; each shifted
+core is an O(n) X-pattern product and every U or U.T application
 (``real_schur.from_core`` / ``to_core``) is the Q butterfly plus one DCT
 and one DST of about n/2 points.  Adjacent block factors cancel between
 the two half-steps (U.T U == I), so one full iteration costs exactly six
@@ -19,16 +19,18 @@ S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
 D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}), costing six complex DFTs
 per iteration.  Its eigenvalues are read off the same cores, which
 already hold them in DFT order: Lambda = Omega.diag + 1j*Omega.anti and
-Lambdatilde = Sigma.diag + 1j*Sigma.anti, so its setup runs no DFT.
+Lambdatilde = Sigma.diag + 1j*Sigma.anti, so its setup runs no DFT, and
+1 / (theta + lambda) is read off an inverse pattern the same way.
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
 
 Both backends share one iteration loop and one setup: the split spectra
 are built once by ``ToeplitzOperator.from_bands``, whose cores also give
-the positive-definiteness warnings, and the shifted cores theta I + C and
-theta I + S are built once per solve.  Building them is the fail-fast
-singular-shift check, and the ``dct_dst`` sweeps reuse their tables.  A
-backend contributes only its sweep and its Toeplitz product.
+the positive-definiteness warnings, and the inverse shifted cores
+(theta I + C)^{-1} and (theta I + S)^{-1} are built once per solve as
+X-patterns and passed to either backend.  Building them is the fail-fast
+singular-shift check.  A backend contributes only its sweep and its
+Toeplitz product.
 
 Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
 after ``max_iters`` sweeps, or at the first non-finite residual; the
@@ -45,13 +47,15 @@ import numpy as np
 
 from . import _dft
 from .fast_matvec import ToeplitzOperator, toeplitz_matvec
-from .real_schur import SingularShiftError, _ShiftedCore, from_core, to_core
+from .real_schur import (
+    SingularShiftError, _shifted_inverse, from_core, to_core, xpattern_apply,
+)
 from .structured_matrices import ToeplitzBands, cscs_split, dense_of
 from .trig_transforms import Flavor, counting
 
 __all__ = [
     "SolverConfig", "SolveReport", "cscs_solve", "dft",
-    "iteration_matrix_rho", "theta_scan", "RHO_DENSE_GUARD",
+    "iteration_matrix_rho", "theta_scan", "RHO_DENSE_GUARD", "BACKENDS",
 ]
 
 RHO_DENSE_GUARD = 4096
@@ -67,6 +71,9 @@ def dft(x, inverse: bool = False) -> np.ndarray:
     reduction.
     """
     return _dft.idft_vector(x) if inverse else _dft.dft_vector(x)
+
+
+BACKENDS = ("dct_dst", "fft")
 
 
 @dataclass
@@ -87,7 +94,7 @@ class SolverConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if self.backend not in ("dct_dst", "fft"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
@@ -141,15 +148,12 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
          else _finite_vector(cfg.x0, n, "initial guess").copy())
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
-    # theta*I + C and theta*I + S, built once per solve: a singular shift
-    # raises here instead of inside the first sweep
-    omega = _ShiftedCore(op.circulant_part.pattern, theta)
-    sigma = _ShiftedCore(op.skew_part.pattern, theta)
     counted = cfg.backend == "dct_dst"
-    if counted:
-        sweep, product = _dct_dst_backend(op, omega, sigma, b)
-    else:
-        sweep, product = _fft_backend(op, theta, b)
+    # (theta*I + C)^-1 and (theta*I + S)^-1, built once per solve (a singular
+    # shift raises here) and not bound, so the fft backend can drop them
+    sweep, product = (_dct_dst_backend if counted else _fft_backend)(
+        op, theta, _shifted_inverse(op.circulant_part.pattern, theta),
+        _shifted_inverse(op.skew_part.pattern, theta), b)
 
     r0 = np.linalg.norm(b - product(x)) if x.any() else np.linalg.norm(b)
     iterates = [x.copy()] if cfg.record_iterates else None
@@ -184,23 +188,24 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
                        stop, notes, iterates, counts, sizes)
 
 
-def _dct_dst_backend(op, omega, sigma, b):
-    """(sweep, Toeplitz product) in real arithmetic through the shifted cores."""
+def _dct_dst_backend(op, theta, omega_inv, sigma_inv, b):
+    """(sweep, Toeplitz product) in real arithmetic through X-pattern products."""
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
 
     def sweep(x):
         # (theta I - S) x + b: 2 DCTs + 2 DSTs
-        u = from_core("skew", sigma.minus_apply(to_core("skew", x))) + b
+        u = from_core("skew", xpattern_apply(sigma, theta, "minus", to_core("skew", x))) + b
         # first half-step solve fused with the second half-step multiply:
         # (theta I - C)(theta I + C)^{-1} shares the circulant block factor
-        w = omega.solve(to_core("circulant", u))
-        v = from_core("circulant", omega.minus_apply(w)) + b
+        w = xpattern_apply(omega_inv, 0.0, "none", to_core("circulant", u))
+        v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
         # (theta I + S)^{-1}: 2 DCTs + 2 DSTs
-        return from_core("skew", sigma.solve(to_core("skew", v)))
+        return from_core("skew", xpattern_apply(sigma_inv, 0.0, "none", to_core("skew", v)))
 
     return sweep, lambda v: toeplitz_matvec(op, v)
 
 
-def _fft_backend(op, theta, b):
+def _fft_backend(op, theta, omega_inv, sigma_inv, b):
     """(sweep, Toeplitz product) in complex arithmetic through ``dft``."""
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
     # Lambda[k] = sum_u c[u] e^{+2 pi i u k/n}; Lambdatilde is the DFT of
@@ -208,6 +213,10 @@ def _fft_backend(op, theta, b):
     lam_c = omega.diag + 1j * omega.anti
     lam_s = sigma.diag + 1j * sigma.anti
     dbar = np.exp(-1j * np.pi * np.arange(op.n) / op.n)
+    # the sweep's three multipliers, built once per solve
+    minus_s = theta - lam_s
+    cayley_c = (theta - lam_c) * (omega_inv.diag + 1j * omega_inv.anti)
+    inv_s = sigma_inv.diag + 1j * sigma_inv.anti
 
     def c_apply(diagvals, v):
         return dft(diagvals * dft(v, inverse=True))
@@ -216,10 +225,10 @@ def _fft_backend(op, theta, b):
         return np.conj(dbar) * dft(diagvals * dft(dbar * v), inverse=True)
 
     def sweep(x):
-        u = s_apply(theta - lam_s, x) + b
+        u = s_apply(minus_s, x) + b
         w = dft(u, inverse=True)
-        v = dft((theta - lam_c) / (theta + lam_c) * w) + b
-        z = np.conj(dbar) * dft(dft(dbar * v) / (theta + lam_s), inverse=True)
+        v = dft(cayley_c * w) + b
+        z = np.conj(dbar) * dft(dft(dbar * v) * inv_s, inverse=True)
         # a copy, so the solution does not keep the complex buffer alive
         return z.real.copy()
 

@@ -37,13 +37,13 @@ and sqrt(n/2) elsewhere.  The sign of each beta is a convention pinned
 by the congruence test ``U.T @ dense(M) @ U == expand(real_spectrum(...))``
 rather than by any eigenvalue labeling.
 
-A shifted core theta*I + X is solved and theta*I - X applied in O(n):
-each pair of positions is a 2x2 system with determinant
-(theta + alpha)^2 + beta^2.  ``_ShiftedCore`` checks theta, runs the
-singular check and keeps theta + diag, that determinant and
-theta - diag for one (pattern, theta); ``xpattern_shifted_solve`` runs
-on it, and ``cscs_solve`` builds one per core per solve, so its sweeps
-reuse the tables and a singular shift fails before the first sweep.
+A shifted core theta*I + X is inverted in O(n), and its inverse is again
+an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
+(d = theta + alpha, b = beta), which multiplies like d + ib, so its
+inverse is [[d, -b], [b, d]] / (d^2 + b^2).  ``_shifted_inverse`` checks
+theta, runs the singular check and returns that pattern;
+``xpattern_shifted_solve`` is its product, and ``cscs_solve`` builds one
+per core per solve, so a singular shift fails before the first sweep.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
@@ -276,38 +276,23 @@ def _finite_shift(theta):
         raise ValueError(f"shift theta must be finite, got {theta}")
 
 
-class _ShiftedCore:
-    """theta*I + X and theta*I - X of one X-pattern, built once per (pattern, theta).
+def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
+    """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det.
 
-    Construction raises as ``xpattern_shifted_solve`` does: ValueError
-    for a non-finite theta, SingularShiftError for a singular position.
-    ``solve`` and ``minus_apply`` are the arithmetic of
-    ``xpattern_shifted_solve`` and ``xpattern_apply(..., "minus", ...)``.
+    Raises as ``xpattern_shifted_solve`` does: ValueError for a
+    non-finite theta, SingularShiftError for a singular position.
     """
-
-    __slots__ = ("anti", "partner", "plus", "minus", "det")
-
-    def __init__(self, X: XPattern, theta: float):
-        _finite_shift(theta)
-        d = theta + X.diag
-        det = d * d + X.anti * X.anti
-        scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
-        bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
-        if bad.size:
-            j = int(bad[0])
-            raise SingularShiftError(
-                f"shift theta={theta} is singular at pattern index {j} "
-                f"(alpha={X.diag[j]}, beta={X.anti[j]})", index=j)
-        self.anti, self.partner = X.anti, X.partner
-        self.plus, self.minus, self.det = d, theta - X.diag, det
-
-    def solve(self, z):
-        """(theta*I + X)^-1 z."""
-        return (self.plus * z - self.anti * z[self.partner]) / self.det
-
-    def minus_apply(self, y):
-        """(theta*I - X) y."""
-        return self.minus * y - self.anti * y[self.partner]
+    _finite_shift(theta)
+    d = theta + X.diag
+    det = d * d + X.anti * X.anti
+    scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
+    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
+    if bad.size:
+        j = int(bad[0])
+        raise SingularShiftError(
+            f"shift theta={theta} is singular at pattern index {j} "
+            f"(alpha={X.diag[j]}, beta={X.anti[j]})", index=j)
+    return XPattern(X.n, X.pairing, d / det, -X.anti / det)
 
 
 def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:
@@ -335,10 +320,9 @@ def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:
 def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     """Solve (theta*I + X) y = z in O(n).
 
-    Fixed points are scalar divisions; each pair is a 2x2 system
-    [[d, b], [-b, d]] with determinant d^2 + b^2 (d = theta + alpha).
-    The single vectorized formula (d*z - b*z[partner]) / (d^2 + b^2)
-    covers both cases since b = 0 at fixed points.
+    Each pair is a 2x2 system [[d, b], [-b, d]] with determinant
+    d^2 + b^2 (d = theta + alpha); fixed points have b = 0.  The solve is
+    the product with the inverse pattern, diag d / det and anti -b / det.
 
     A position counts as singular when its determinant is within eps of
     the squared scale theta^2 + max(alpha^2 + beta^2), i.e. when the
@@ -348,7 +332,7 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
-    return _ShiftedCore(X, theta).solve(z)
+    return xpattern_apply(_shifted_inverse(X, theta), 0.0, "none", z)
 
 
 def dense_u_oracle(kind: str, n: int) -> np.ndarray:

@@ -24,8 +24,7 @@ import numpy as np
 
 __all__ = [
     "ToeplitzBands", "CirculantCol", "SkewCirculantCol",
-    "toeplitz_from_bands", "circulant_from_col", "skew_circulant_from_col",
-    "cscs_split", "dense_of", "naive_matvec",
+    "toeplitz_from_bands", "cscs_split", "dense_of", "naive_matvec",
 ]
 
 
@@ -59,14 +58,6 @@ class ToeplitzBands:
         """Diagonal coefficient t[k], -(n-1) <= k <= n-1."""
         return float(self.coeffs[k + self.n - 1])
 
-    @property
-    def first_column(self) -> np.ndarray:
-        return self.coeffs[self.n - 1:]
-
-    @property
-    def first_row(self) -> np.ndarray:
-        return self.coeffs[self.n - 1::-1]
-
 
 @dataclass(frozen=True)
 class CirculantCol:
@@ -97,16 +88,6 @@ def toeplitz_from_bands(coeffs) -> ToeplitzBands:
         raise ValueError(
             f"band vector must have odd length 2n-1, got {c.shape[0]}")
     return ToeplitzBands((c.shape[0] + 1) // 2, c)
-
-
-def circulant_from_col(col) -> CirculantCol:
-    c = _vector(col, "first column")
-    return CirculantCol(c.shape[0], c)
-
-
-def skew_circulant_from_col(col) -> SkewCirculantCol:
-    c = _vector(col, "first column")
-    return SkewCirculantCol(c.shape[0], c)
 
 
 def cscs_split(T: ToeplitzBands) -> tuple[CirculantCol, SkewCirculantCol]:

@@ -344,7 +344,22 @@ def test_cli_bench_config_file(tmp_path):
     ('[{"example": "ex3", "n": 16.9, "thetas": [3.5]}]', "got 16.9"),
     ('[{"example": "ex3", "n": "16", "thetas": [3.5]}]', "got '16'"),
     ("[7]", "bad config cell 7"),
-], ids=["int", "null", "fractional-n", "string-n", "cell-not-an-object"])
+    # rejected as the matching flags are, not run as failed cells (exit 3)
+    ('[{"example": "ex9", "n": 16, "thetas": [3.5]}]', "unknown example 'ex9'"),
+    ('[{"example": "ex3", "n": 16, "thetas": [3.5], "backends": "fft"}]',
+     "backends must be a list, got 'fft'"),
+    ('[{"example": "ex3", "n": 16, "thetas": [3.5], "backends": ["fast"]}]',
+     "unknown backend 'fast'"),
+    # "35" ran theta = 3 and theta = 5, true ran theta = 1, and "0.9" failed the cell
+    ('[{"example": "ex3", "n": 16, "thetas": "35"}]',
+     "thetas must be a list of numbers, got '35'"),
+    ('[{"example": "ex3", "n": 16, "thetas": [true]}]',
+     "thetas must be a list of numbers, got [True]"),
+    ('[{"example": "ex1", "n": 16, "p": "0.9", "thetas": [1.5]}]',
+     "p must be a number, got '0.9'"),
+], ids=["int", "null", "fractional-n", "string-n", "cell-not-an-object",
+        "unknown-example", "backends-not-a-list", "unknown-backend",
+        "thetas-not-a-list", "theta-not-a-number", "string-p"])
 def test_cli_bench_bad_config_exits_2(tmp_path, config, named):
     cfg = tmp_path / "cells.json"
     cfg.write_text(config)

@@ -312,6 +312,25 @@ def test_shifted_solve_round_trip(rng):
         assert np.abs(back - y).max() < 1e-12 * max(1, np.abs(y).max())
 
 
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+def test_shifted_inverse_is_an_x_pattern(kind, rng):
+    # each 2x2 block [[d, b], [-b, d]] inverts to [[d, -b], [b, d]] / det,
+    # so (theta I + X)^-1 keeps the cross shape of X
+    for n in range(1, 34):
+        X = real_spectrum(kind, rng.standard_normal(n)).expand()
+        theta = rng.uniform(0.1, 2.0) * (1.0 + np.abs(X.diag + 1j * X.anti).max())
+        inverse = real_schur._shifted_inverse(X, theta)
+        assert (inverse.n, inverse.pairing) == (n, kind)
+        shifted = theta * np.eye(n) + X.dense()
+        err = np.abs(inverse.dense() @ shifted - np.eye(n)).max()
+        assert err <= 1e-12, (n, err)
+        partner = inverse.partner
+        fixed = partner == np.arange(n)
+        assert np.all(inverse.anti[fixed] == 0.0)
+        assert np.array_equal(inverse.anti, -inverse.anti[partner])
+        assert np.array_equal(inverse.diag, inverse.diag[partner])
+
+
 def test_shifted_solve_singular_names_index():
     X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
     with pytest.raises(SingularShiftError) as err:
