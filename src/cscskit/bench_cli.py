@@ -69,17 +69,22 @@ class ProblemSpec:
     p: float | None = None
 
 
-def gen_coeffs(spec: ProblemSpec) -> ToeplitzBands:
-    """Diagonal coefficients t[-(n-1)..n-1] of the requested problem."""
+def _check_spec(spec: ProblemSpec) -> None:
+    """Raise ValueError for a spec ``gen_coeffs`` cannot build."""
     if spec.example not in EXAMPLES:
         raise ValueError(f"unknown example {spec.example!r}")
     if spec.n < 1:
         raise ValueError(f"problem size must be >= 1, got {spec.n}")
+    if spec.example == "ex1" and (spec.p is None or not spec.p > 0):
+        raise ValueError("ex1 requires a positive exponent p")
+
+
+def gen_coeffs(spec: ProblemSpec) -> ToeplitzBands:
+    """Diagonal coefficients t[-(n-1)..n-1] of the requested problem."""
+    _check_spec(spec)
     n = spec.n
     k = np.arange(-(n - 1), n)
     if spec.example == "ex1":
-        if spec.p is None or not spec.p > 0:
-            raise ValueError("ex1 requires a positive exponent p")
         return toeplitz_from_bands((1.0 + np.abs(k)) ** (-spec.p))
     t = np.zeros(2 * n - 1, dtype=np.complex128)
     sign = np.where(k % 2 == 0, 1.0, -1.0)

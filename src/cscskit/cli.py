@@ -16,7 +16,9 @@ line, ascending t[-(n-1)]..t[n-1]).
 Exit codes: 0 success; 2 argument/config errors, including NaN or Inf
 input and the dense guard (radius at n > 4096, --rho-up-to above 4096);
 3 numerical failures (singular shift, non-convergence, every bench cell
-failed).
+failed).  ``bench`` checks the values of every cell (example, n, p,
+theta, backend) before any cell runs, so a bad value exits 2 with
+nothing written, as it does for every other command.
 """
 
 import argparse
@@ -26,8 +28,8 @@ import sys
 import numpy as np
 
 from .bench_cli import (
-    EXAMPLES, ProblemSpec, _opened, gen_coeffs, load_bands_file, run_bench,
-    write_csv, write_markdown, write_vector,
+    EXAMPLES, ProblemSpec, _check_spec, _opened, gen_coeffs, load_bands_file,
+    run_bench, write_csv, write_markdown, write_vector,
 )
 from .cscs_solvers import (
     BACKENDS, RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
@@ -130,12 +132,23 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_cell(spec, thetas, backends):
+    # raises ValueError for what would fail the cell's runs
+    _check_spec(spec)
+    for theta in thetas:
+        for backend in backends:
+            SolverConfig(theta=theta, backend=backend)
+
+
 def _bench_entries(args):
     if not args.config:
         if not args.example or not args.n or not args.theta:
             raise _ConfigError("bench needs --config, or --example/--n/--theta")
-        return [(ProblemSpec(args.example, n, args.p), args.theta,
-                 args.backend or ["dct_dst"]) for n in args.n]
+        entries = [(ProblemSpec(args.example, n, args.p), args.theta,
+                    args.backend or ["dct_dst"]) for n in args.n]
+        for entry in entries:
+            _check_cell(*entry)
+        return entries
     with open(args.config) as fh:
         try:
             cells = json.load(fh)
@@ -149,8 +162,6 @@ def _bench_entries(args):
             n = cell["n"]
             if not isinstance(n, int) or isinstance(n, bool):
                 raise TypeError(f"n must be an integer, got {n!r}")
-            if cell["example"] not in EXAMPLES:
-                raise ValueError(f"unknown example {cell['example']!r}")
             p = cell.get("p")
             if p is not None and not _is_number(p):
                 raise TypeError(f"p must be a number, got {p!r}")
@@ -163,8 +174,10 @@ def _bench_entries(args):
             for backend in backends:
                 if backend not in BACKENDS:
                     raise ValueError(f"unknown backend {backend!r}")
-            entries.append((ProblemSpec(cell["example"], n, p),
-                            [float(t) for t in thetas], backends))
+            entry = (ProblemSpec(cell["example"], n, p),
+                     [float(t) for t in thetas], backends)
+            _check_cell(*entry)
+            entries.append(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise _ConfigError(f"bad config cell {cell!r}: {exc}") from None
     return entries

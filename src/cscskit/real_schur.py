@@ -33,9 +33,11 @@ column.  With vhat = to_core(side, col) and hs = n - sine size,
 
 where w is sqrt(n) at the fixed points of the pairing (columns of U with
 unit weight: 0 and n/2 on the circulant side, (n-1)/2 on the skew side)
-and sqrt(n/2) elsewhere.  The sign of each beta is a convention pinned
-by the congruence test ``U.T @ dense(M) @ U == expand(real_spectrum(...))``
-rather than by any eigenvalue labeling.
+and sqrt(n/2) elsewhere.  The pairing is a reflection, so a core reads
+the partners of a vector by slicing, never through an index table.  The
+sign of each beta is a convention pinned by the congruence test
+``U.T @ dense(M) @ U == expand(real_spectrum(...))`` rather than by any
+eigenvalue labeling.
 
 A shifted core theta*I + X is inverted in O(n), and its inverse is again
 an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
@@ -160,12 +162,12 @@ def from_core(side: str, y) -> np.ndarray:
 class XPattern:
     """Cross-shaped core matrix: X[j,j] = diag[j], X[j,partner(j)] = anti[j].
 
-    ``pairing`` fixes the partner map: (n-j) mod n for the circulant
-    core Omega, n-1-j for the skew core Sigma.  Stored redundantly at
-    full length so apply/solve stay branch-free; anti is zero at fixed
-    points and antisymmetric across each pair.  ``diag`` and ``anti`` are
-    read-only float64 copies of the arrays passed in, so operators can
-    share a pattern across products and solves.
+    ``pairing`` fixes the partner map, a reflection: (n-j) mod n for the
+    circulant core Omega, n-1-j for the skew core Sigma.  Stored
+    redundantly at full length so apply/solve stay branch-free; diag must
+    be symmetric and anti antisymmetric across each pair, bit for bit (so
+    anti is zero at fixed points).  ``diag`` and ``anti`` are read-only
+    float64 copies of the arrays passed in, shared across products and solves.
     """
 
     n: int
@@ -183,31 +185,27 @@ class XPattern:
                 raise ValueError(f"XPattern {name} must be finite (got NaN or Inf)")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        _partner_indices(self.pairing, self.n)  # rejects an unknown pairing
+        if self.pairing not in ("circulant", "skew"):
+            raise ValueError(f"unknown pairing {self.pairing!r}")
+        if not (np.array_equal(self.diag, _reflect(self.pairing, self.diag))
+                and np.array_equal(-self.anti, _reflect(self.pairing, self.anti))):
+            raise ValueError("XPattern diag must be symmetric and anti antisymmetric")
 
     @property
     def partner(self) -> np.ndarray:
-        return _partner_indices(self.pairing, self.n)
+        return _reflect(self.pairing, np.arange(self.n))
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        j = np.arange(self.n)
-        out[j, j] = self.diag
-        out[j, self.partner] += self.anti
+        out = np.diag(self.diag)
+        out[np.arange(self.n), self.partner] += self.anti
         return out
 
 
-@lru_cache(maxsize=_CACHED_SIZES)
-def _partner_indices(pairing: str, n: int) -> np.ndarray:
-    j = np.arange(n)
-    if pairing == "circulant":
-        p = (n - j) % n
-    elif pairing == "skew":
-        p = n - 1 - j
-    else:
-        raise ValueError(f"unknown pairing {pairing!r}")
-    p.flags.writeable = False
-    return p
+def _reflect(pairing: str, v) -> np.ndarray:
+    """v[partner]: v reversed (skew), or v[0] then v[1:] reversed (circulant)."""
+    if pairing == "skew":
+        return v[::-1]
+    return np.concatenate((v[:1], v[:0:-1]))
 
 
 @dataclass(frozen=True)
@@ -232,16 +230,15 @@ class SpectralPair:
 
     def expand(self) -> XPattern:
         """Lossless expansion to the full-length X-pattern core."""
-        n = self.n
-        p = _partner_indices(self.kind, n)
-        j = np.arange(self.alphas.shape[0])
-        # circulant pairs start after the fixed point 0, skew pairs at 0
-        k = np.arange(self.betas.shape[0]) + (self.kind == "circulant")
-        diag = np.zeros(n)
-        anti = np.zeros(n)
-        diag[j] = diag[p[j]] = self.alphas
-        anti[k] = self.betas
-        anti[p[k]] = -self.betas
+        n, hs, s = self.n, self.alphas.shape[0], self.betas.shape[0]
+        # circulant pairs start after the fixed point 0, skew pairs at 0;
+        # the reflection fills the partners: diag past hs, the last s of anti
+        k = int(self.kind == "circulant")
+        diag, anti = np.zeros(n), np.zeros(n)
+        diag[:hs] = self.alphas
+        diag[hs:] = _reflect(self.kind, diag)[hs:]
+        anti[k:k + s] = self.betas
+        anti[n - s:] = -_reflect(self.kind, anti)[n - s:]
         return XPattern(n, self.kind, diag, anti)
 
     def eigenvalues(self) -> np.ndarray:
@@ -264,7 +261,7 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     n = col.shape[0]
     hs = n - _sine_size(kind, n)
     vhat = to_core(kind, col)
-    fixed = _partner_indices(kind, n)[:hs] == np.arange(hs)
+    fixed = (_reflect(kind, np.arange(n)) == np.arange(n))[:hs]
     half = np.sqrt(n / 2.0)
     alphas = np.where(fixed, np.sqrt(float(n)), half) * vhat[:hs]
     betas = -half * vhat[n - 1:hs - 1:-1]
@@ -307,7 +304,7 @@ def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:
         raise ValueError(f"expected a vector of length {X.n}, got shape {y.shape}")
     if sign in ("plus", "minus"):
         _finite_shift(shift)
-    cross = X.anti * y[X.partner]
+    cross = X.anti * _reflect(X.pairing, y)
     if sign == "plus":
         return (shift + X.diag) * y + cross
     if sign == "minus":

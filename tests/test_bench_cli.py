@@ -376,6 +376,43 @@ def test_cli_bench_rho_up_to_above_the_guard_exits_2():
     assert stdout == "" and "guard" in stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--example", "ex1", "--n", "0", "--p", "1", "--theta", "1"], "size must be >= 1"),
+    (["--example", "ex1", "--n", "8", "--theta", "1"], "positive exponent p"),
+    (["--example", "ex3", "--n", "8", "--theta", "-1"], "theta must be positive"),
+    (["--example", "ex3", "--n", "8", "--theta", "nan"], "theta must be positive"),
+    # the good first cell does not run either
+    (["--example", "ex3", "--n", "8", "--n", "0", "--theta", "3.5"], "size must be >= 1"),
+    (["--example", "ex3", "--n", "8", "--theta", "3.5", "--theta", "inf",
+      "--backend", "fft"], "theta must be positive"),
+], ids=["n-zero", "ex1-without-p", "negative-theta", "nan-theta", "second-n-zero",
+        "second-theta-inf"])
+def test_cli_bench_bad_value_exits_2_before_any_cell(monkeypatch, argv, named):
+    # these ran every cell as a failed one and exited 3
+    ran = []
+    monkeypatch.setattr(bench_cli, "cscs_solve", lambda *args: ran.append(args))
+    code, stdout, stderr = run_cli(["bench"] + argv)
+    assert (code, stdout, ran) == (2, "", [])
+    assert named in stderr
+
+
+@pytest.mark.parametrize("bad_cell, named", [
+    ('{"example": "ex3", "n": 0, "thetas": [3.5]}', "size must be >= 1"),
+    ('{"example": "ex1", "n": 8, "thetas": [1.5]}', "positive exponent p"),
+    ('{"example": "ex3", "n": 8, "thetas": [0]}', "theta must be positive"),
+], ids=["n-zero", "ex1-without-p", "zero-theta"])
+def test_cli_bench_config_with_a_bad_cell_runs_no_cell(tmp_path, monkeypatch,
+                                                      bad_cell, named):
+    # one good cell and one bad one ran both and exited 0 with a failed row
+    ran = []
+    monkeypatch.setattr(bench_cli, "cscs_solve", lambda *args: ran.append(args))
+    cfg = tmp_path / "cells.json"
+    cfg.write_text(f'[{{"example": "ex3", "n": 8, "thetas": [3.5]}}, {bad_cell}]')
+    code, stdout, stderr = run_cli(["bench", "--config", str(cfg)])
+    assert (code, stdout, ran) == (2, "", [])
+    assert "bad config cell" in stderr and named in stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--example", "ex3", "--n", "9"],
     ["spectrum", "--example", "ex3", "--n", "8", "--part", "skew"],

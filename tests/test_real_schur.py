@@ -5,6 +5,8 @@ eigenvector construction), dense congruences, and numpy's dense complex
 eigensolver for eigenvalue multisets.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,8 +236,8 @@ def test_real_spectrum_rejects_a_non_finite_column():
 
 def test_per_size_caches_stay_bounded():
     # a process that meets many sizes keeps tables for a bounded number
-    caches = (real_schur._block_plans, real_schur._partner_indices,
-              _dft._bluestein_tables, trig_transforms._makhoul)
+    caches = (real_schur._block_plans, _dft._bluestein_tables,
+              trig_transforms._makhoul)
     bounds = [cache.cache_info().maxsize for cache in caches]
     assert None not in bounds
     for n in range(100, 100 + 3 * max(bounds)):
@@ -266,9 +268,17 @@ def test_xpattern_apply_single_pair():
                           [3.0, -3.0])
 
 
+@pytest.mark.parametrize("pairing", ["circulant", "skew"])
+def test_xpattern_partner_is_the_pairing_reflection(pairing):
+    for n in range(1, 41):
+        j = np.arange(n)
+        expected = (n - j) % n if pairing == "circulant" else n - 1 - j
+        zeros = np.zeros(n)
+        assert np.array_equal(XPattern(n, pairing, zeros, zeros).partner, expected)
+
+
 def test_xpattern_apply_matches_dense(rng):
-    for n in (1, 2, 5, 12, 32):
-        pairing = "skew" if n % 2 == 0 else "circulant"
+    for n, pairing in itertools.product(range(1, 41), ("circulant", "skew")):
         j = np.arange(n)
         partner = n - 1 - j if pairing == "skew" else (n - j) % n
         diag = rng.standard_normal(n)
@@ -365,6 +375,22 @@ def test_xpattern_rejects_non_finite_values(name, bad):
     values[name][1:] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         XPattern(3, "circulant", values["diag"], values["anti"])
+
+
+@pytest.mark.parametrize("pairing, diag, anti", [
+    # the 2x2 block [[1, 1], [1, 1]]: a solve returned [0.4, -0.2] for [2/3, -1/3]
+    ("skew", [1.0, 1.0], [1.0, 1.0]),
+    ("skew", [1.0, 2.0], [1.0, -1.0]),
+    ("circulant", [1.0, 2.0, 3.0], [0.0, 1.0, -1.0]),
+    # anti must vanish at the fixed points 0 and n/2
+    ("circulant", [1.0, 2.0, 2.0], [1.0, 0.0, 0.0]),
+    ("circulant", [1.0, 2.0, 3.0, 2.0], [0.0, 0.0, 1.0, 0.0]),
+    ("skew", [1.0, 2.0, 1.0], [0.0, 1.0, 0.0]),
+], ids=["skew-symmetric-anti", "skew-diag", "circulant-diag",
+        "circulant-anti-at-0", "circulant-anti-at-half", "skew-anti-at-middle"])
+def test_xpattern_rejects_a_pattern_without_the_pairing_symmetry(pairing, diag, anti):
+    with pytest.raises(ValueError, match="symmetric and anti antisymmetric"):
+        XPattern(len(diag), pairing, np.array(diag), np.array(anti))
 
 
 def test_xpattern_rejects_an_unknown_pairing():
