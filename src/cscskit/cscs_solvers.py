@@ -5,39 +5,41 @@ Splitting T = C + S, the two-half-step iteration with shift theta > 0 is
     (theta I + C) x^(k+1/2) = (theta I - S) x^(k)     + b,
     (theta I + S) x^(k+1)   = (theta I - C) x^(k+1/2) + b.
 
-The ``dct_dst`` backend runs it in real arithmetic through the real
-Schur forms C = U Omega U.T and S = Utilde Sigma Utilde.T; each shifted
-core is an O(n) X-pattern product and every U or U.T application
-(``real_schur.from_core`` / ``to_core``) is the Q butterfly plus one DCT
-and one DST of about n/2 points.  Adjacent block factors cancel between
-the two half-steps (U.T U == I), so one full iteration costs exactly six
-DCTs and six DSTs; each sweep counts its own in a ``counting()`` block
-and the counts are recorded in the report.
+With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
+``cscs_solve`` runs one sweep as
 
-The ``fft`` backend is the complex reference: C = F Lambda F^* and
-S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
-D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}), costing six complex DFTs
-per iteration.  Its eigenvalues are read off the same cores, which
-already hold them in DFT order: Lambda = Omega.diag + 1j*Omega.anti and
-Lambdatilde = Sigma.diag + 1j*Sigma.anti, so its setup runs no DFT, and
-1 / (theta + lambda) is read off an inverse pattern the same way.
+    u       = theta x - S x + b,
+    v       = 2 theta (theta I + C)^{-1} u - u + b,
+    x^(k+1) = (theta I + S)^{-1} v,
+
+three core products, and its stopping test uses T x = C x + S x.  Each
+of the four operators is U X U.T for an X-pattern core X: Omega and Sigma
+of the split spectra, built once by ``ToeplitzOperator.from_bands``
+(whose cores also give the positive-definiteness warnings), and the
+inverse patterns of theta I + Omega and theta I + Sigma, built once per
+solve (building them is the fail-fast singular-shift check).
+
+A backend only maps a core X to the product x -> U X U.T x:
+
+* ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
+  core product: ``to_core``, the O(n) X-pattern product, ``from_core``,
+  each basis change being the Q butterfly plus one DCT and one DST of
+  about n/2 points.  A sweep costs six DCTs and six DSTs, which each
+  sweep counts in a ``counting()`` block for the report, and the
+  residual is bitwise ``toeplitz_matvec``.
+* ``fft`` is the complex reference: C = F Lambda F^* and
+  S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
+  D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  The cores already
+  hold their eigenvalues in DFT order, lambda = diag + 1j*anti, so its
+  setup runs no DFT and a product costs two complex DFTs of n points.
+
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
-
-Both backends share one iteration loop and one setup: the split spectra
-are built once by ``ToeplitzOperator.from_bands``, whose cores also give
-the positive-definiteness warnings, and the inverse shifted cores
-(theta I + C)^{-1} and (theta I + S)^{-1} are built once per solve as
-X-patterns and passed to either backend.  Building them is the fail-fast
-singular-shift check.  A backend contributes only its sweep and its
-Toeplitz product.
 
 Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
 after ``max_iters`` sweeps, or at the first non-finite residual; the
 report's ``stop_reason`` says which.  Residuals are recomputed each
-sweep, never recursively updated: with ``toeplitz_matvec`` on the
-solve's operator for ``dct_dst``, and with the backend's own complex
-product for ``fft``.
+sweep with the backend's own product, never recursively updated.
 """
 
 import warnings as _warnings
@@ -46,10 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dft
-from .fast_matvec import ToeplitzOperator, toeplitz_matvec
-from .real_schur import (
-    SingularShiftError, _shifted_inverse, from_core, to_core, xpattern_apply,
-)
+from .fast_matvec import CirculantOperator, ToeplitzOperator, _core_product
+from .real_schur import SingularShiftError, _shifted_inverse
 from .structured_matrices import ToeplitzBands, cscs_split, dense_of
 from .trig_transforms import Flavor, counting
 
@@ -88,6 +88,10 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        for name in ("theta", "tol", "max_iters"):
+            # a bool passes every check below as 0 or 1
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if not 0 < self.tol < np.inf:
@@ -149,11 +153,16 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
-    # (theta*I + C)^-1 and (theta*I + S)^-1, built once per solve (a singular
-    # shift raises here) and not bound, so the fft backend can drop them
-    sweep, product = (_dct_dst_backend if counted else _fft_backend)(
-        op, theta, _shifted_inverse(op.circulant_part.pattern, theta),
-        _shifted_inverse(op.skew_part.pattern, theta), b)
+    core = _real_core if counted else _complex_cores(n)
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    c, s = core(omega), core(sigma)
+    # (theta I + C)^-1 and (theta I + S)^-1, built once per solve: a
+    # singular shift raises here, before the first sweep
+    c_inv = core(_shifted_inverse(omega, theta))
+    s_inv = core(_shifted_inverse(sigma, theta))
+
+    def product(v):
+        return c(v) + s(v)
 
     r0 = np.linalg.norm(b - product(x)) if x.any() else np.linalg.norm(b)
     iterates = [x.copy()] if cfg.record_iterates else None
@@ -166,9 +175,12 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     stop = "max_iters"
     for _ in range(cfg.max_iters):
         with counting() as used:
-            x = sweep(x)
+            u = theta * x - s(x) + b
+            # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I
+            v = 2 * theta * c_inv(u) - u + b
+            x = s_inv(v)
         if counted:
-            dct = sum(c for (flavor, _), c in used.items() if flavor is Flavor.COSINE)
+            dct = sum(k for (flavor, _), k in used.items() if flavor is Flavor.COSINE)
             counts.append((dct, used.total() - dct))
             sizes.update(size for _, size in used)
         if iterates is not None:
@@ -188,54 +200,27 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
                        stop, notes, iterates, counts, sizes)
 
 
-def _dct_dst_backend(op, theta, omega_inv, sigma_inv, b):
-    """(sweep, Toeplitz product) in real arithmetic through X-pattern products."""
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-
-    def sweep(x):
-        # (theta I - S) x + b: 2 DCTs + 2 DSTs
-        u = from_core("skew", xpattern_apply(sigma, theta, "minus", to_core("skew", x))) + b
-        # first half-step solve fused with the second half-step multiply:
-        # (theta I - C)(theta I + C)^{-1} shares the circulant block factor
-        w = xpattern_apply(omega_inv, 0.0, "none", to_core("circulant", u))
-        v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
-        # (theta I + S)^{-1}: 2 DCTs + 2 DSTs
-        return from_core("skew", xpattern_apply(sigma_inv, 0.0, "none", to_core("skew", v)))
-
-    return sweep, lambda v: toeplitz_matvec(op, v)
+def _real_core(X):
+    """x -> U X U.T x in real arithmetic: the core product of ``fast_matvec``."""
+    op = CirculantOperator(X)
+    return lambda v: _core_product(op, v, X.pairing)
 
 
-def _fft_backend(op, theta, omega_inv, sigma_inv, b):
-    """(sweep, Toeplitz product) in complex arithmetic through ``dft``."""
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    # Lambda[k] = sum_u c[u] e^{+2 pi i u k/n}; Lambdatilde is the DFT of
-    # the half-rotated column s * dbar (D-conjugate modulation)
-    lam_c = omega.diag + 1j * omega.anti
-    lam_s = sigma.diag + 1j * sigma.anti
-    dbar = np.exp(-1j * np.pi * np.arange(op.n) / op.n)
-    # the sweep's three multipliers, built once per solve
-    minus_s = theta - lam_s
-    cayley_c = (theta - lam_c) * (omega_inv.diag + 1j * omega_inv.anti)
-    inv_s = sigma_inv.diag + 1j * sigma_inv.anti
+def _complex_cores(n):
+    """X -> (x -> U X U.T x) in complex arithmetic, two ``dft`` calls a product."""
+    # Ftilde = D F^*: the skew side runs the circulant product on the
+    # D-modulated vector
+    dbar = np.exp(-1j * np.pi * np.arange(n) / n)
 
-    def c_apply(diagvals, v):
-        return dft(diagvals * dft(v, inverse=True))
+    def core(X):
+        # the core holds its eigenvalues in DFT order; each product returns
+        # a real copy, so no result keeps its complex buffer alive
+        lam = X.diag + 1j * X.anti
+        if X.pairing == "circulant":
+            return lambda v: dft(lam * dft(v, inverse=True)).real.copy()
+        return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real.copy()
 
-    def s_apply(diagvals, v):
-        return np.conj(dbar) * dft(diagvals * dft(dbar * v), inverse=True)
-
-    def sweep(x):
-        u = s_apply(minus_s, x) + b
-        w = dft(u, inverse=True)
-        v = dft(cayley_c * w) + b
-        z = np.conj(dbar) * dft(dft(dbar * v) * inv_s, inverse=True)
-        # a copy, so the solution does not keep the complex buffer alive
-        return z.real.copy()
-
-    def product(v):
-        return (c_apply(lam_c, v) + s_apply(lam_s, v)).real
-
-    return sweep, product
+    return core
 
 
 def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:

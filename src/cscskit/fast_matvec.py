@@ -84,7 +84,7 @@ def _core_product(op, x, kind):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.n,):
         raise ValueError(f"expected a vector of length {op.n}, got shape {x.shape}")
-    return from_core(kind, xpattern_apply(op.pattern, 0.0, "none", to_core(kind, x)))
+    return from_core(kind, xpattern_apply(op.pattern, to_core(kind, x)))
 
 
 def circulant_matvec(op: CirculantOperator, x) -> np.ndarray:

@@ -43,9 +43,13 @@ A shifted core theta*I + X is inverted in O(n), and its inverse is again
 an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
 (d = theta + alpha, b = beta), which multiplies like d + ib, so its
 inverse is [[d, -b], [b, d]] / (d^2 + b^2).  ``_shifted_inverse`` checks
-theta, runs the singular check and returns that pattern;
-``xpattern_shifted_solve`` is its product, and ``cscs_solve`` builds one
-per core per solve, so a singular shift fails before the first sweep.
+that theta is finite, runs the singular check and returns that pattern.
+``xpattern_apply`` is the one core product and takes no shift
+((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
+product with the inverse pattern.  ``cscs_solve`` builds both inverse
+patterns once per solve, so a singular shift fails before the first
+sweep, and applies them as it applies Omega and Sigma, through its
+backend's core product.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
@@ -268,18 +272,14 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     return SpectralPair(alphas, betas, kind)
 
 
-def _finite_shift(theta):
-    if not np.isfinite(theta):
-        raise ValueError(f"shift theta must be finite, got {theta}")
-
-
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
     """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det.
 
     Raises as ``xpattern_shifted_solve`` does: ValueError for a
     non-finite theta, SingularShiftError for a singular position.
     """
-    _finite_shift(theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"shift theta must be finite, got {theta}")
     d = theta + X.diag
     det = d * d + X.anti * X.anti
     scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
@@ -292,26 +292,17 @@ def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
     return XPattern(X.n, X.pairing, d / det, -X.anti / det)
 
 
-def xpattern_apply(X: XPattern, shift: float, sign: str, y) -> np.ndarray:
-    """O(n) product with the (optionally shifted) X-pattern core.
+def xpattern_apply(X: XPattern, y) -> np.ndarray:
+    """O(n) product X y with an X-pattern core.
 
-    sign='plus' gives (shift*I + X) y, 'minus' gives (shift*I - X) y,
-    'none' gives the plain product X y (shift ignored).  A shifted
-    product needs a finite shift.
+    X y = diag * y + anti * y[partner].  A shifted product is theta*y
+    plus this one; a shifted solve is this product with the inverse
+    pattern (``xpattern_shifted_solve``).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {y.shape}")
-    if sign in ("plus", "minus"):
-        _finite_shift(shift)
-    cross = X.anti * _reflect(X.pairing, y)
-    if sign == "plus":
-        return (shift + X.diag) * y + cross
-    if sign == "minus":
-        return (shift - X.diag) * y - cross
-    if sign == "none":
-        return X.diag * y + cross
-    raise ValueError(f"unknown sign {sign!r}")
+    return X.diag * y + X.anti * _reflect(X.pairing, y)
 
 
 def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
@@ -329,7 +320,7 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (X.n,):
         raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
-    return xpattern_apply(_shifted_inverse(X, theta), 0.0, "none", z)
+    return xpattern_apply(_shifted_inverse(X, theta), z)
 
 
 def dense_u_oracle(kind: str, n: int) -> np.ndarray:

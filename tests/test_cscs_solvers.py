@@ -13,11 +13,13 @@ from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
     theta_scan,
 )
-from cscskit.fast_matvec import ToeplitzOperator
+from cscskit.fast_matvec import ToeplitzOperator, skew_circulant_matvec
 from cscskit.real_schur import (
-    SingularShiftError, from_core, to_core, xpattern_apply, xpattern_shifted_solve,
+    SingularShiftError, from_core, to_core, xpattern_shifted_solve,
 )
-from cscskit.structured_matrices import naive_matvec, toeplitz_from_bands
+from cscskit.structured_matrices import (
+    cscs_split, dense_of, naive_matvec, toeplitz_from_bands,
+)
 from cscskit.trig_transforms import DCT_V, DCT_VI, DST_V, DST_VI, DttPlan, dtt_apply
 
 from conftest import random_bands
@@ -272,12 +274,32 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    u = from_core("skew", xpattern_apply(sigma, theta, "minus", to_core("skew", x))) + b
-    w = xpattern_shifted_solve(omega, theta, to_core("circulant", u))
-    v = from_core("circulant", xpattern_apply(omega, theta, "minus", w)) + b
+    u = theta * x - skew_circulant_matvec(op.skew_part, x) + b
+    w = from_core("circulant", xpattern_shifted_solve(omega, theta, to_core("circulant", u)))
+    v = 2 * theta * w - u + b
     want = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
     assert report.iterations == 1
     assert np.array_equal(report.solution, want)
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 65])
+def test_one_sweep_is_the_two_dense_half_steps(n, backend):
+    # one sweep from a random x0 is the paper's pair of half-steps,
+    # solved densely: (theta I + C) x_half = (theta I - S) x + b, then
+    # (theta I + S) x_new = (theta I - C) x_half + b
+    rng = np.random.default_rng(1000 + n)
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    b, x = rng.standard_normal(n), rng.standard_normal(n)
+    theta = float(T.t(0)) / 2
+    C, S = (dense_of(part) for part in cscs_split(T))
+    shift = theta * np.eye(n)
+    half = np.linalg.solve(shift + C, (shift - S) @ x + b)
+    want = np.linalg.solve(shift + S, (shift - C) @ half + b)
+    report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x,
+                                           backend=backend))
+    assert report.iterations == 1
+    assert np.linalg.norm(report.solution - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_singular_shift_raises():
@@ -300,18 +322,26 @@ def test_config_rejects_an_infinite_theta():
     # caught here, not blamed on a pattern index by the singular-shift check
     with pytest.raises(ValueError, match="theta must be positive and finite"):
         SolverConfig(theta=np.inf)
+    # a bool is not taken as the shift 1.0
+    with pytest.raises(ValueError, match="theta must be a number, got True"):
+        SolverConfig(theta=True)
 
 
 def test_config_rejects_a_non_integer_max_iters():
     # caught here, not as a TypeError from range() inside the solve
     with pytest.raises(ValueError, match="max_iters must be an integer"):
         SolverConfig(theta=1.0, max_iters=2.5)
+    # True used to run exactly one sweep and stop with "max_iters"
+    with pytest.raises(ValueError, match="max_iters must be a number, got True"):
+        SolverConfig(theta=1.0, max_iters=True)
 
 
 def test_config_rejects_an_infinite_tol():
     # tol = inf would report convergence after one sweep
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         SolverConfig(theta=1.0, tol=np.inf)
+    with pytest.raises(ValueError, match="tol must be a number, got True"):
+        SolverConfig(theta=1.0, tol=True)
 
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])

@@ -258,14 +258,15 @@ def _pair_pattern(alpha, beta):
 def test_xpattern_apply_zero_pattern():
     X = XPattern(3, "circulant", np.zeros(3), np.zeros(3))
     y = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(xpattern_apply(X, 3.0, "plus", y), 3 * y)
+    assert np.array_equal(xpattern_apply(X, y), np.zeros(3))
 
 
 def test_xpattern_apply_single_pair():
     X = _pair_pattern(2.0, 3.0)
-    # theta I + X = [[3, 3], [-3, 3]]
-    assert np.array_equal(xpattern_apply(X, 1.0, "plus", np.array([1.0, 0.0])),
-                          [3.0, -3.0])
+    # X = [[2, 3], [-3, 2]] and theta I + X = [[3, 3], [-3, 3]]
+    y = np.array([1.0, 0.0])
+    assert np.array_equal(xpattern_apply(X, y), [2.0, -3.0])
+    assert np.array_equal(1.0 * y + xpattern_apply(X, y), [3.0, -3.0])
 
 
 @pytest.mark.parametrize("pairing", ["circulant", "skew"])
@@ -287,12 +288,9 @@ def test_xpattern_apply_matches_dense(rng):
         anti = (anti - anti[partner]) / 2
         X = XPattern(n, pairing, diag, anti)
         y = rng.standard_normal(n)
-        dense = x_dense(X)
-        for sign, ref in (("plus", 0.7 * y + dense @ y),
-                          ("minus", 0.7 * y - dense @ y),
-                          ("none", dense @ y)):
-            got = xpattern_apply(X, 0.7, sign, y)
-            assert np.abs(got - ref).max() < 1e-13 * max(1, np.abs(ref).max())
+        ref = x_dense(X) @ y
+        got = xpattern_apply(X, y)
+        assert np.abs(got - ref).max() < 1e-13 * max(1, np.abs(ref).max())
 
 
 def test_shifted_solve_scalar():
@@ -317,7 +315,7 @@ def test_shifted_solve_round_trip(rng):
         anti = (anti - anti[partner]) / 2
         X = XPattern(n, pairing, diag, anti)
         y = rng.standard_normal(n)
-        z = xpattern_apply(X, 5.0, "plus", y)
+        z = 5.0 * y + xpattern_apply(X, y)
         back = xpattern_shifted_solve(X, 5.0, z)
         assert np.abs(back - y).max() < 1e-12 * max(1, np.abs(y).max())
 
@@ -396,14 +394,3 @@ def test_xpattern_rejects_a_pattern_without_the_pairing_symmetry(pairing, diag, 
 def test_xpattern_rejects_an_unknown_pairing():
     with pytest.raises(ValueError, match="unknown pairing 'bogus'"):
         XPattern(3, "bogus", np.ones(3), np.zeros(3))
-
-
-@pytest.mark.parametrize("sign", ["plus", "minus"])
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
-def test_xpattern_apply_rejects_a_non_finite_shift(sign, theta):
-    # as xpattern_shifted_solve does, instead of returning NaN or Inf
-    X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="theta must be finite"):
-        xpattern_apply(X, theta, sign, np.ones(3))
-    # the plain product ignores the shift
-    assert np.array_equal(xpattern_apply(X, theta, "none", np.ones(3)), X.diag)
