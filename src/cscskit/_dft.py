@@ -44,6 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .structured_matrices import _vector
+
 
 def _freeze(a):
     a.flags.writeable = False
@@ -122,9 +124,7 @@ def dft_vector(x, n=None):
 
     With n >= m, returns X[0:m] of the n-point DFT of x zero-padded to n.
     """
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError(f"dft of an array of shape {x.shape}; expected a non-empty vector")
+    x = _vector(x, "dft input", finite=False, dtype=np.complex128)
     m = x.shape[0]
     if n is None:
         n = m

@@ -38,7 +38,7 @@ import numpy as np
 from .cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
 )
-from .structured_matrices import ToeplitzBands, toeplitz_from_bands
+from .structured_matrices import ToeplitzBands, _number, _size, _vector, toeplitz_from_bands
 
 __all__ = [
     "ProblemSpec", "BenchRow", "VectorFormatError",
@@ -62,26 +62,24 @@ class VectorFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One generated test problem; p applies to ex1 only."""
+    """One generated test problem; p applies to ex1 only.  Checks its values when built."""
 
     example: str
     n: int
     p: float | None = None
 
-
-def _check_spec(spec: ProblemSpec) -> None:
-    """Raise ValueError for a spec ``gen_coeffs`` cannot build."""
-    if spec.example not in EXAMPLES:
-        raise ValueError(f"unknown example {spec.example!r}")
-    if spec.n < 1:
-        raise ValueError(f"problem size must be >= 1, got {spec.n}")
-    if spec.example == "ex1" and (spec.p is None or not spec.p > 0):
-        raise ValueError("ex1 requires a positive exponent p")
+    def __post_init__(self):
+        if self.example not in EXAMPLES:
+            raise ValueError(f"unknown example {self.example!r}")
+        _size(self.n, "problem size")
+        if self.example == "ex1" and self.p is None:
+            raise ValueError("ex1 requires a positive exponent p")
+        if self.p is not None:
+            _number(self.p, "p", positive=self.example == "ex1")
 
 
 def gen_coeffs(spec: ProblemSpec) -> ToeplitzBands:
     """Diagonal coefficients t[-(n-1)..n-1] of the requested problem."""
-    _check_spec(spec)
     n = spec.n
     k = np.arange(-(n - 1), n)
     if spec.example == "ex1":
@@ -131,9 +129,10 @@ def run_bench(entries, rho_up_to: int | None = None) -> list[BenchRow]:
     and zero initial guess.  The spectral radius is computed for cells
     with n <= rho_up_to (dense eigenvalues; omit for large n); a
     rho_up_to above ``RHO_DENSE_GUARD`` raises ValueError before any
-    cell runs.  A failing cell is marked and the campaign continues.
+    cell runs, as does one that is not an integer >= 1.  A failing cell is
+    marked and the campaign continues.
     """
-    if rho_up_to is not None and rho_up_to > RHO_DENSE_GUARD:
+    if rho_up_to is not None and _size(rho_up_to, "rho_up_to") > RHO_DENSE_GUARD:
         raise ValueError(f"rho_up_to={rho_up_to} exceeds the dense spectral "
                          f"radius guard n <= {RHO_DENSE_GUARD}")
     rows = []
@@ -225,9 +224,7 @@ def write_markdown(rows, out) -> None:
 
 def write_vector(path, v) -> None:
     """Write a real vector: length line then one scalar per line."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("write_vector expects a 1-d vector")
+    v = _vector(v, "vector", finite=False)
     with open(path, "w") as fh:
         fh.write(f"{v.shape[0]}\n")
         for value in v:

@@ -16,9 +16,14 @@ line, ascending t[-(n-1)]..t[n-1]).
 Exit codes: 0 success; 2 argument/config errors, including NaN or Inf
 input and the dense guard (radius at n > 4096, --rho-up-to above 4096);
 3 numerical failures (singular shift, non-convergence, every bench cell
-failed).  ``bench`` checks the values of every cell (example, n, p,
-theta, backend) before any cell runs, so a bad value exits 2 with
-nothing written, as it does for every other command.
+failed).
+
+Input contract: the library raises ValueError for a bool, a non-number,
+the wrong shape and, outside the linear products, NaN or Inf (the checks
+live in ``structured_matrices``).  This module adds no checks: a command
+builds its objects first and ``main`` maps a ValueError to exit 2, so
+``bench`` builds every cell's ProblemSpec and SolverConfigs, from flags
+or ``--config``, before any cell runs.
 """
 
 import argparse
@@ -28,8 +33,8 @@ import sys
 import numpy as np
 
 from .bench_cli import (
-    EXAMPLES, ProblemSpec, _check_spec, _opened, gen_coeffs, load_bands_file,
-    run_bench, write_csv, write_markdown, write_vector,
+    EXAMPLES, ProblemSpec, _opened, gen_coeffs, load_bands_file, run_bench,
+    write_csv, write_markdown, write_vector,
 )
 from .cscs_solvers import (
     BACKENDS, RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
@@ -37,6 +42,7 @@ from .cscs_solvers import (
 )
 from .fast_matvec import ToeplitzOperator
 from .real_schur import SingularShiftError
+from .structured_matrices import _vector
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,11 +114,9 @@ def _parse_grid(text):
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
         raise _ConfigError(f"--grid expects start:stop:steps, got {text!r}") from None
-    if steps < 1:
-        raise _ConfigError("--grid needs at least one step")
-    if not np.isfinite([start, stop]).all():
-        raise _ConfigError(f"--grid start and stop must be finite, got {text!r}")
-    return np.linspace(start, stop, steps)
+    # theta_scan rejects the empty, NaN or Inf grid that 0 steps or an Inf end gives
+    with np.errstate(all="ignore"):
+        return np.linspace(start, stop, steps)
 
 
 def _cmd_theta_scan(args):
@@ -127,28 +131,21 @@ def _cmd_theta_scan(args):
     return EXIT_OK
 
 
-def _is_number(value):
-    # JSON true/false load as bools, which Python counts as integers
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_cell(spec, thetas, backends):
-    # raises ValueError for what would fail the cell's runs
-    _check_spec(spec)
+def _entry(example, n, p, thetas, backends):
+    # a cell is valid exactly when its problem and solver configs construct
+    spec = ProblemSpec(example, n, p)
     for theta in thetas:
         for backend in backends:
             SolverConfig(theta=theta, backend=backend)
+    return spec, thetas, backends
 
 
 def _bench_entries(args):
     if not args.config:
         if not args.example or not args.n or not args.theta:
             raise _ConfigError("bench needs --config, or --example/--n/--theta")
-        entries = [(ProblemSpec(args.example, n, args.p), args.theta,
-                    args.backend or ["dct_dst"]) for n in args.n]
-        for entry in entries:
-            _check_cell(*entry)
-        return entries
+        return [_entry(args.example, n, args.p, args.theta, args.backend or ["dct_dst"])
+                for n in args.n]
     with open(args.config) as fh:
         try:
             cells = json.load(fh)
@@ -159,25 +156,12 @@ def _bench_entries(args):
     entries = []
     for cell in cells:
         try:
-            n = cell["n"]
-            if not isinstance(n, int) or isinstance(n, bool):
-                raise TypeError(f"n must be an integer, got {n!r}")
-            p = cell.get("p")
-            if p is not None and not _is_number(p):
-                raise TypeError(f"p must be a number, got {p!r}")
-            thetas = cell["thetas"]
-            if not isinstance(thetas, list) or not all(map(_is_number, thetas)):
-                raise TypeError(f"thetas must be a list of numbers, got {thetas!r}")
+            example, n, thetas = cell["example"], cell["n"], cell["thetas"]
             backends = cell.get("backends", ["dct_dst"])
             if not isinstance(backends, list):
                 raise TypeError(f"backends must be a list, got {backends!r}")
-            for backend in backends:
-                if backend not in BACKENDS:
-                    raise ValueError(f"unknown backend {backend!r}")
-            entry = (ProblemSpec(cell["example"], n, p),
-                     [float(t) for t in thetas], backends)
-            _check_cell(*entry)
-            entries.append(entry)
+            entries.append(_entry(example, n, cell.get("p"),
+                                  _vector(thetas, "thetas").tolist(), backends))
         except (KeyError, TypeError, ValueError) as exc:
             raise _ConfigError(f"bad config cell {cell!r}: {exc}") from None
     return entries

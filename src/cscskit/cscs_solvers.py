@@ -42,7 +42,6 @@ report's ``stop_reason`` says which.  Residuals are recomputed each
 sweep with the backend's own product, never recursively updated.
 """
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from . import _dft
 from .fast_matvec import CirculantOperator, ToeplitzOperator, _core_product
 from .real_schur import SingularShiftError, _shifted_inverse
-from .structured_matrices import ToeplitzBands, cscs_split, dense_of
+from .structured_matrices import ToeplitzBands, _number, _size, _vector, cscs_split, dense_of
 from .trig_transforms import Flavor, counting
 
 __all__ = [
@@ -88,16 +87,9 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        for name in ("theta", "tol", "max_iters"):
-            # a bool passes every check below as 0 or 1
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0 < self.theta < np.inf:
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _number(self.theta, "theta", positive=True)
+        _number(self.tol, "tol", positive=True)
+        _size(self.max_iters, "max_iters")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -129,15 +121,6 @@ def _pd_warnings(op):
     return notes
 
 
-def _finite_vector(values, n, what):
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != (n,):
-        raise ValueError(f"{what} must have length {n}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} must be finite (got NaN or Inf)")
-    return v
-
-
 def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     """Solve T x = b by the CSCS iteration.
 
@@ -147,9 +130,8 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     proceeds regardless until the residual stops being finite.
     """
     n, theta = T.n, cfg.theta
-    b = _finite_vector(b, n, "right-hand side")
-    x = (np.zeros(n) if cfg.x0 is None
-         else _finite_vector(cfg.x0, n, "initial guess").copy())
+    b = _vector(b, "right-hand side", n)
+    x = np.zeros(n) if cfg.x0 is None else _vector(cfg.x0, "initial guess", n).copy()
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
@@ -231,8 +213,7 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
     rho < 1 iff the iteration converges for every initial guess.  Dense
     O(n^3) work, guarded at n <= 4096.
     """
-    if not 0 < theta < np.inf:
-        raise ValueError(f"theta must be positive and finite, got {theta}")
+    _number(theta, "theta", positive=True)
     n = T.n
     if n > RHO_DENSE_GUARD:
         raise ValueError(
@@ -257,10 +238,10 @@ def _factor_bound(pattern, theta):
     diag, anti = pattern.diag[:half], pattern.anti[:half]
     num = (theta - diag) ** 2 + anti ** 2
     den = (theta + diag) ** 2 + anti ** 2
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")  # 0/0 at an exactly singular grid point
-        vals = np.sqrt(num / den)
-    return float(np.max(vals))
+    # num / 0 = inf at an exactly singular grid point (num = 4 theta^2 > 0
+    # there); errstate is per thread, unlike the process-wide warning filters
+    with np.errstate(divide="ignore"):
+        return float(np.max(np.sqrt(num / den)))
 
 
 def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
@@ -273,11 +254,9 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     (ties broken toward the smallest theta) plus all evaluated bounds.
     This is a parameter-picking convenience, not an optimality claim.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("theta grid must be a nonempty 1-d vector")
-    if not np.all((grid > 0) & (grid < np.inf)):
-        raise ValueError("theta grid entries must be positive and finite")
+    grid = _vector(grid, "theta grid")
+    if not (grid > 0).all():
+        raise ValueError("theta grid entries must be positive")
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
     bounds = np.array([_factor_bound(omega, th) * _factor_bound(sigma, th)

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .real_schur import XPattern, from_core, real_spectrum, to_core, xpattern_apply
-from .structured_matrices import CirculantCol, SkewCirculantCol, ToeplitzBands, cscs_split
+from .structured_matrices import (
+    CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
+)
 
 __all__ = [
     "CirculantOperator", "ToeplitzOperator",
@@ -81,9 +83,7 @@ def _core_product(op, x, kind):
     """U @ core @ U.T @ x for the operator's side."""
     if op.kind != kind:
         raise ValueError(f"operator holds a {op.kind} spectrum, expected {kind}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.n,):
-        raise ValueError(f"expected a vector of length {op.n}, got shape {x.shape}")
+    x = _vector(x, "vector", op.n, finite=False)
     return from_core(kind, xpattern_apply(op.pattern, to_core(kind, x)))
 
 

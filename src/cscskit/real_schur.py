@@ -53,6 +53,14 @@ backend's core product.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
+
+Input contract (checks from ``structured_matrices``): ``XPattern``,
+``real_spectrum``, a shifted solve's theta and ``dense_u_oracle``'s
+size raise ValueError for a bool, a non-number, the
+wrong shape and NaN or Inf.  The products (``apply_q``,
+``apply_block_transform``, ``to_core``/``from_core``, ``xpattern_apply``,
+the z of ``xpattern_shifted_solve``) check only the shape and pass NaN
+and Inf through.
 """
 
 from dataclasses import dataclass
@@ -60,6 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .structured_matrices import _number, _size, _vector
 from .trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
     DttPlan, dtt_apply,
@@ -87,9 +96,7 @@ class SingularShiftError(ValueError):
 
 def apply_q(x, transposed: bool = False) -> np.ndarray:
     """Apply the orthogonal butterfly Q (or Q.T) in O(n)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError("apply_q expects a nonempty vector")
+    x = _vector(x, "apply_q input", finite=False)
     n = x.shape[0]
     h = (n - 1) // 2
     head, tail = x[1:h + 1], x[n - h:]
@@ -140,9 +147,7 @@ def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     Btilde = Q.T @ Utilde; the reversals J act on the sine block.  The
     transpose is applied blockwise when requested.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError("apply_block_transform expects a nonempty vector")
+    x = _vector(x, "block transform input", finite=False)
     cos_plan, sin_plan, hs = _block_plans(side, x.shape[0])
     y = np.empty_like(x)
     y[:hs] = dtt_apply(cos_plan, x[:hs], transposed)
@@ -180,15 +185,10 @@ class XPattern:
     anti: np.ndarray
 
     def __post_init__(self):
+        _size(self.n, "XPattern size n")
         for name in ("diag", "anti"):
-            values = np.array(getattr(self, name), dtype=np.float64)
-            if values.shape != (self.n,):
-                raise ValueError(f"XPattern {name} must have shape ({self.n},), "
-                                 f"got {values.shape}")
-            if not np.isfinite(values).all():
-                raise ValueError(f"XPattern {name} must be finite (got NaN or Inf)")
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name,
+                               _vector(getattr(self, name), f"XPattern {name}", self.n))
         if self.pairing not in ("circulant", "skew"):
             raise ValueError(f"unknown pairing {self.pairing!r}")
         if not (np.array_equal(self.diag, _reflect(self.pairing, self.diag))
@@ -219,7 +219,8 @@ class SpectralPair:
     Lengths follow the conjugate-pair orderings: circulant keeps
     alpha[0..m] with betas for the strictly interior pairs; skew keeps
     alpha[0..m-1] (plus the real middle eigenvalue when n is odd) and
-    one beta per pair.
+    one beta per pair.  A record of ``real_spectrum``'s output: its
+    numbers are checked when ``expand`` builds the XPattern.
     """
 
     alphas: np.ndarray
@@ -257,11 +258,7 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     Costs one DCT and one DST of about n/2 points plus the O(n)
     butterfly; no dense matrix is formed.
     """
-    col = np.asarray(col, dtype=np.float64)
-    if col.ndim != 1 or col.shape[0] < 1:
-        raise ValueError("real_spectrum expects a nonempty first column")
-    if not np.isfinite(col).all():
-        raise ValueError("real_spectrum expects a finite first column (got NaN or Inf)")
+    col = _vector(col, "first column")
     n = col.shape[0]
     hs = n - _sine_size(kind, n)
     vhat = to_core(kind, col)
@@ -275,11 +272,10 @@ def real_spectrum(kind: str, col) -> SpectralPair:
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
     """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det.
 
-    Raises as ``xpattern_shifted_solve`` does: ValueError for a
-    non-finite theta, SingularShiftError for a singular position.
+    Raises as ``xpattern_shifted_solve`` does: ValueError for a theta
+    that is not a finite number, SingularShiftError for a singular position.
     """
-    if not np.isfinite(theta):
-        raise ValueError(f"shift theta must be finite, got {theta}")
+    _number(theta, "shift theta")
     d = theta + X.diag
     det = d * d + X.anti * X.anti
     scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
@@ -299,9 +295,7 @@ def xpattern_apply(X: XPattern, y) -> np.ndarray:
     plus this one; a shifted solve is this product with the inverse
     pattern (``xpattern_shifted_solve``).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (X.n,):
-        raise ValueError(f"expected a vector of length {X.n}, got shape {y.shape}")
+    y = _vector(y, "vector", X.n, finite=False)
     return X.diag * y + X.anti * _reflect(X.pairing, y)
 
 
@@ -317,9 +311,6 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     shifted eigenvalue |theta + lambda| is within sqrt(eps) of the
     spectrum's magnitude and rounding alone decides its size.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (X.n,):
-        raise ValueError(f"expected a vector of length {X.n}, got shape {z.shape}")
     return xpattern_apply(_shifted_inverse(X, theta), z)
 
 
@@ -331,8 +322,7 @@ def dense_u_oracle(kind: str, n: int) -> np.ndarray:
     by descending frequency.  Uses complex arithmetic internally; never
     called from production paths.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _size(n, "dimension")
     j = np.arange(n)
     m = n // 2
     cols = []

@@ -118,6 +118,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._dft import dft_vector
+from .structured_matrices import _size, _vector
 
 __all__ = [
     "Family", "Flavor", "DttKind", "DttPlan", "counting", "dtt_matrix", "dtt_apply",
@@ -188,8 +189,7 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     It is the correctness oracle for ``dtt_apply`` and is also used for
     small dense work in tests; production paths never call it.
     """
-    if size < 1:
-        raise ValueError(f"transform size must be >= 1, got {size}")
+    _size(size, "transform size")
     if size == 1:
         return np.array([[1.0]])
     s = size
@@ -451,8 +451,7 @@ class DttPlan:
     __slots__ = ("kind", "size", "_fwd", "_trn")
 
     def __init__(self, kind: DttKind, size: int):
-        if size < 1:
-            raise ValueError(f"transform size must be >= 1, got {size}")
+        _size(size, "transform size")
         self.kind = kind
         self.size = size
         self._fwd = self._trn = None
@@ -472,9 +471,7 @@ class DttPlan:
 
 def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     """Apply M @ x (or M.T @ x) for the plan's transform matrix M."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (plan.size,):
-        raise ValueError(f"expected a vector of length {plan.size}, got shape {x.shape}")
+    x = _vector(x, "vector", plan.size, finite=False)
     counts = _counts.get()
     if counts is not None:
         counts[plan.kind.flavor, plan.size] += 1

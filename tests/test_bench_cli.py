@@ -173,7 +173,7 @@ def test_single_cell_runs():
 
 def test_failed_cell_is_marked_and_campaign_continues():
     rows = run_bench([
-        (ProblemSpec("ex1", 8, None), [1.0], ["dct_dst"]),   # missing p
+        (ProblemSpec("ex3", 8), [0.0], ["dct_dst"]),   # theta must be positive
         (ProblemSpec("ex3", 8), [3.5], ["dct_dst"]),
     ])
     assert rows[0].error is not None and rows[0].iterations is None
@@ -357,9 +357,15 @@ def test_cli_bench_config_file(tmp_path):
      "thetas must be a list of numbers, got [True]"),
     ('[{"example": "ex1", "n": 16, "p": "0.9", "thetas": [1.5]}]',
      "p must be a number, got '0.9'"),
+    # p = inf built the identity matrix
+    ('[{"example": "ex1", "n": 16, "p": Infinity, "thetas": [1.5]}]',
+     "p must be positive and finite, got inf"),
+    ('[{"example": "ex3", "n": 16, "thetas": [true, 3.5]}]',
+     "thetas must be a list of numbers, got [True, 3.5]"),
 ], ids=["int", "null", "fractional-n", "string-n", "cell-not-an-object",
         "unknown-example", "backends-not-a-list", "unknown-backend",
-        "thetas-not-a-list", "theta-not-a-number", "string-p"])
+        "thetas-not-a-list", "theta-not-a-number", "string-p", "infinite-p",
+        "theta-list-with-a-bool"])
 def test_cli_bench_bad_config_exits_2(tmp_path, config, named):
     cfg = tmp_path / "cells.json"
     cfg.write_text(config)
@@ -379,14 +385,16 @@ def test_cli_bench_rho_up_to_above_the_guard_exits_2():
 @pytest.mark.parametrize("argv, named", [
     (["--example", "ex1", "--n", "0", "--p", "1", "--theta", "1"], "size must be >= 1"),
     (["--example", "ex1", "--n", "8", "--theta", "1"], "positive exponent p"),
+    (["--example", "ex1", "--n", "8", "--p", "inf", "--theta", "1"],
+     "p must be positive and finite"),
     (["--example", "ex3", "--n", "8", "--theta", "-1"], "theta must be positive"),
     (["--example", "ex3", "--n", "8", "--theta", "nan"], "theta must be positive"),
     # the good first cell does not run either
     (["--example", "ex3", "--n", "8", "--n", "0", "--theta", "3.5"], "size must be >= 1"),
     (["--example", "ex3", "--n", "8", "--theta", "3.5", "--theta", "inf",
       "--backend", "fft"], "theta must be positive"),
-], ids=["n-zero", "ex1-without-p", "negative-theta", "nan-theta", "second-n-zero",
-        "second-theta-inf"])
+], ids=["n-zero", "ex1-without-p", "infinite-p", "negative-theta", "nan-theta",
+        "second-n-zero", "second-theta-inf"])
 def test_cli_bench_bad_value_exits_2_before_any_cell(monkeypatch, argv, named):
     # these ran every cell as a failed one and exited 3
     ran = []

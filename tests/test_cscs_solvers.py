@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -390,11 +391,13 @@ def test_rho_guard():
         iteration_matrix_rho(toeplitz_from_bands(bands), 1.0)
 
 
-@pytest.mark.parametrize("theta", [-1.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("theta", [-1.0, 0.0, np.nan, np.inf, True])
 def test_rho_rejects_a_shift_that_is_not_positive_and_finite(theta):
-    # theta = -1 used to return a radius (160.5 for ex1 at n = 8)
+    # theta = -1 used to return a radius (160.5 for ex1 at n = 8), and True
+    # ran as the shift 1.0
     T = gen_coeffs(ProblemSpec("ex1", 8, 0.9))
-    with pytest.raises(ValueError, match="theta must be positive and finite"):
+    named = "a number, got True" if theta is True else "positive and finite"
+    with pytest.raises(ValueError, match=f"theta must be {named}"):
         iteration_matrix_rho(T, theta)
 
 
@@ -480,5 +483,19 @@ def test_theta_scan_bounds_equal_a_full_pattern_evaluation(n, rng):
 def test_theta_scan_rejects_a_non_finite_grid_entry():
     # an infinite shift would come back as a NaN bound
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="theta grid must be finite"):
         theta_scan(T, [1.0, np.inf, 2.0])
+    # True ran as the shift 1.0
+    with pytest.raises(ValueError, match=r"theta grid must be a list of numbers, got \[True\]"):
+        theta_scan(T, [True])
+
+
+def test_theta_scan_bound_is_inf_at_a_singular_grid_point():
+    # C = S = -2 I, so theta = 2 makes both shifted parts singular: each
+    # factor is sqrt(num / 0) with num = 4 theta^2 > 0, an Inf and no warning
+    T = toeplitz_from_bands([-4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, bounds = theta_scan(T, [1.0, 2.0, 3.0])
+    assert best == 1.0
+    assert np.array_equal(bounds, [9.0, np.inf, 25.0])

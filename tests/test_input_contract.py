@@ -1,0 +1,245 @@
+"""The input contract of every export of ``cscskit``, as one table.
+
+Every name in ``cscskit.__all__`` has a row.  A row either lists the
+numeric arguments of the export, each with the kind of value it takes
+and a call that puts a bad value there, or says why the export takes no
+numeric argument.  Every bad value must raise ``ValueError``; never a
+``TypeError``/``IndexError``, a ``RuntimeWarning`` or a silent result.
+The one exception is declared per argument: a linear product passes NaN
+through quietly, and Inf through as IEEE arithmetic does (numpy's own
+floating-point warnings, set by ``np.errstate``, apply to it).
+"""
+
+import os
+import tempfile
+import warnings
+
+import numpy as np
+import pytest
+
+import cscskit
+from cscskit import (
+    DCT_I, DCT_V, CirculantCol, DttPlan, ProblemSpec, SkewCirculantCol,
+    SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
+    apply_block_transform, apply_q, circulant_matvec, cscs_solve, dense_u_oracle,
+    dft, dtt_apply, dtt_matrix, from_core, iteration_matrix_rho, naive_matvec,
+    read_vector, real_spectrum, run_bench, skew_circulant_matvec, theta_scan,
+    to_core, toeplitz_from_bands, toeplitz_matvec, write_vector, xpattern_apply,
+    xpattern_shifted_solve,
+)
+
+N = 4
+NAN, INF = np.nan, np.inf
+
+# the bad values of each kind of argument, by label
+_SIZE = {"nan": NAN, "+inf": INF, "-inf": -INF, "bool": True, "ndim": np.array([N]),
+         "empty": np.array([], dtype=int), "zero": 0, "negative": -1,
+         "float": 4.0, "fraction": 4.5, "non-number": "4"}
+_NUMBER = {"nan": NAN, "+inf": INF, "-inf": -INF, "bool": True, "ndim": np.array([1.0]),
+           "empty": np.array([]), "non-number": "1"}
+_POSITIVE = {**_NUMBER, "zero": 0.0, "negative": -1.0}
+
+
+def _vectors(n=N, owned=False, any_length=False):
+    """Bad values for a vector argument of length n.
+
+    A vector that is kept or solved with (``owned``) also rejects the
+    bools and complex values that numpy would convert to float64 without
+    a word.
+    """
+    def holding(value):
+        v = np.ones(n)
+        v[-1] = value
+        return v
+
+    bad = {"nan": holding(NAN), "+inf": holding(INF), "-inf": holding(-INF),
+           "bool": True, "ndim": np.ones((n, 1)), "empty": np.ones(0),
+           "non-number": ["x"] * n}
+    if not any_length:
+        bad["length"] = np.ones(n + 1)
+    if owned:
+        bad.update(bools=[True] * n, complex=np.ones(n, dtype=complex),
+                   **{"mixed-bool": [True] + [1.0] * (n - 1)})
+    return bad
+
+
+# what a linear product passes through instead of raising
+_PASSES = ("nan", "+inf", "-inf")
+
+_T = toeplitz_from_bands([0.1, 0.2, 0.3, 4.0, 0.3, 0.2, 0.1])
+_OP = ToeplitzOperator.from_bands(_T)
+_X = _OP.circulant_part.pattern
+_ONES = np.ones(N)
+
+
+def _solve(b=_ONES, **cfg):
+    return cscs_solve(_T, b, SolverConfig(theta=1.0, **cfg)).solution
+
+
+def _written(v):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.txt")
+        write_vector(path, v)
+        return read_vector(path)
+
+
+def _bench(rho_up_to):
+    return run_bench([(ProblemSpec("ex3", 8), [3.5], ["dct_dst"])], rho_up_to=rho_up_to)
+
+
+# name -> [(argument, bad values, call, passes NaN/Inf through)], or the
+# reason the export takes no numeric argument
+ROWS = {
+    # bench_cli
+    "BenchRow": "an output record, built by run_bench and read_csv",
+    "ProblemSpec": [
+        ("n", _SIZE, lambda v: ProblemSpec("ex3", v), False),
+        ("p of ex1", _POSITIVE, lambda v: ProblemSpec("ex1", N, v), False),
+        ("p of ex3", _NUMBER, lambda v: ProblemSpec("ex3", N, v), False),
+    ],
+    "VectorFormatError": "an exception type",
+    "gen_coeffs": "takes a ProblemSpec, which checks itself",
+    "read_csv": "takes a path",
+    "read_vector": "takes a path",
+    "run_bench": [("rho_up_to", _SIZE, _bench, False)],
+    "write_csv": "takes rows and a path or handle",
+    "write_markdown": "takes rows and a path or handle",
+    "write_vector": [("v", _vectors(any_length=True), _written, True)],
+    # cscs_solvers
+    "SolveReport": "an output record, built by cscs_solve",
+    "SolverConfig": [
+        ("theta", _POSITIVE, lambda v: SolverConfig(theta=v), False),
+        ("tol", _POSITIVE, lambda v: SolverConfig(theta=1.0, tol=v), False),
+        ("max_iters", _SIZE, lambda v: SolverConfig(theta=1.0, max_iters=v), False),
+        # the length of x0 is known only to the solve
+        ("x0", _vectors(owned=True), lambda v: _solve(x0=v), False),
+    ],
+    "cscs_solve": [("b", _vectors(owned=True), _solve, False)],
+    "dft": [
+        ("x", _vectors(any_length=True), dft, True),
+        ("x, inverse", _vectors(any_length=True), lambda v: dft(v, inverse=True), True),
+    ],
+    "iteration_matrix_rho": [
+        ("theta", _POSITIVE, lambda v: iteration_matrix_rho(_T, v), False)],
+    "theta_scan": [
+        ("grid", {**_vectors(owned=True, any_length=True), "zero": [1.0, 0.0],
+                  "negative": [-1.0]},
+         lambda v: theta_scan(_T, v), False)],
+    # fast_matvec
+    "CirculantOperator": "takes an XPattern, which checks itself",
+    "ToeplitzOperator": "takes operators, or a ToeplitzBands in from_bands",
+    "circulant_matvec": [
+        ("x", _vectors(), lambda v: circulant_matvec(_OP.circulant_part, v), True)],
+    "skew_circulant_matvec": [
+        ("x", _vectors(), lambda v: skew_circulant_matvec(_OP.skew_part, v), True)],
+    "toeplitz_matvec": [("x", _vectors(), lambda v: toeplitz_matvec(_OP, v), True)],
+    # real_schur
+    "SingularShiftError": "an exception type",
+    "SpectralPair": "an output record of real_spectrum; expand builds a checked XPattern",
+    "XPattern": [
+        ("n", _SIZE, lambda v: XPattern(v, "circulant", np.ones(N), np.zeros(N)), False),
+        ("diag", _vectors(owned=True), lambda v: XPattern(N, "circulant", v, np.zeros(N)),
+         False),
+        ("anti", _vectors(owned=True), lambda v: XPattern(N, "circulant", np.ones(N), v),
+         False),
+    ],
+    "apply_block_transform": [
+        ("x", _vectors(any_length=True), lambda v: apply_block_transform("skew", v), True)],
+    "apply_q": [("x", _vectors(any_length=True), apply_q, True)],
+    "dense_u_oracle": [("n", _SIZE, lambda v: dense_u_oracle("circulant", v), False)],
+    "from_core": [("y", _vectors(any_length=True), lambda v: from_core("circulant", v), True)],
+    "real_spectrum": [
+        ("col", _vectors(owned=True, any_length=True), lambda v: real_spectrum("skew", v),
+         False)],
+    "to_core": [("x", _vectors(any_length=True), lambda v: to_core("skew", v), True)],
+    "xpattern_apply": [("y", _vectors(), lambda v: xpattern_apply(_X, v), True)],
+    "xpattern_shifted_solve": [
+        ("theta", _NUMBER, lambda v: xpattern_shifted_solve(_X, v, _ONES), False),
+        ("z", _vectors(), lambda v: xpattern_shifted_solve(_X, 1.0, v), True),
+    ],
+    # structured_matrices
+    "CirculantCol": [
+        ("n", _SIZE, lambda v: CirculantCol(v, _ONES), False),
+        ("col", _vectors(owned=True), lambda v: CirculantCol(N, v), False),
+    ],
+    "SkewCirculantCol": [
+        ("n", _SIZE, lambda v: SkewCirculantCol(v, _ONES), False),
+        ("col", _vectors(owned=True), lambda v: SkewCirculantCol(N, v), False),
+    ],
+    "ToeplitzBands": [
+        ("n", _SIZE, lambda v: ToeplitzBands(v, np.ones(2 * N - 1)), False),
+        ("coeffs", _vectors(2 * N - 1, owned=True), lambda v: ToeplitzBands(N, v), False),
+    ],
+    "cscs_split": "takes a ToeplitzBands, which checks itself",
+    "dense_of": "takes a structured value object, which checks itself",
+    "naive_matvec": [("x", _vectors(), lambda v: naive_matvec(_T, v), True)],
+    # an even length is no 2n - 1
+    "toeplitz_from_bands": [
+        ("coeffs", {**_vectors(2 * N - 1, owned=True, any_length=True),
+                    "length": np.ones(2 * N)}, toeplitz_from_bands, False)],
+    # trig_transforms
+    **{kind: "a transform kind constant" for kind in (
+        "DCT_I", "DCT_II", "DCT_V", "DCT_VI", "DST_I", "DST_II", "DST_V", "DST_VI")},
+    "DttKind": "takes a Family and a Flavor",
+    "Family": "an enum",
+    "Flavor": "an enum",
+    "counting": "takes no argument",
+    "DttPlan": [("size", _SIZE, lambda v: DttPlan(DCT_I, v), False)],
+    "dtt_apply": [("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True)],
+    "dtt_matrix": [("size", _SIZE, lambda v: dtt_matrix(DCT_I, v), False)],
+}
+
+CASES = [pytest.param(name, arg, label, bad, call, passes, id=f"{name}-{arg}-{label}")
+         for name, row in ROWS.items() if not isinstance(row, str)
+         for arg, values, call, passes in row
+         for label, bad in values.items()]
+
+
+def test_every_export_has_a_row():
+    assert sorted(ROWS) == sorted(cscskit.__all__)
+
+
+@pytest.mark.parametrize("name, arg, label, bad, call, passes", CASES)
+def test_bad_input_raises_value_error_or_passes_through(name, arg, label, bad, call,
+                                                        passes):
+    with warnings.catch_warnings():
+        # a RuntimeWarning is not an answer, nor is any other warning
+        warnings.simplefilter("error")
+        if not (passes and label in _PASSES):
+            with pytest.raises(ValueError):
+                call(bad)
+            return
+        if label == "nan":
+            out = call(bad)  # quietly
+        else:
+            # an Inf may meet 0 * Inf, which numpy reports as its errstate says
+            with np.errstate(all="ignore"):
+                out = call(bad)
+    assert not np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: ToeplitzBands(2, v),
+    lambda v: CirculantCol(3, v),
+    lambda v: SkewCirculantCol(3, v),
+    toeplitz_from_bands,
+], ids=["ToeplitzBands", "CirculantCol", "SkewCirculantCol", "toeplitz_from_bands"])
+def test_value_objects_own_a_read_only_copy(build):
+    # ToeplitzBands(2, c) kept c itself: c[1] = 99 then made T.t(0) read 99
+    for given in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])):
+        obj = build(given)
+        held = obj.coeffs if isinstance(obj, ToeplitzBands) else obj.col
+        before = held.copy()
+        given[1] = 99.0
+        assert held.dtype == np.float64 and np.array_equal(held, before)
+        with pytest.raises(ValueError):
+            held[0] = 5.0
+
+
+def test_a_list_of_bands_builds_a_working_operator():
+    # the list was kept as is, and from_bands, cscs_solve and dense_of
+    # then raised numpy's TypeError
+    T = ToeplitzBands(2, [1.0, 4.0, 1.0])
+    assert np.array_equal(cscskit.dense_of(T), [[4.0, 1.0], [1.0, 4.0]])
+    assert np.allclose(toeplitz_matvec(ToeplitzOperator.from_bands(T), [1.0, 1.0]), 5.0)
+    assert cscs_solve(T, np.ones(2), SolverConfig(theta=4.0)).converged

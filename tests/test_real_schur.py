@@ -230,7 +230,7 @@ def test_real_spectrum_rejects_a_non_finite_column():
     # a NaN would spread into every alpha and beta, an Inf into RuntimeWarnings
     for kind in ("circulant", "skew"):
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="finite first column"):
+            with pytest.raises(ValueError, match="first column must be finite"):
                 real_spectrum(kind, np.array([1.0, bad, 0.0]))
 
 
@@ -346,11 +346,13 @@ def test_shifted_solve_singular_names_index():
     assert err.value.index == 0
 
 
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, True])
 def test_shifted_solve_rejects_a_non_finite_shift(theta):
-    # not NaNs out, and not a singular shift blamed on pattern index 0
+    # not NaNs out, and not a singular shift blamed on pattern index 0;
+    # True ran as the shift 1.0
     X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
-    with pytest.raises(ValueError, match="theta must be finite"):
+    named = "a number, got True" if theta is True else "finite"
+    with pytest.raises(ValueError, match=f"theta must be {named}"):
         xpattern_shifted_solve(X, theta, np.ones(3))
 
 
