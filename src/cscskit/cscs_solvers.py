@@ -15,23 +15,27 @@ With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
 three core products, and its stopping test uses T x = C x + S x.  Each
 of the four operators is U X U.T for an X-pattern core X: Omega and Sigma
 of the split spectra, built once by ``ToeplitzOperator.from_bands``
-(whose cores also give the positive-definiteness warnings), and the
-inverse patterns of theta I + Omega and theta I + Sigma, built once per
-solve (building them is the fail-fast singular-shift check).
+(whose half spectra also give the positive-definiteness warnings), and
+the inverse patterns of theta I + Omega and theta I + Sigma, built once
+per solve (building them is the fail-fast singular-shift check).
 
-A backend only maps a core X to the product x -> U X U.T x:
+A backend only maps a core to the product x -> U X U.T x:
 
 * ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
-  core product: ``to_core``, the O(n) X-pattern product, ``from_core``,
-  each basis change being the Q butterfly plus one DCT and one DST of
-  about n/2 points.  A sweep costs six DCTs and six DSTs, which each
-  sweep counts in a ``counting()`` block for the report, and the
-  residual is bitwise ``toeplitz_matvec``.
+  core product: the core is held as its n//2 + 1 eigenvalues, and a
+  product is one real DFT of x, one complex multiply and one inverse
+  real DFT, which together compute U.T x, the X-pattern product and U.
+  A sweep costs six complex DFTs of n/2 points at even n (n points at
+  odd n), and counts the six DCTs and six DSTs its basis changes compute
+  in a ``counting()`` block for the report.  The four cores of a solve
+  hold 4(n//2 + 1) complex values, half the 8n doubles of four
+  X-patterns.  The residual is bitwise ``toeplitz_matvec``.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
-  D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  The cores already
-  hold their eigenvalues in DFT order, lambda = diag + 1j*anti, so its
-  setup runs no DFT and a product costs two complex DFTs of n points.
+  D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  The X-patterns hold
+  their eigenvalues in DFT order, lambda = diag + 1j*anti, so its setup
+  expands them once per solve and runs no DFT, and a product costs two
+  complex DFTs of n points.
 
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
@@ -113,7 +117,7 @@ def _pd_warnings(op):
     notes = []
     for name, part in (("circulant", op.circulant_part),
                        ("skew-circulant", op.skew_part)):
-        amin = float(part.pattern.diag.min())
+        amin = float(part.spectrum.real.min())
         if amin <= 0:
             notes.append(
                 f"{name} part is not positive definite (min eigenvalue real "
@@ -135,13 +139,7 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
-    core = _real_core if counted else _complex_cores(n)
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    c, s = core(omega), core(sigma)
-    # (theta I + C)^-1 and (theta I + S)^-1, built once per solve: a
-    # singular shift raises here, before the first sweep
-    c_inv = core(_shifted_inverse(omega, theta))
-    s_inv = core(_shifted_inverse(sigma, theta))
+    c, s, c_inv, s_inv = _cores(op, theta, counted)
 
     def product(v):
         return c(v) + s(v)
@@ -182,10 +180,24 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
                        stop, notes, iterates, counts, sizes)
 
 
-def _real_core(X):
+def _cores(op, theta, real):
+    """Products with C, S, (theta I + C)^-1 and (theta I + S)^-1 for one solve.
+
+    The two inverses are X-patterns built once per solve, so a singular
+    shift raises here, before the first sweep.  The real backend holds
+    all four as half spectra; the expanded patterns are dropped on return.
+    """
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    inverses = (_shifted_inverse(omega, theta), _shifted_inverse(sigma, theta))
+    if real:
+        parts = (op.circulant_part, op.skew_part, *map(CirculantOperator, inverses))
+        return tuple(map(_real_core, parts))
+    return tuple(map(_complex_cores(op.n), (omega, sigma, *inverses)))
+
+
+def _real_core(op):
     """x -> U X U.T x in real arithmetic: the core product of ``fast_matvec``."""
-    op = CirculantOperator(X)
-    return lambda v: _core_product(op, v, X.pairing)
+    return lambda v: _core_product(op, v, op.kind)
 
 
 def _complex_cores(n):
@@ -231,17 +243,21 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _factor_bound(pattern, theta):
-    # entries j and partner(j) give the same ratio, and the first n//2 + 1
-    # entries hold one of each pair on either side
-    half = pattern.n // 2 + 1
-    diag, anti = pattern.diag[:half], pattern.anti[:half]
-    num = (theta - diag) ** 2 + anti ** 2
-    den = (theta + diag) ** 2 + anti ** 2
+def _factor_bound(re, im2, theta):
+    # an eigenvalue and its conjugate give the same ratio, and the half
+    # spectrum holds one of each pair: re and im2 = im**2 of its entries
+    num = theta - re
+    num *= num
+    num += im2
+    den = theta + re
+    den *= den
+    den += im2
     # num / 0 = inf at an exactly singular grid point (num = 4 theta^2 > 0
     # there); errstate is per thread, unlike the process-wide warning filters
     with np.errstate(divide="ignore"):
-        return float(np.max(np.sqrt(num / den)))
+        num /= den
+    # sqrt is monotone and correctly rounded: the max of the roots, bit for bit
+    return float(np.sqrt(num.max()))
 
 
 def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
@@ -258,8 +274,9 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     if not (grid > 0).all():
         raise ValueError("theta grid entries must be positive")
     op = ToeplitzOperator.from_bands(T)
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    bounds = np.array([_factor_bound(omega, th) * _factor_bound(sigma, th)
+    (cre, cim2), (sre, sim2) = ((part.spectrum.real.copy(), part.spectrum.imag ** 2)
+                                for part in (op.circulant_part, op.skew_part))
+    bounds = np.array([_factor_bound(cre, cim2, th) * _factor_bound(sre, sim2, th)
                        for th in grid])
     best = np.lexsort((grid, bounds))[0]
     return float(grid[best]), bounds

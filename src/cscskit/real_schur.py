@@ -18,7 +18,9 @@ even n) unchanged:
 
 This module is the one place that decides the side.  ``to_core`` (U.T x)
 and ``from_core`` (U y) pair each side with its Q direction, and every
-spectrum, product and solver sweep goes through them.  Everything else
+spectrum goes through them; ``fast_matvec``'s products and the solver
+sweeps compute the same basis changes as one real DFT each, and count
+them by the block sizes fixed here.  Everything else
 follows from the sine-block size, (n-1)//2 on the circulant side and
 n//2 on the skew side (``_sine_size``): the cosine block holds the other
 entries, and the transform families are DCT-I/DST-I (circulant, even n),
@@ -44,7 +46,7 @@ an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
 (d = theta + alpha, b = beta), which multiplies like d + ib, so its
 inverse is [[d, -b], [b, d]] / (d^2 + b^2).  ``_shifted_inverse`` checks
 that theta is finite, runs the singular check and returns that pattern.
-``xpattern_apply`` is the one core product and takes no shift
+``xpattern_apply`` is the X-pattern product and takes no shift
 ((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
 product with the inverse pattern.  ``cscs_solve`` builds both inverse
 patterns once per solve, so a singular shift fails before the first

@@ -102,10 +102,25 @@ Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
 the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
 a separate inverse entry point.
 
+The core products of ``fast_matvec`` need no separate DCT and DST: the
+two blocks of a basis change are the real and imaginary parts of one
+real DFT of n points.  The private ``_rdft``/``_irdft`` compute the
+n//2 + 1 outputs of that DFT and its inverse, through one complex DFT
+of n/2 points and the real-input split above at L = n for even n, and
+one DFT of n points for odd n.  The skew side at even n = 2m folds
+instead: ``_folded_dft`` is the m-point DFT of
+(x[:m] - i x[m:]) exp(-i pi j / n), and ``_folded_idft`` its inverse.
+So a core product runs two complex DFTs, of n/2 points at even n and n
+points at odd n, where the two DCTs and two DSTs of its basis changes
+ran four.  Their split and twist tables are read-only and kept
+for the 16 most recent sizes.
+
 Inside a ``counting()`` block, ``dtt_apply`` counts its calls by
-(flavor, size).  The counter lives in a context variable, so each thread
-(or asyncio task) sees only its own calls; solvers use it to report
-their per-sweep transform budget.
+(flavor, size), and a core product counts, through the same ``_count``,
+the DCT and DST that each of its basis changes computes.  The counter
+lives in a context variable, so each thread (or asyncio task) sees only
+its own calls; solvers use it to report their per-sweep transform
+budget.
 """
 
 import contextvars
@@ -469,13 +484,103 @@ class DttPlan:
                          else _recipe(cosine, size, length, b, a, col, row))
 
 
+def _count(flavor: Flavor, size: int, times: int = 1) -> None:
+    """Count ``times`` transforms of this flavor and size in the active ``counting()`` block."""
+    counts = _counts.get()
+    if counts is not None:
+        counts[flavor, size] += times
+
+
 def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     """Apply M @ x (or M.T @ x) for the plan's transform matrix M."""
     x = _vector(x, "vector", plan.size, finite=False)
-    counts = _counts.get()
-    if counts is not None:
-        counts[plan.kind.flavor, plan.size] += 1
+    _count(plan.kind.flavor, plan.size)
     if plan.size == 1:
         return x.copy()
     recipe = plan._trn if transposed else plan._fwd
     return recipe.apply(x)
+
+
+@lru_cache(maxsize=16)
+def _rdft_table(n: int) -> np.ndarray:
+    """A_k = (1 - i w^k) / 2, k = 0..n/2, w = exp(-2 pi i / n): the split at even n."""
+    a, _ = _split_tables(1.0, np.arange(n // 2 + 1), n)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _fold_table(n: int) -> np.ndarray:
+    """exp(-i pi j / n), j < n/2: the twist of the skew fold at even n."""
+    t = np.exp(-1j * np.pi * np.arange(n // 2) / n)
+    t.flags.writeable = False
+    return t
+
+
+def _rdft(x) -> np.ndarray:
+    """X[0..n//2] of the unnormalized n-point DFT of a real vector x.
+
+    Even n runs one DFT of n/2 points, Z = DFT(x[0::2] + i x[1::2]), and
+    the real-input split X_k = Z_k A_k + conj Z_-k (1 - A_k) of the module
+    docstring; odd n runs one DFT of n points.
+    """
+    n = x.shape[0]
+    if n % 2:
+        return dft_vector(x)[:n // 2 + 1]
+    z = _wrapped(dft_vector(np.ascontiguousarray(x).view(np.complex128)))
+    d = np.conj(z[::-1])
+    z -= d
+    z *= _rdft_table(n)
+    z += d
+    return z
+
+
+def _irdft(y, n: int) -> np.ndarray:
+    """The real x of length n with ``_rdft(x) == y``; y[0] (and y[n/2] at even n) is real.
+
+    Even n inverts the split, Z_k = y_k conj A_k + conj y_(n/2-k) conj(1 - A_k)
+    for k < n/2, and reads x = [Re, Im] of IDFT_(n/2)(Z) interleaved; as one
+    forward DFT that is conj DFT(conj Z) / (n/2).  Odd n runs one n-point
+    DFT of the conjugated Hermitian extension of y.
+    """
+    if n % 2:
+        return dft_vector(np.concatenate((np.conj(y), y[:0:-1]))).real / n
+    h = n // 2
+    r = y[h:0:-1]
+    u = np.conj(y[:h])  # conj Z = r + (conj y - r) A
+    u -= r
+    u *= _rdft_table(n)[:h]
+    u += r
+    x = np.conj(dft_vector(u)).view(np.float64)
+    x /= h
+    return x
+
+
+def _folded_dft(x) -> np.ndarray:
+    """DFT_m((x[:m] - i x[m:]) exp(-i pi j / n)) of a real x of even length n = 2m.
+
+    Its entry q is the skew-circulant transform at frequency 2q, so a
+    skew-circulant with eigenvalues lambda (DFT order) multiplies it by
+    lambda[0::2].
+    """
+    m = x.shape[0] // 2
+    z = np.empty(m, dtype=np.complex128)
+    z.real = x[:m]
+    np.negative(x[m:], out=z.imag)
+    z *= _fold_table(2 * m)
+    return dft_vector(z)
+
+
+def _folded_idft(y) -> np.ndarray:
+    """The real x with ``_folded_dft(x) == y``.
+
+    With v = IDFT_m(y) exp(i pi j / n), x[:m] = Re v and x[m:] = -Im v;
+    as one forward DFT, conj v = DFT_m(conj y) exp(-i pi j / n) / m.
+    """
+    m = y.shape[0]
+    w = dft_vector(np.conj(y))  # m conj v
+    w *= _fold_table(2 * m)
+    x = np.empty(2 * m)
+    np.divide(w.real, m, out=x[:m])
+    np.divide(w.imag, m, out=x[m:])
+    return x

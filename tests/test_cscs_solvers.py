@@ -14,9 +14,11 @@ from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
     theta_scan,
 )
-from cscskit.fast_matvec import ToeplitzOperator, skew_circulant_matvec
+from cscskit.fast_matvec import (
+    CirculantOperator, ToeplitzOperator, circulant_matvec, skew_circulant_matvec,
+)
 from cscskit.real_schur import (
-    SingularShiftError, from_core, to_core, xpattern_shifted_solve,
+    SingularShiftError, XPattern, from_core, to_core, xpattern_shifted_solve,
 )
 from cscskit.structured_matrices import (
     cscs_split, dense_of, naive_matvec, toeplitz_from_bands,
@@ -266,8 +268,9 @@ def test_stop_reason_names_why_the_solve_stopped():
 
 @pytest.mark.parametrize("n", [64, 65, 66])
 def test_one_sweep_is_the_public_x_pattern_sweep(n):
-    # the solve's shifted cores, built once per solve, do the same
-    # arithmetic as the public X-pattern functions, bit for bit
+    # the solve's shifted cores, built once per solve, are the public
+    # operators of the inverse X-patterns, bit for bit; the X-pattern
+    # route through to_core and from_core agrees to rounding
     T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
     rng = np.random.default_rng(n)
     b, x = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
@@ -275,12 +278,22 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+
+    def inverse(X):
+        # (theta I + X)^-1: diag (theta + alpha) / det, anti -beta / det
+        d = theta + X.diag
+        det = d * d + X.anti * X.anti
+        return CirculantOperator(XPattern(n, X.pairing, d / det, -X.anti / det))
+
     u = theta * x - skew_circulant_matvec(op.skew_part, x) + b
-    w = from_core("circulant", xpattern_shifted_solve(omega, theta, to_core("circulant", u)))
-    v = 2 * theta * w - u + b
-    want = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
+    v = 2 * theta * circulant_matvec(inverse(omega), u) - u + b
+    want = skew_circulant_matvec(inverse(sigma), v)
     assert report.iterations == 1
     assert np.array_equal(report.solution, want)
+    w = from_core("circulant", xpattern_shifted_solve(omega, theta, to_core("circulant", u)))
+    v = 2 * theta * w - u + b
+    routed = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
+    assert np.linalg.norm(report.solution - routed) <= 1e-14 * np.linalg.norm(routed)
 
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from cscskit import trig_transforms
+from cscskit.cscs_solvers import SolverConfig, cscs_solve
 from cscskit.fast_matvec import (
-    CirculantOperator, ToeplitzOperator, circulant_matvec,
+    CirculantOperator, ToeplitzOperator, _core_product, circulant_matvec,
     skew_circulant_matvec, toeplitz_matvec,
 )
-from cscskit.real_schur import XPattern
+from cscskit.real_schur import (
+    XPattern, _shifted_inverse, from_core, real_spectrum, to_core,
+)
+from cscskit.trig_transforms import counting
 from cscskit.structured_matrices import (
     CirculantCol, SkewCirculantCol, naive_matvec, toeplitz_from_bands,
 )
@@ -155,3 +160,113 @@ def test_operator_keeps_its_own_copy_of_the_caller_arrays():
     for values in (op.pattern.diag, op.pattern.anti):
         with pytest.raises(ValueError):
             values[0] += 1.0
+
+
+def _skew_product_oracle(col, x):
+    # S x = conj(w) ifft(fft(w col) fft(w x)), w = exp(-i pi j / n): the
+    # cyclic convolution of the twisted vectors is w times the negacyclic one
+    w = np.exp(-1j * np.pi * np.arange(col.shape[0]) / col.shape[0])
+    return (np.conj(w) * np.fft.ifft(np.fft.fft(w * col) * np.fft.fft(w * x))).real
+
+
+@pytest.mark.parametrize("n", [4000, 4002, 4096, 4097, 65536, 65537, 65538])
+def test_core_product_matches_numpy_fft_at_scale(n, rng):
+    # nonsymmetric columns give complex spectra, so a conjugated or
+    # reversed half spectrum cannot pass; numpy.fft is a test-only oracle
+    c, s, x = (rng.standard_normal(n) for _ in range(3))
+    cases = (
+        (circulant_matvec(CirculantOperator.from_circulant(c), x),
+         np.fft.ifft(np.fft.fft(c) * np.fft.fft(x)).real),
+        (skew_circulant_matvec(CirculantOperator.from_skew_circulant(s), x),
+         _skew_product_oracle(s, x)),
+    )
+    for got, want in cases:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 256, 257, 4000, 4097])
+def test_pattern_round_trips_to_the_expanded_spectrum(n, rng):
+    # the operator keeps only its half spectrum; the pattern it expands
+    # is the real_spectrum core bit for bit
+    col = rng.standard_normal(n)
+    for kind, build in (("circulant", CirculantOperator.from_circulant),
+                        ("skew", CirculantOperator.from_skew_circulant)):
+        want = real_spectrum(kind, col).expand()
+        got = build(col).pattern
+        assert got.pairing == kind and got.n == n
+        for name in ("diag", "anti"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (kind, name)
+        # an operator built from the pattern holds the same half spectrum
+        assert np.array_equal(CirculantOperator(want).spectrum, build(col).spectrum)
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 65])
+def test_each_core_holds_half_the_spectrum(n, rng):
+    # n // 2 + 1 complex values at most: the abstract's "half storage"
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    op = ToeplitzOperator.from_bands(T)
+    theta = float(T.t(0))
+    parts = (op.circulant_part, op.skew_part,
+             *(CirculantOperator(_shifted_inverse(p.pattern, theta))
+               for p in (op.circulant_part, op.skew_part)))
+    for part in parts:
+        assert part.spectrum.dtype == np.complex128
+        assert part.spectrum.nbytes <= (n // 2 + 1) * 16
+        assert not part.spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_sweep_counts_follow_the_block_rule(n, rng):
+    # each core product counts the two basis changes it computes: one DCT
+    # of n - sine points and one DST of sine points (when sine > 0) each,
+    # sine being (n-1)//2 on the circulant side and n//2 on the skew side
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    report = cscs_solve(T, np.ones(n), SolverConfig(theta=float(T.t(0)), max_iters=3,
+                                                    tol=1e-300))
+    sines = {"circulant": (n - 1) // 2, "skew": n // 2}
+    # a sweep applies S, (theta I + C)^-1 and (theta I + S)^-1
+    sides = ("skew", "circulant", "skew")
+    dst = sum(2 for side in sides if sines[side])
+    assert report.transform_counts == [(6, dst)] * report.iterations
+    sizes = {n - sine for sine in sines.values()} | {s for s in sines.values() if s}
+    assert report.transform_sizes == sizes
+    # the same counts as the X-pattern route through to_core and from_core
+    op = ToeplitzOperator.from_bands(T)
+    x = rng.standard_normal(n)
+    for side, part in (("circulant", op.circulant_part), ("skew", op.skew_part)):
+        with counting() as want:
+            from_core(side, to_core(side, x))
+        with counting() as got:
+            _core_product(part, x, side)
+        assert got == want
+
+
+def test_product_tables_stay_bounded():
+    # a process that meets many sizes keeps product tables for a bounded number
+    caches = (trig_transforms._rdft_table, trig_transforms._fold_table)
+    bounds = [cache.cache_info().maxsize for cache in caches]
+    assert None not in bounds
+    for n in range(100, 100 + 2 * 3 * max(bounds), 2):
+        op = ToeplitzOperator.from_bands(toeplitz_from_bands(np.ones(2 * n - 1)))
+        toeplitz_matvec(op, np.ones(n))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize, cache
+
+
+def test_operators_reject_what_is_not_an_operator():
+    # CirculantOperator("x") built, and only its first product failed,
+    # with an AttributeError
+    op = ToeplitzOperator.from_bands(toeplitz_from_bands([0.5, 3.0, 0.5]))
+    with pytest.raises(ValueError, match="CirculantOperator pattern must be an XPattern"):
+        CirculantOperator("x")
+    for matvec in (circulant_matvec, skew_circulant_matvec):
+        with pytest.raises(ValueError, match="operator must be a CirculantOperator"):
+            matvec("x", np.ones(2))
+    with pytest.raises(ValueError, match="toeplitz_matvec operator must be a ToeplitzOperator"):
+        toeplitz_matvec(op.circulant_part, np.ones(2))
+    with pytest.raises(ValueError, match="circulant_part must be a circulant"):
+        ToeplitzOperator(op.skew_part, op.skew_part)
+    with pytest.raises(ValueError, match="parts differ in size"):
+        ToeplitzOperator(op.circulant_part,
+                         CirculantOperator.from_skew_circulant(np.ones(3)))

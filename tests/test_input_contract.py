@@ -1,13 +1,14 @@
 """The input contract of every export of ``cscskit``, as one table.
 
 Every name in ``cscskit.__all__`` has a row.  A row either lists the
-numeric arguments of the export, each with the kind of value it takes
-and a call that puts a bad value there, or says why the export takes no
-numeric argument.  Every bad value must raise ``ValueError``; never a
-``TypeError``/``IndexError``, a ``RuntimeWarning`` or a silent result.
-The one exception is declared per argument: a linear product passes NaN
-through quietly, and Inf through as IEEE arithmetic does (numpy's own
-floating-point warnings, set by ``np.errstate``, apply to it).
+checked arguments of the export (numbers, vectors and operators), each
+with the kind of value it takes and a call that puts a bad value there,
+or says why the export takes no such argument.  Every bad value must
+raise ``ValueError``; never a ``TypeError``/``IndexError``, a
+``RuntimeWarning`` or a silent result.  The one exception is declared
+per argument: a linear product passes NaN through quietly, and Inf
+through as IEEE arithmetic does (numpy's own floating-point warnings,
+set by ``np.errstate``, apply to it).
 """
 
 import os
@@ -19,8 +20,8 @@ import pytest
 
 import cscskit
 from cscskit import (
-    DCT_I, DCT_V, CirculantCol, DttPlan, ProblemSpec, SkewCirculantCol,
-    SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
+    DCT_I, DCT_V, CirculantCol, CirculantOperator, DttPlan, ProblemSpec,
+    SkewCirculantCol, SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
     apply_block_transform, apply_q, circulant_matvec, cscs_solve, dense_u_oracle,
     dft, dtt_apply, dtt_matrix, from_core, iteration_matrix_rho, naive_matvec,
     read_vector, real_spectrum, run_bench, skew_circulant_matvec, theta_scan,
@@ -70,6 +71,9 @@ _T = toeplitz_from_bands([0.1, 0.2, 0.3, 4.0, 0.3, 0.2, 0.1])
 _OP = ToeplitzOperator.from_bands(_T)
 _X = _OP.circulant_part.pattern
 _ONES = np.ones(N)
+# what an operator argument must not take; a product also refuses the
+# XPattern that an operator is built from
+_NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
 
 
 def _solve(b=_ONES, **cfg):
@@ -126,13 +130,28 @@ ROWS = {
                   "negative": [-1.0]},
          lambda v: theta_scan(_T, v), False)],
     # fast_matvec
-    "CirculantOperator": "takes an XPattern, which checks itself",
-    "ToeplitzOperator": "takes operators, or a ToeplitzBands in from_bands",
+    "CirculantOperator": [
+        ("pattern", {**_NOT_AN_OPERATOR, "operator": _OP.circulant_part}, CirculantOperator,
+         False)],
+    "ToeplitzOperator": [
+        ("circulant_part", {**_NOT_AN_OPERATOR, "skew": _OP.skew_part},
+         lambda v: ToeplitzOperator(v, _OP.skew_part), False),
+        ("skew_part", {**_NOT_AN_OPERATOR, "circulant": _OP.circulant_part,
+                       "size": CirculantOperator.from_skew_circulant(np.ones(N + 1))},
+         lambda v: ToeplitzOperator(_OP.circulant_part, v), False),
+    ],
     "circulant_matvec": [
+        ("op", {**_NOT_AN_OPERATOR, "pattern": _X, "skew": _OP.skew_part},
+         lambda v: circulant_matvec(v, _ONES), False),
         ("x", _vectors(), lambda v: circulant_matvec(_OP.circulant_part, v), True)],
     "skew_circulant_matvec": [
+        ("op", {**_NOT_AN_OPERATOR, "pattern": _X, "circulant": _OP.circulant_part},
+         lambda v: skew_circulant_matvec(v, _ONES), False),
         ("x", _vectors(), lambda v: skew_circulant_matvec(_OP.skew_part, v), True)],
-    "toeplitz_matvec": [("x", _vectors(), lambda v: toeplitz_matvec(_OP, v), True)],
+    "toeplitz_matvec": [
+        ("op", {**_NOT_AN_OPERATOR, "part": _OP.circulant_part},
+         lambda v: toeplitz_matvec(v, _ONES), False),
+        ("x", _vectors(), lambda v: toeplitz_matvec(_OP, v), True)],
     # real_schur
     "SingularShiftError": "an exception type",
     "SpectralPair": "an output record of real_spectrum; expand builds a checked XPattern",
