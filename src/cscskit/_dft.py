@@ -6,10 +6,6 @@ Forward transform (unnormalized):
     X[k] =  sum x[j] * exp(-2*pi*i*j*k/N),   0 <= k < N.
             j=0
 
-``dft_vector(x, n)`` also takes a window: the first m = len(x) outputs
-of the n-point DFT of x zero-padded to n (m <= n), which is what a DFT
-embedding with few inputs and few outputs needs.
-
 A full DFT of power-of-two length n runs without bit reversal.  A leaf
 multiplies the transposed input x.reshape(m, n/m).T by the m-point DFT
 matrix (m = min(n, 32)), so row j holds the m-point DFT of x[j::n/m].
@@ -19,25 +15,24 @@ row j becoming the qL-point DFT of x[j::rows/q], with the long axis
 innermost.  Each stage twiddles one buffer in place and writes its
 butterflies into the other.
 
-Every other length, and every window, is reduced to a power-of-two
-cyclic convolution with Bluestein's chirp identity
+Every other length is reduced to a power-of-two cyclic convolution
+with Bluestein's chirp identity
 
     j*k = (j^2 + k^2 - (k - j)^2) / 2.
 
-The convolution takes m inputs to m outputs, so its lags k - j run over
--(m-1)..(m-1) whatever n is.  Its length is the power of two >= 2m - 2:
-a cyclic convolution of 2m - 2 points merges only the lags +(m-1) and
--(m-1), and the chirp exp(i*pi*d^2/n) is even in d, so both read the
-same value.  The cost is O(m log m).  Chirp
-phases are built from ``j^2 mod 2N`` computed in exact integer
-arithmetic, which keeps the phase arguments small and the transform
-accurate for large N.
+The convolution takes N inputs to N outputs, so its lags k - j run over
+-(N-1)..(N-1).  Its length is the power of two >= 2N - 2: a cyclic
+convolution of 2N - 2 points merges only the lags +(N-1) and -(N-1),
+and the chirp exp(i*pi*d^2/N) is even in d, so both read the same
+value.  The cost is O(N log N).  Chirp phases are built from
+``j^2 mod 2N`` computed in exact integer arithmetic, which keeps the
+phase arguments small and the transform accurate for large N.
 
 DFT-matrix, twiddle and chirp tables are cached per length; all cached
 arrays are frozen (read-only) so plans can be shared between threads.
 DFT matrices and stage twiddles are keyed by powers of two only, so
 their caches are bounded by the word size; the chirp tables, one per
-(n, m), are kept for the 16 most recent.
+length, are kept for the 16 most recent.
 """
 
 from functools import lru_cache
@@ -104,39 +99,32 @@ def _ifft_pow2(x):
 
 
 @lru_cache(maxsize=16)
-def _bluestein_tables(n, m):
-    k = np.arange(m, dtype=np.int64)
+def _bluestein_tables(n):
+    k = np.arange(n, dtype=np.int64)
     # exact integer reduction of k^2 modulo 2n keeps phases accurate
     sq = (k * k) % (2 * n)
     chirp = np.exp(-1j * np.pi * sq / n)
     b = np.conj(chirp)
-    # lags +-(m-1) share an index at length 2m - 2 and an even chirp value
-    length = 1 << (2 * m - 3).bit_length() if m > 1 else 1
+    # lags +-(n-1) share an index at length 2n - 2 and an even chirp value
+    length = 1 << (2 * n - 3).bit_length() if n > 1 else 1
     bext = np.zeros(length, dtype=np.complex128)
-    bext[:m] = b
-    if m > 1:
-        bext[length - m + 1:] = b[1:][::-1]
+    bext[:n] = b
+    if n > 1:
+        bext[length - n + 1:] = b[1:][::-1]
     return _freeze(chirp), _freeze(_fft_pow2(bext)), length
 
 
-def dft_vector(x, n=None):
-    """Unnormalized forward DFT of a 1-d array of any length m >= 1.
-
-    With n >= m, returns X[0:m] of the n-point DFT of x zero-padded to n.
-    """
+def dft_vector(x):
+    """Unnormalized forward DFT of a 1-d array of any length n >= 1."""
     x = _vector(x, "dft input", finite=False, dtype=np.complex128)
-    m = x.shape[0]
-    if n is None:
-        n = m
-    elif n < m:
-        raise ValueError(f"dft length {n} is shorter than the input length {m}")
-    if n == m and n & (n - 1) == 0:
+    n = x.shape[0]
+    if n & (n - 1) == 0:
         return _fft_pow2(x)
-    chirp, bfft, length = _bluestein_tables(n, m)
+    chirp, bfft, length = _bluestein_tables(n)
     a = np.zeros(length, dtype=np.complex128)
-    a[:m] = x * chirp
+    a[:n] = x * chirp
     conv = _ifft_pow2(_fft_pow2(a) * bfft)
-    return conv[:m] * chirp
+    return conv[:n] * chirp
 
 
 def idft_vector(x):

@@ -80,6 +80,8 @@ class ProblemSpec:
 
 def gen_coeffs(spec: ProblemSpec) -> ToeplitzBands:
     """Diagonal coefficients t[-(n-1)..n-1] of the requested problem."""
+    if not isinstance(spec, ProblemSpec):
+        raise ValueError(f"gen_coeffs spec must be a ProblemSpec, got {spec!r}")
     n = spec.n
     k = np.arange(-(n - 1), n)
     if spec.example == "ex1":

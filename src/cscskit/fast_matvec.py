@@ -20,12 +20,15 @@ lambda the eigenvalues in DFT order and m = n // 2:
     S x, odd n:  irdft(lambda[m:] * rdft(s x), n) * s,  s = (-1)^j.
 
 A real DFT of even n is one complex DFT of n/2 points, of odd n one of n
-points (``trig_transforms``).  Each product counts what its two basis
-changes compute, one DCT and one DST each at the block sizes, in
-``counting()``, so a sweep still reads six DCTs and six DSTs.  The half
-spectrum is (n//2 + 1) complex values, half the 2n doubles of an
-X-pattern core; ``pattern`` expands it on demand.  A Toeplitz product is
-the sum of the two through the splitting T = C + S.
+points (``trig_transforms``).  The map to the half spectrum and back is
+``real_schur``'s one pair, ``_spectrum``/``_from_spectrum``, which every
+basis change runs, and ``from_circulant``/``from_skew_circulant`` build
+an operator from one real DFT of its first column.  Each product counts
+what its two basis changes compute, one DCT and one DST each at the
+block sizes, in ``counting()``, so a sweep still reads six DCTs and six
+DSTs.  The half spectrum is (n//2 + 1) complex values, half the 2n
+doubles of an X-pattern core; ``pattern`` expands it on demand.  A
+Toeplitz product is the sum of the two through the splitting T = C + S.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -35,52 +38,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .real_schur import SpectralPair, XPattern, _sine_size, real_spectrum
+from .real_schur import (
+    XPattern, _column_spectrum, _count_blocks, _from_spectrum, _half_spectrum,
+    _sine_size, _spectral_pair, _spectrum,
+)
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
-)
-from .trig_transforms import (
-    Flavor, _count, _folded_dft, _folded_idft, _irdft, _rdft,
 )
 
 __all__ = [
     "CirculantOperator", "ToeplitzOperator",
     "circulant_matvec", "skew_circulant_matvec", "toeplitz_matvec",
 ]
-
-
-def _half_spectrum(kind, n, alphas, betas):
-    """The product's half spectrum from a SpectralPair's alphas and betas."""
-    m = n // 2
-    if kind == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
-        half = alphas.astype(np.complex128)
-        np.negative(betas, out=half.imag[1:1 + betas.shape[0]])
-    else:
-        # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
-        # lambda[n-1-j] = conj(lambda[j])
-        lo = np.empty(m, dtype=np.complex128)
-        lo.real, lo.imag = alphas[:m], betas
-        if n % 2:  # lambda[m:]
-            half = np.concatenate((alphas[m:], np.conj(lo[::-1])))
-        else:  # lambda[0::2]
-            half = np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))
-    half.flags.writeable = False
-    return half
-
-
-def _spectral_pair(kind, n, half):
-    """The SpectralPair that ``_half_spectrum`` read, exactly."""
-    m = n // 2
-    if kind == "circulant":
-        return SpectralPair(half.real, -half.imag[1:1 + (n - 1) // 2], kind)
-    if n % 2:
-        lo = np.conj(half[:0:-1])
-        return SpectralPair(np.append(lo.real, half[0].real), lo.imag, kind)
-    c = (m + 1) // 2
-    lo = np.empty(m, dtype=np.complex128)
-    lo[0::2] = half[:c]
-    lo[1::2] = np.conj(half[:c - 1:-1])
-    return SpectralPair(lo.real, lo.imag, kind)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -105,17 +74,21 @@ class CirculantOperator:
             raise ValueError(f"CirculantOperator pattern must be an XPattern, got {pattern!r}")
         n, kind = pattern.n, pattern.pairing
         k, sine = int(kind == "circulant"), _sine_size(kind, n)
-        self._hold(kind, n, pattern.diag[:n - sine], pattern.anti[k:k + sine])
+        self._hold(kind, n, _half_spectrum(kind, n, pattern.diag[:n - sine],
+                                           pattern.anti[k:k + sine]))
 
-    def _hold(self, kind, n, alphas, betas):
+    def _hold(self, kind, n, spectrum):
+        if spectrum.base is not None:  # a view keeps its whole base alive, and writable
+            spectrum = spectrum.copy()
+        spectrum.flags.writeable = False
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "spectrum", _half_spectrum(kind, n, alphas, betas))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
-    def _of(cls, pair: SpectralPair) -> "CirculantOperator":
+    def _of(cls, kind, col) -> "CirculantOperator":
         op = object.__new__(cls)
-        op._hold(pair.kind, pair.n, pair.alphas, pair.betas)
+        op._hold(kind, col.shape[0], _column_spectrum(kind, col))
         return op
 
     @property
@@ -125,13 +98,15 @@ class CirculantOperator:
 
     @classmethod
     def from_circulant(cls, col) -> "CirculantOperator":
-        col = col.col if isinstance(col, CirculantCol) else col
-        return cls._of(real_spectrum("circulant", col))
+        """The circulant with this first column: one real DFT of it."""
+        col = col.col if isinstance(col, CirculantCol) else _vector(col, "first column")
+        return cls._of("circulant", col)
 
     @classmethod
     def from_skew_circulant(cls, col) -> "CirculantOperator":
-        col = col.col if isinstance(col, SkewCirculantCol) else col
-        return cls._of(real_spectrum("skew", col))
+        """The skew-circulant with this first column: one real DFT of it."""
+        col = col.col if isinstance(col, SkewCirculantCol) else _vector(col, "first column")
+        return cls._of("skew", col)
 
 
 @dataclass(frozen=True)
@@ -162,13 +137,6 @@ class ToeplitzOperator:
         return self.circulant_part.n
 
 
-def _alternated(x):
-    """x * (-1)^j as a new array."""
-    y = np.array(x, dtype=np.float64)
-    y[1::2] *= -1.0
-    return y
-
-
 def _core_product(op, x, kind):
     """U @ core @ U.T @ x for the operator's side, through its half spectrum."""
     if not isinstance(op, CirculantOperator):
@@ -177,18 +145,8 @@ def _core_product(op, x, kind):
         raise ValueError(f"operator holds a {op.kind} spectrum, expected {kind}")
     n = op.n
     x = _vector(x, "vector", n, finite=False)
-    # U.T and U: one DCT and one DST each, at the block sizes
-    sine = _sine_size(kind, n)
-    _count(Flavor.COSINE, n - sine, 2)
-    if sine:
-        _count(Flavor.SINE, sine, 2)
-    if kind == "circulant":
-        return _irdft(op.spectrum * _rdft(x), n)
-    if n % 2 == 0:
-        return _folded_idft(op.spectrum * _folded_dft(x))
-    y = _irdft(op.spectrum * _rdft(_alternated(x)), n)
-    y[1::2] *= -1.0
-    return y
+    _count_blocks(kind, n, 2)  # U.T and U
+    return _from_spectrum(kind, op.spectrum * _spectrum(kind, x), n)
 
 
 def circulant_matvec(op: CirculantOperator, x) -> np.ndarray:

@@ -16,19 +16,31 @@ even n) unchanged:
 
     y[j] = (x[j] + x[n-j]) / sqrt2,   y[n-j] = (x[n-j] - x[j]) / sqrt2.
 
-This module is the one place that decides the side.  ``to_core`` (U.T x)
-and ``from_core`` (U y) pair each side with its Q direction, and every
-spectrum goes through them; ``fast_matvec``'s products and the solver
-sweeps compute the same basis changes as one real DFT each, and count
-them by the block sizes fixed here.  Everything else
-follows from the sine-block size, (n-1)//2 on the circulant side and
-n//2 on the skew side (``_sine_size``): the cosine block holds the other
-entries, and the transform families are DCT-I/DST-I (circulant, even n),
-DCT-V/DST-V (circulant, odd n), DCT-II/DST-II (skew, even n) and
-DCT-VI/DST-VI (skew, odd n).
+The cosine and sine blocks of U.T x are, up to scale, the real and
+imaginary parts of one real DFT of x (the identity above read
+backwards), so this module computes every basis change as that DFT, and
+it is the one place that decides the side.  ``_spectrum`` maps a real x
+of length n to its half spectrum, n//2 + 1 complex values at most, and
+``_from_spectrum`` maps it back.  With lambda the eigenvalues, in DFT
+order, of the circulant or skew-circulant whose first column is x, and
+m = n // 2, the half spectrum is conj(lambda[:m+1]) on the circulant
+side (``_rdft(x)``), lambda[0::2] on the skew side at even n (the fold
+``_folded_dft(x)``) and lambda[m:] at odd n (``_rdft`` of x (-1)^j).
+Everything else is O(n) work around that pair: ``to_core`` (U.T x) and
+``from_core`` (U y) scale the half spectrum into the core layout and
+back, ``apply_block_transform`` is Q around them, ``real_spectrum``
+reads a column's eigenvalues off one real DFT, and ``dtt_apply`` is one
+block of the factor at n = L, the DFT embedding length of the
+``trig_transforms`` table.  A basis change counts the DCT and the DST
+it computes.  The layout follows from the sine-block size, (n-1)//2 on
+the circulant side and n//2 on the skew side (``_sine_size``): the
+cosine block holds the other entries, and the transform families are
+DCT-I/DST-I (circulant, even n), DCT-V/DST-V (circulant, odd n),
+DCT-II/DST-II (skew, even n) and DCT-VI/DST-VI (skew, odd n).
 
-The X-pattern entries come straight out of one transformed first
-column.  With vhat = to_core(side, col) and hs = n - sine size,
+The X-pattern entries are the half spectrum of the first column, read
+in the core layout: with vhat = to_core(side, col) and
+hs = n - sine size,
 
     alpha[k] = w[k] * vhat[k],            0 <= k < hs
     beta[k]  = -sqrt(n/2) * vhat[n-1-k],  0 <= k < sine size
@@ -60,32 +72,27 @@ Input contract (checks from ``structured_matrices``): ``XPattern``,
 ``real_spectrum``, a shifted solve's theta and ``dense_u_oracle``'s
 size raise ValueError for a bool, a non-number, the
 wrong shape and NaN or Inf.  The products (``apply_q``,
-``apply_block_transform``, ``to_core``/``from_core``, ``xpattern_apply``,
-the z of ``xpattern_shifted_solve``) check only the shape and pass NaN
-and Inf through.
+``apply_block_transform``, ``to_core``/``from_core``, ``dtt_apply``,
+``xpattern_apply``, the z of ``xpattern_shifted_solve``) check only the
+shape and pass NaN and Inf through.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .structured_matrices import _number, _size, _vector
 from .trig_transforms import (
-    DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
-    DttPlan, dtt_apply,
+    DttPlan, Family, Flavor, _count, _folded_dft, _folded_idft, _irdft, _rdft, counting,
 )
 
 __all__ = [
     "SingularShiftError", "XPattern", "SpectralPair",
-    "apply_q", "apply_block_transform", "dense_u_oracle", "from_core",
+    "apply_q", "apply_block_transform", "dense_u_oracle", "dtt_apply", "from_core",
     "real_spectrum", "to_core", "xpattern_apply", "xpattern_shifted_solve",
 ]
 
 _SQRT2 = np.sqrt(2.0)
-# per-size tables kept at once: a process that meets many sizes must not
-# hold tables for all of them
-_CACHED_SIZES = 16
 
 
 class SingularShiftError(ValueError):
@@ -126,47 +133,166 @@ def _sine_size(side: str, n: int) -> int:
     raise ValueError(f"unknown side {side!r}")
 
 
-# (side, n % 2) -> (cosine kind, sine kind) of the block factor
-_FAMILIES = {
-    ("circulant", 0): (DCT_I, DST_I), ("circulant", 1): (DCT_V, DST_V),
-    ("skew", 0): (DCT_II, DST_II), ("skew", 1): (DCT_VI, DST_VI),
-}
-
-
-@lru_cache(maxsize=_CACHED_SIZES)
-def _block_plans(side: str, n: int):
-    """(cosine plan, sine plan or None, cosine size) of the block factor at size n."""
+def _count_blocks(side: str, n: int, times: int = 1) -> None:
+    """Count the DCT and the DST that ``times`` basis changes of this side compute."""
     sine = _sine_size(side, n)
-    cos_kind, sin_kind = _FAMILIES[side, n % 2]
-    return (DttPlan(cos_kind, n - sine), DttPlan(sin_kind, sine) if sine else None,
-            n - sine)
+    _count(Flavor.COSINE, n - sine, times)
+    if sine:
+        _count(Flavor.SINE, sine, times)
+
+
+def _alternated(x):
+    """x * (-1)^j as a new array."""
+    y = np.array(x, dtype=np.float64)
+    y[1::2] *= -1.0
+    return y
+
+
+def _spectrum(side: str, x) -> np.ndarray:
+    """The half spectrum of a real vector x: one real DFT (module docstring)."""
+    if side == "circulant":
+        return _rdft(x)
+    if x.shape[0] % 2 == 0:
+        return _folded_dft(x)
+    return _rdft(_alternated(x))
+
+
+def _from_spectrum(side: str, half, n: int) -> np.ndarray:
+    """The real x of length n with ``_spectrum(side, x) == half``."""
+    if side == "circulant":
+        return _irdft(half, n)
+    if n % 2 == 0:
+        return _folded_idft(half)
+    x = _irdft(half, n)
+    x[1::2] *= -1.0
+    return x
+
+
+def _column_spectrum(side: str, col) -> np.ndarray:
+    """The half spectrum of a first column, its real eigenvalues exactly real.
+
+    Those are the entries that are their own conjugates: lambda[0], and
+    lambda[n/2] at even n, on the circulant side, and lambda[m] at odd n
+    on the skew side, which is entry 0 of its half spectrum.
+    """
+    n = col.shape[0]
+    _sine_size(side, n)  # rejects an unknown side
+    half = _spectrum(side, col)
+    if side == "circulant" or n % 2:
+        half.imag[0] = 0.0
+    if side == "circulant" and n % 2 == 0:
+        half.imag[-1] = 0.0
+    return half
+
+
+def _half_spectrum(side, n, alphas, betas):
+    """The half spectrum that a SpectralPair's alphas and betas hold."""
+    m = n // 2
+    if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
+        half = alphas.astype(np.complex128)
+        half.imag[1:1 + betas.shape[0]] = -betas
+        return half
+    # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
+    # lambda[n-1-j] = conj(lambda[j])
+    lo = np.empty(m, dtype=np.complex128)
+    lo.real, lo.imag = alphas[:m], betas
+    if n % 2:  # lambda[m:]
+        return np.concatenate((alphas[m:], np.conj(lo[::-1])))
+    return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
+
+
+def _spectral_pair(side, n, half):
+    """The SpectralPair that ``_half_spectrum`` read, exactly."""
+    m = n // 2
+    if side == "circulant":
+        return SpectralPair(half.real, -half.imag[1:1 + (n - 1) // 2], side)
+    if n % 2:
+        lo = np.conj(half[:0:-1])
+        return SpectralPair(np.append(lo.real, half[0].real), lo.imag, side)
+    c = (m + 1) // 2
+    lo = np.empty(m, dtype=np.complex128)
+    lo[0::2] = half[:c]
+    lo[1::2] = np.conj(half[:c - 1:-1])
+    return SpectralPair(lo.real, lo.imag, side)
+
+
+def _core_scale(side: str, n: int):
+    """(w, sqrt(n/2)): alpha[k] = w[k] vhat[k], beta[k] = -sqrt(n/2) vhat[n-1-k]."""
+    hs = n - _sine_size(side, n)
+    half = np.sqrt(n / 2.0)
+    fixed = (_reflect(side, np.arange(n)) == np.arange(n))[:hs]
+    return np.where(fixed, np.sqrt(float(n)), half), half
+
+
+def to_core(side: str, x) -> np.ndarray:
+    """U.T @ x: the half spectrum of x, in the core layout."""
+    x = _vector(x, "to_core input", finite=False)
+    n = x.shape[0]
+    _count_blocks(side, n)
+    pair = _spectral_pair(side, n, _spectrum(side, x))
+    w, half = _core_scale(side, n)
+    return np.concatenate((pair.alphas / w, pair.betas[::-1] / -half))
+
+
+def from_core(side: str, y) -> np.ndarray:
+    """U @ y: the core y as a half spectrum, and one inverse real DFT."""
+    y = _vector(y, "from_core input", finite=False)
+    n = y.shape[0]
+    _count_blocks(side, n)
+    w, half = _core_scale(side, n)
+    hs = w.shape[0]
+    return _from_spectrum(side, _half_spectrum(side, n, w * y[:hs], -half * y[:hs - 1:-1]),
+                          n)
 
 
 def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     """Apply the block-diagonal factor blockdiag(DCT, J @ DST @ J).
 
     ``side`` selects the circulant factor B = Q @ U or the skew factor
-    Btilde = Q.T @ Utilde; the reversals J act on the sine block.  The
-    transpose is applied blockwise when requested.
+    Btilde = Q.T @ Utilde; the reversals J act on the sine block.  So
+    B y = Q from_core(y) and B.T x = to_core(Q.T x), with Q and Q.T
+    swapped on the skew side.
     """
     x = _vector(x, "block transform input", finite=False)
-    cos_plan, sin_plan, hs = _block_plans(side, x.shape[0])
-    y = np.empty_like(x)
-    y[:hs] = dtt_apply(cos_plan, x[:hs], transposed)
-    if sin_plan is not None:
-        y[hs:] = dtt_apply(sin_plan, x[:hs - 1:-1], transposed)[::-1]
-    return y
+    skew = side == "skew"
+    if transposed:
+        return to_core(side, apply_q(x, transposed=not skew))
+    return apply_q(from_core(side, x), transposed=skew)
 
 
-def to_core(side: str, x) -> np.ndarray:
-    """U.T @ x: B.T @ Q @ x (circulant side) or Btilde.T @ Q.T @ x (skew side)."""
-    return apply_block_transform(side, apply_q(x, transposed=(side == "skew")),
-                                 transposed=True)
+# family -> (side of its factor, L - 2s of its sine kind); the cosine
+# kind's is the negative (the table in ``trig_transforms``)
+_FACTORS = {Family.I: ("circulant", 2), Family.II: ("skew", 0),
+            Family.V: ("circulant", 1), Family.VI: ("skew", 1)}
 
 
-def from_core(side: str, y) -> np.ndarray:
-    """U @ y: Q.T @ B @ y (circulant side) or Q @ Btilde @ y (skew side)."""
-    return apply_q(apply_block_transform(side, y), transposed=(side != "skew"))
+def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
+    """Apply M @ x (or M.T @ x) for the plan's transform matrix M.
+
+    M is the cosine or the sine block of its factor at n = L, its DFT
+    embedding length: x goes into that block (reversed in the sine
+    block, for its J) with zeros elsewhere, and one real DFT of L points
+    applies the factor.  Inside ``counting()`` it counts only itself.
+
+    Cost: L is 2s - 2 to 2s + 2 for s = plan.size, so one transform runs
+    a complex DFT of L/2 points at even L and of L points at odd L (a
+    chirp convolution of about 4s points), not a transform of s points.
+    No product or solver path calls it.
+    """
+    x = _vector(x, "vector", plan.size, finite=False)
+    _count(plan.kind.flavor, plan.size)
+    s = plan.size
+    if s == 1:
+        return x.copy()
+    side, grow = _FACTORS[plan.kind.family]
+    cosine = plan.kind.flavor is Flavor.COSINE
+    n = 2 * s - grow if cosine else 2 * s + grow
+    hs = n - _sine_size(side, n)
+    block = slice(None, hs) if cosine else slice(None, hs - 1, -1)
+    v = np.zeros(n)
+    v[block] = x
+    with counting():  # the factor counts both of its blocks
+        return apply_block_transform(side, v, transposed)[block].copy()
 
 
 @dataclass(frozen=True)
@@ -257,18 +383,10 @@ class SpectralPair:
 def real_spectrum(kind: str, col) -> SpectralPair:
     """Eigenvalue data of a circulant/skew-circulant from its first column.
 
-    Costs one DCT and one DST of about n/2 points plus the O(n)
-    butterfly; no dense matrix is formed.
+    Reads them off one real DFT of the column; no dense matrix is formed.
     """
     col = _vector(col, "first column")
-    n = col.shape[0]
-    hs = n - _sine_size(kind, n)
-    vhat = to_core(kind, col)
-    fixed = (_reflect(kind, np.arange(n)) == np.arange(n))[:hs]
-    half = np.sqrt(n / 2.0)
-    alphas = np.where(fixed, np.sqrt(float(n)), half) * vhat[:hs]
-    betas = -half * vhat[n - 1:hs - 1:-1]
-    return SpectralPair(alphas, betas, kind)
+    return _spectral_pair(kind, col.shape[0], _column_spectrum(kind, col))
 
 
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:

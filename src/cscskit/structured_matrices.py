@@ -172,7 +172,8 @@ def dense_of(M) -> np.ndarray:
         j = np.arange(M.n)
         d = j[:, None] - j[None, :]
         return np.where(d >= 0, M.col[d % M.n], -M.col[(d + M.n) % M.n])
-    raise TypeError(f"unsupported structured type {type(M).__name__}")
+    raise ValueError(f"dense_of M must be a ToeplitzBands, CirculantCol or "
+                     f"SkewCirculantCol, got {M!r}")
 
 
 def naive_matvec(M, x) -> np.ndarray:

@@ -10,7 +10,7 @@ from cscskit.fast_matvec import (
     skew_circulant_matvec, toeplitz_matvec,
 )
 from cscskit.real_schur import (
-    XPattern, _shifted_inverse, from_core, real_spectrum, to_core,
+    XPattern, _shifted_inverse, apply_block_transform, from_core, real_spectrum, to_core,
 )
 from cscskit.trig_transforms import counting
 from cscskit.structured_matrices import (
@@ -122,7 +122,7 @@ def test_kind_and_dimension_guards(rng):
         circulant_matvec(op, np.ones(5))
 
 
-@pytest.mark.parametrize("n", [*range(1, 41), 4000, 4097])
+@pytest.mark.parametrize("n", [*range(1, 41), 4000, 4097, 65536, 65537])
 def test_cores_hold_the_spectrum_in_dft_order(n, rng):
     # the fft backend reads its eigenvalues straight off the cores;
     # np.fft is an oracle independent of the library's DFT engine
@@ -184,6 +184,25 @@ def test_core_product_matches_numpy_fft_at_scale(n, rng):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n", [8, 256, 4096, 4097])
+def test_a_strided_column_gives_the_product_of_its_copy(n, rng):
+    # a column of a C-ordered 8-column array has a 64-byte stride; the
+    # skew fold read it through np.negative(..., out=strided), which
+    # numpy 2.4.6 misreads, and products were wrong by 46-150%
+    x = rng.standard_normal((n, 8))[:, 3]
+    op = ToeplitzOperator.from_bands(toeplitz_from_bands(random_bands(rng, n)))
+    calls = [lambda v: toeplitz_matvec(op, v),
+             lambda v: circulant_matvec(op.circulant_part, v),
+             lambda v: skew_circulant_matvec(op.skew_part, v)]
+    for side in ("circulant", "skew"):
+        calls += [lambda v, side=side: to_core(side, v),
+                  lambda v, side=side: from_core(side, v),
+                  lambda v, side=side: apply_block_transform(side, v),
+                  lambda v, side=side: apply_block_transform(side, v, transposed=True)]
+    for call in calls:
+        assert call(x).tobytes() == call(x.copy()).tobytes()
+
+
 @pytest.mark.parametrize("n", [*range(1, 18), 256, 257, 4000, 4097])
 def test_pattern_round_trips_to_the_expanded_spectrum(n, rng):
     # the operator keeps only its half spectrum; the pattern it expands
@@ -200,9 +219,10 @@ def test_pattern_round_trips_to_the_expanded_spectrum(n, rng):
         assert np.array_equal(CirculantOperator(want).spectrum, build(col).spectrum)
 
 
-@pytest.mark.parametrize("n", [*range(1, 18), 64, 65])
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 65, 257, 4097])
 def test_each_core_holds_half_the_spectrum(n, rng):
-    # n // 2 + 1 complex values at most: the abstract's "half storage"
+    # n // 2 + 1 complex values at most: the abstract's "half storage";
+    # the spectrum owns its memory, so no longer array stays alive behind it
     T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
     op = ToeplitzOperator.from_bands(T)
     theta = float(T.t(0))
@@ -212,6 +232,7 @@ def test_each_core_holds_half_the_spectrum(n, rng):
     for part in parts:
         assert part.spectrum.dtype == np.complex128
         assert part.spectrum.nbytes <= (n // 2 + 1) * 16
+        assert part.spectrum.base is None
         assert not part.spectrum.flags.writeable
 
 

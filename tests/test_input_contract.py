@@ -22,11 +22,11 @@ import cscskit
 from cscskit import (
     DCT_I, DCT_V, CirculantCol, CirculantOperator, DttPlan, ProblemSpec,
     SkewCirculantCol, SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
-    apply_block_transform, apply_q, circulant_matvec, cscs_solve, dense_u_oracle,
-    dft, dtt_apply, dtt_matrix, from_core, iteration_matrix_rho, naive_matvec,
-    read_vector, real_spectrum, run_bench, skew_circulant_matvec, theta_scan,
-    to_core, toeplitz_from_bands, toeplitz_matvec, write_vector, xpattern_apply,
-    xpattern_shifted_solve,
+    apply_block_transform, apply_q, circulant_matvec, cscs_solve, dense_of,
+    dense_u_oracle, dft, dtt_apply, dtt_matrix, from_core, gen_coeffs,
+    iteration_matrix_rho, naive_matvec, read_vector, real_spectrum, run_bench,
+    skew_circulant_matvec, theta_scan, to_core, toeplitz_from_bands, toeplitz_matvec,
+    write_vector, xpattern_apply, xpattern_shifted_solve,
 )
 
 N = 4
@@ -71,8 +71,8 @@ _T = toeplitz_from_bands([0.1, 0.2, 0.3, 4.0, 0.3, 0.2, 0.1])
 _OP = ToeplitzOperator.from_bands(_T)
 _X = _OP.circulant_part.pattern
 _ONES = np.ones(N)
-# what an operator argument must not take; a product also refuses the
-# XPattern that an operator is built from
+# what an operator, or any other library-object argument, must not take;
+# a product also refuses the XPattern that an operator is built from
 _NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
 
 
@@ -102,7 +102,9 @@ ROWS = {
         ("p of ex3", _NUMBER, lambda v: ProblemSpec("ex3", N, v), False),
     ],
     "VectorFormatError": "an exception type",
-    "gen_coeffs": "takes a ProblemSpec, which checks itself",
+    "gen_coeffs": [
+        ("spec", {**_NOT_AN_OPERATOR, "example": "ex3", "fields": ("ex3", N)}, gen_coeffs,
+         False)],
     "read_csv": "takes a path",
     "read_vector": "takes a path",
     "run_bench": [("rho_up_to", _SIZE, _bench, False)],
@@ -190,7 +192,7 @@ ROWS = {
         ("coeffs", _vectors(2 * N - 1, owned=True), lambda v: ToeplitzBands(N, v), False),
     ],
     "cscs_split": "takes a ToeplitzBands, which checks itself",
-    "dense_of": "takes a structured value object, which checks itself",
+    "dense_of": [("M", {**_NOT_AN_OPERATOR, "operator": _OP}, dense_of, False)],
     "naive_matvec": [("x", _vectors(), lambda v: naive_matvec(_T, v), True)],
     # an even length is no 2n - 1
     "toeplitz_from_bands": [
@@ -203,7 +205,10 @@ ROWS = {
     "Family": "an enum",
     "Flavor": "an enum",
     "counting": "takes no argument",
-    "DttPlan": [("size", _SIZE, lambda v: DttPlan(DCT_I, v), False)],
+    "DttPlan": [
+        ("kind", {**_NOT_AN_OPERATOR, "family": cscskit.Family.I}, lambda v: DttPlan(v, N),
+         False),
+        ("size", _SIZE, lambda v: DttPlan(DCT_I, v), False)],
     "dtt_apply": [("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True)],
     "dtt_matrix": [("size", _SIZE, lambda v: dtt_matrix(DCT_I, v), False)],
 }

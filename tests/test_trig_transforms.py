@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cscskit import trig_transforms
+from cscskit.real_schur import dtt_apply
 from cscskit.trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
-    DttKind, DttPlan, Family, Flavor, counting, dtt_apply, dtt_matrix,
+    DttKind, DttPlan, Family, Flavor, counting, dtt_matrix,
 )
 
 ALL_KINDS = (DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI)
@@ -121,15 +122,6 @@ def test_property_orthogonal_round_trip(size, kind_idx, seed):
     assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
 
 
-@pytest.mark.parametrize("s", [2, 3, 8, 9, 4096])
-def test_dct_ii_and_dst_ii_plans_share_their_tables(s):
-    # both kinds weigh by the same Makhoul tables; a skew block factor
-    # builds the pair at every even n
-    cos, sin = DttPlan(DCT_II, s), DttPlan(DST_II, s)
-    for a, b in ((cos._fwd, sin._fwd), (cos._trn, sin._trn)):
-        assert a.p is b.p and a.q is b.q
-
-
 def test_tally_counts_applications():
     with counting() as used:
         dtt_apply(DttPlan(DCT_II, 8), np.ones(8))
@@ -141,24 +133,19 @@ def test_tally_counts_applications():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
 def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
-    # family II: Makhoul's s-point real DFT, one DFT of s/2 points for
-    # even s and of s points for odd s; otherwise even L: one DFT of L/2
-    # points; odd L: the first s outputs of the L-point DFT of s points,
-    # one windowed DFT
+    # each transform is one block of a basis change at n = L, one real
+    # DFT: one DFT of L/2 points for even L and of L points for odd L
     lengths = []
     dft_vector = trig_transforms.dft_vector
 
-    def recording(x, n=None):
-        lengths.append((len(x), len(x) if n is None else n))
-        return dft_vector(x, n)
+    def recording(x):
+        lengths.append(len(x))
+        return dft_vector(x)
 
     monkeypatch.setattr(trig_transforms, "dft_vector", recording)
     for s in (*range(2, 40), 256, 257, 4096):
-        if kind.family is Family.II:
-            want = (s // 2,) * 2 if s % 2 == 0 else (s, s)
-        else:
-            length = EMBED_LENGTH[kind](s)
-            want = (length // 2,) * 2 if length % 2 == 0 else (s, length)
+        length = EMBED_LENGTH[kind](s)
+        want = length // 2 if length % 2 == 0 else length
         plan = DttPlan(kind, s)
         for transposed in (False, True):
             lengths.clear()
