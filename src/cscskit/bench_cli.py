@@ -38,7 +38,9 @@ import numpy as np
 from .cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
 )
-from .structured_matrices import ToeplitzBands, _number, _size, _vector, toeplitz_from_bands
+from .structured_matrices import (
+    ToeplitzBands, _instance, _number, _size, _vector, toeplitz_from_bands,
+)
 
 __all__ = [
     "ProblemSpec", "BenchRow", "VectorFormatError",
@@ -80,9 +82,7 @@ class ProblemSpec:
 
 def gen_coeffs(spec: ProblemSpec) -> ToeplitzBands:
     """Diagonal coefficients t[-(n-1)..n-1] of the requested problem."""
-    if not isinstance(spec, ProblemSpec):
-        raise ValueError(f"gen_coeffs spec must be a ProblemSpec, got {spec!r}")
-    n = spec.n
+    n = _instance(spec, ProblemSpec, "gen_coeffs spec").n
     k = np.arange(-(n - 1), n)
     if spec.example == "ex1":
         return toeplitz_from_bands((1.0 + np.abs(k)) ** (-spec.p))

@@ -12,9 +12,11 @@ With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
     v       = 2 theta (theta I + C)^{-1} u - u + b,
     x^(k+1) = (theta I + S)^{-1} v,
 
-three core products, and its stopping test uses T x = C x + S x.  Each
-of the four operators is U X U.T for an X-pattern core X: Omega and Sigma
-of the split spectra, built once by ``ToeplitzOperator.from_bands``
+three core products, the last of them S x^(k+1).  Its stopping test
+uses T x = C x + S x and the next sweep's u reads the same S x, so a
+sweep and its test cost four core products.  Each of the four
+operators is U X U.T for an X-pattern core X: Omega and Sigma of the
+split spectra, built once by ``ToeplitzOperator.from_bands``
 (whose half spectra also give the positive-definiteness warnings), and
 the inverse patterns of theta I + Omega and theta I + Sigma, built once
 per solve (building them is the fail-fast singular-shift check).
@@ -26,16 +28,17 @@ A backend only maps a core to the product x -> U X U.T x:
   product is one real DFT of x, one complex multiply and one inverse
   real DFT, which together compute U.T x, the X-pattern product and U.
   A sweep costs six complex DFTs of n/2 points at even n (n points at
-  odd n), and counts the six DCTs and six DSTs its basis changes compute
-  in a ``counting()`` block for the report.  The four cores of a solve
-  hold 4(n//2 + 1) complex values, half the 8n doubles of four
-  X-patterns.  The residual is bitwise ``toeplitz_matvec``.
+  odd n), eight with its stopping test, and counts the six DCTs and six
+  DSTs its basis changes compute in a ``counting()`` block for the
+  report.  The four cores of a solve hold 4(n//2 + 1) complex values,
+  half the 8n doubles of four X-patterns.  The residual is bitwise
+  ``toeplitz_matvec``.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  The X-patterns hold
   their eigenvalues in DFT order, lambda = diag + 1j*anti, so its setup
   expands them once per solve and runs no DFT, and a product costs two
-  complex DFTs of n points.
+  complex DFTs of n points: six a sweep, eight with its stopping test.
 
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
@@ -43,7 +46,9 @@ sequences agree to rounding.
 Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
 after ``max_iters`` sweeps, or at the first non-finite residual; the
 report's ``stop_reason`` says which.  Residuals are recomputed each
-sweep with the backend's own product, never recursively updated.
+sweep with the backend's own products, never recursively updated; a
+nonzero x^(0) costs two more products, C x^(0) and S x^(0), for the
+first one.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +58,9 @@ import numpy as np
 from . import _dft
 from .fast_matvec import CirculantOperator, ToeplitzOperator, _core_product
 from .real_schur import SingularShiftError, _shifted_inverse
-from .structured_matrices import ToeplitzBands, _number, _size, _vector, cscs_split, dense_of
+from .structured_matrices import (
+    ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
+)
 from .trig_transforms import Flavor, counting
 
 __all__ = [
@@ -129,22 +136,28 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     """Solve T x = b by the CSCS iteration.
 
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
-    is singular, and ``ValueError`` for a non-finite ``b`` or ``x0``.
+    is singular, and ``ValueError`` for a non-finite ``b`` or ``x0``, a
+    ``T`` that is not a ``ToeplitzBands`` or a ``cfg`` that is not a
+    ``SolverConfig``.
     Indefiniteness of C or S is only a recorded warning; the sweep
     proceeds regardless until the residual stops being finite.
     """
-    n, theta = T.n, cfg.theta
+    n = _instance(T, ToeplitzBands, "T").n
+    theta = _instance(cfg, SolverConfig, "cfg").theta
     b = _vector(b, "right-hand side", n)
     x = np.zeros(n) if cfg.x0 is None else _vector(cfg.x0, "initial guess", n).copy()
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
     c, s, c_inv, s_inv = _cores(op, theta, counted)
-
-    def product(v):
-        return c(v) + s(v)
-
-    r0 = np.linalg.norm(b - product(x)) if x.any() else np.linalg.norm(b)
+    # S x is a sweep's last product: its stopping test and the next sweep
+    # both read it, so a sweep and its test cost four core products
+    if x.any():
+        sx = s(x)
+        r0 = np.linalg.norm(b - (c(x) + sx))
+    else:
+        sx = np.zeros(n)
+        r0 = np.linalg.norm(b)
     iterates = [x.copy()] if cfg.record_iterates else None
     counts, sizes = ([], set()) if counted else (None, None)
     if r0 == 0.0:
@@ -155,17 +168,18 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     stop = "max_iters"
     for _ in range(cfg.max_iters):
         with counting() as used:
-            u = theta * x - s(x) + b
+            u = theta * x - sx + b
             # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I
             v = 2 * theta * c_inv(u) - u + b
             x = s_inv(v)
+            sx = s(x)
         if counted:
             dct = sum(k for (flavor, _), k in used.items() if flavor is Flavor.COSINE)
             counts.append((dct, used.total() - dct))
             sizes.update(size for _, size in used)
         if iterates is not None:
             iterates.append(x.copy())
-        rel = np.linalg.norm(b - product(x)) / r0
+        rel = np.linalg.norm(b - (c(x) + sx)) / r0
         residuals.append(rel)
         if rel <= cfg.tol:
             stop = "converged"
@@ -226,7 +240,7 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
     O(n^3) work, guarded at n <= 4096.
     """
     _number(theta, "theta", positive=True)
-    n = T.n
+    n = _instance(T, ToeplitzBands, "T").n
     if n > RHO_DENSE_GUARD:
         raise ValueError(
             f"dense spectral radius is guarded at n <= {RHO_DENSE_GUARD}, got {n}")

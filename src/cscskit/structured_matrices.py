@@ -17,16 +17,19 @@ reconstruction dense(C) + dense(S) == dense(T) holds entrywise.
 ``dense_of`` and ``naive_matvec`` are the O(n^2) oracles the fast paths
 are tested against.
 
-Input contract.  The package's three input checks live here: ``_vector``
-(a 1-d vector of numbers), ``_size`` (an integer >= 1) and ``_number``
-(a finite number, positive where asked).  Each raises ValueError for a
-bool, a non-number, the wrong shape and NaN or Inf.  Value objects check
-themselves when built and hold read-only float64 copies of their arrays.
+Input contract.  The package's four input checks live here: ``_vector``
+(a 1-d vector of numbers), ``_size`` (an integer >= 1), ``_number``
+(a finite number, positive where asked) and ``_instance`` (one of the
+library's own types, such as the ``ToeplitzBands`` that ``cscs_split``
+and the solver take).  Each raises ValueError naming the argument for
+a bool, a non-number, the wrong shape or type and NaN or Inf.  Value
+objects check themselves when built and hold read-only float64 copies
+of their arrays.
 The linear products (transforms, core products, matvecs, ``dft``) check
 only the shape and pass NaN and Inf through, as IEEE arithmetic does: a
-sweep makes 15 checked calls, and a finiteness test in each would add
-about a tenth to it at n = 256 (1.5 us each against a 220 us sweep, on
-a 2-core x86-64 host).
+sweep and its stopping test make 12 checked calls, and a finiteness
+test in each would add about a tenth to them at n = 256 (1.5 us each,
+on a 2-core x86-64 host).
 """
 
 from dataclasses import dataclass
@@ -57,6 +60,15 @@ def _size(value, what):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _instance(value, kinds, what):
+    """Return ``value`` if it is one of ``kinds``; raise ValueError naming ``what``."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{what} must be a {names}, got {value!r}")
     return value
 
 
@@ -138,6 +150,9 @@ class SkewCirculantCol(_Column):
     col: np.ndarray
 
 
+_STRUCTURED = (ToeplitzBands, CirculantCol, SkewCirculantCol)
+
+
 def toeplitz_from_bands(coeffs) -> ToeplitzBands:
     """Build a ToeplitzBands from a length-(2n-1) coefficient vector."""
     size = np.size(coeffs)
@@ -148,7 +163,7 @@ def toeplitz_from_bands(coeffs) -> ToeplitzBands:
 
 def cscs_split(T: ToeplitzBands) -> tuple[CirculantCol, SkewCirculantCol]:
     """Split T = C + S into circulant and skew-circulant parts (exact)."""
-    n = T.n
+    n = _instance(T, ToeplitzBands, "T").n
     c = np.empty(n)
     s = np.empty(n)
     c[0] = s[0] = T.coeffs[n - 1] / 2.0
@@ -162,21 +177,17 @@ def cscs_split(T: ToeplitzBands) -> tuple[CirculantCol, SkewCirculantCol]:
 
 def dense_of(M) -> np.ndarray:
     """Full n x n materialization of any structured type (test oracle)."""
+    _instance(M, _STRUCTURED, "dense_of M")
+    j = np.arange(M.n)
+    d = j[:, None] - j[None, :]
     if isinstance(M, ToeplitzBands):
-        j = np.arange(M.n)
-        return M.coeffs[(j[:, None] - j[None, :]) + M.n - 1]
+        return M.coeffs[d + M.n - 1]
     if isinstance(M, CirculantCol):
-        j = np.arange(M.n)
-        return M.col[(j[:, None] - j[None, :]) % M.n]
-    if isinstance(M, SkewCirculantCol):
-        j = np.arange(M.n)
-        d = j[:, None] - j[None, :]
-        return np.where(d >= 0, M.col[d % M.n], -M.col[(d + M.n) % M.n])
-    raise ValueError(f"dense_of M must be a ToeplitzBands, CirculantCol or "
-                     f"SkewCirculantCol, got {M!r}")
+        return M.col[d % M.n]
+    return np.where(d >= 0, M.col[d % M.n], -M.col[(d + M.n) % M.n])
 
 
 def naive_matvec(M, x) -> np.ndarray:
     """Exact O(n^2) dense product; ground truth for the fast paths."""
-    x = _vector(x, "vector", M.n, finite=False)
-    return dense_of(M) @ x
+    n = _instance(M, _STRUCTURED, "naive_matvec M").n
+    return dense_of(M) @ _vector(x, "vector", n, finite=False)

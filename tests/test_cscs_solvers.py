@@ -148,14 +148,15 @@ def test_converged_solution_verifies_against_naive(backend, rng):
 
 def test_fft_backend_setup_runs_no_dft(monkeypatch):
     # the eigenvalues come from the operator's cores: a one-sweep solve
-    # from x0 = 0 runs the sweep's six DFTs and the residual's four only
+    # from x0 = 0 runs the sweep's six DFTs and the stopping test's two
+    # only (its S x is the sweep's last product)
     calls = []
     real_dft = cscs_solvers.dft
     monkeypatch.setattr(cscs_solvers, "dft",
                         lambda x, inverse=False: calls.append(len(x)) or real_dft(x, inverse))
     T = gen_coeffs(ProblemSpec("ex3", 16))
     cscs_solve(T, np.ones(16), SolverConfig(theta=3.585, max_iters=1, backend="fft"))
-    assert calls == [16] * 10
+    assert calls == [16] * 8
 
 
 def test_exact_solution_is_a_fixed_point(rng):
@@ -253,6 +254,13 @@ def test_stop_reason_names_why_the_solve_stopped():
     assert cut.iterations == 2 and np.isfinite(cut.residuals).all()
 
 
+def _shifted_operator(X, theta):
+    # (theta I + X)^-1: diag (theta + alpha) / det, anti -beta / det
+    d = theta + X.diag
+    det = d * d + X.anti * X.anti
+    return CirculantOperator(XPattern(X.n, X.pairing, d / det, -X.anti / det))
+
+
 @pytest.mark.parametrize("n", [64, 65, 66])
 def test_one_sweep_is_the_public_x_pattern_sweep(n):
     # the solve's shifted cores, built once per solve, are the public
@@ -265,22 +273,83 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-
-    def inverse(X):
-        # (theta I + X)^-1: diag (theta + alpha) / det, anti -beta / det
-        d = theta + X.diag
-        det = d * d + X.anti * X.anti
-        return CirculantOperator(XPattern(n, X.pairing, d / det, -X.anti / det))
-
     u = theta * x - skew_circulant_matvec(op.skew_part, x) + b
-    v = 2 * theta * circulant_matvec(inverse(omega), u) - u + b
-    want = skew_circulant_matvec(inverse(sigma), v)
+    v = 2 * theta * circulant_matvec(_shifted_operator(omega, theta), u) - u + b
+    want = skew_circulant_matvec(_shifted_operator(sigma, theta), v)
     assert report.iterations == 1
     assert np.array_equal(report.solution, want)
     w = from_core("circulant", xpattern_shifted_solve(omega, theta, to_core("circulant", u)))
     v = 2 * theta * w - u + b
     routed = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
     assert np.linalg.norm(report.solution - routed) <= 1e-14 * np.linalg.norm(routed)
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backend, start):
+    # a sweep's last product is S x_new, which its stopping test and the
+    # next sweep both read: 4 core products a sweep, plus C x0 and S x0
+    # for the first residual from a nonzero x0
+    calls = []
+    if backend == "dct_dst":
+        real = cscs_solvers._core_product
+        monkeypatch.setattr(cscs_solvers, "_core_product",
+                            lambda op, v, kind: calls.append(kind) or real(op, v, kind))
+        per_product = 1
+    else:
+        real = cscs_solvers.dft
+        monkeypatch.setattr(cscs_solvers, "dft",
+                            lambda v, inverse=False: calls.append(inverse) or real(v, inverse))
+        per_product = 2
+    n = 32
+    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    x0 = None if start == "zero" else np.random.default_rng(n).uniform(-1, 1, n)
+    for k in (1, 2, 5):
+        calls.clear()
+        report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, tol=1e-300, max_iters=k,
+                                                        x0=x0, backend=backend))
+        assert report.iterations == k
+        assert len(calls) == per_product * (4 * k + (0 if x0 is None else 2))
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 65, 256, 257])
+def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
+    # reusing the stopping test's S x_new in the next sweep changes no bit:
+    # this loop recomputes S x at the top of each sweep and for each
+    # residual T x = C x + S x; dct_dst runs it with the public operators
+    rng = np.random.default_rng(3000 + n)
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    b = rng.standard_normal(n)
+    theta = float(T.t(0)) / 2
+    op = ToeplitzOperator.from_bands(T)
+    if backend == "dct_dst":
+        omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+        parts = (op.circulant_part, op.skew_part,
+                 _shifted_operator(omega, theta), _shifted_operator(sigma, theta))
+        c, s, c_inv, s_inv = (
+            (lambda v, p=p: circulant_matvec(p, v)) if p.kind == "circulant"
+            else (lambda v, p=p: skew_circulant_matvec(p, v)) for p in parts)
+    else:
+        c, s, c_inv, s_inv = cscs_solvers._cores(op, theta, False)
+    for x0 in (None, rng.standard_normal(n)):
+        report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, max_iters=12, x0=x0,
+                                               backend=backend, record_iterates=True))
+        x = np.zeros(n) if x0 is None else x0.copy()
+        r0 = np.linalg.norm(b - (c(x) + s(x))) if x.any() else np.linalg.norm(b)
+        iterates, residuals = [x.copy()], []
+        for _ in range(12):
+            u = theta * x - s(x) + b
+            v = 2 * theta * c_inv(u) - u + b
+            x = s_inv(v)
+            iterates.append(x.copy())
+            residuals.append(np.linalg.norm(b - (c(x) + s(x))) / r0)
+            if residuals[-1] <= 1e-12:
+                break
+        assert np.array_equal(report.solution, x)
+        assert np.array_equal(report.residuals, residuals)
+        assert len(report.iterates) == len(iterates)
+        assert all(map(np.array_equal, report.iterates, iterates))
 
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])

@@ -22,7 +22,7 @@ import cscskit
 from cscskit import (
     DCT_I, DCT_V, CirculantCol, CirculantOperator, DttPlan, ProblemSpec,
     SkewCirculantCol, SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
-    apply_block_transform, apply_q, circulant_matvec, cscs_solve, dense_of,
+    apply_block_transform, apply_q, circulant_matvec, cscs_solve, cscs_split, dense_of,
     dense_u_oracle, dft, dtt_apply, dtt_matrix, from_core, gen_coeffs,
     iteration_matrix_rho, naive_matvec, read_vector, real_spectrum, run_bench,
     skew_circulant_matvec, theta_scan, to_core, toeplitz_from_bands, toeplitz_matvec,
@@ -74,6 +74,8 @@ _ONES = np.ones(N)
 # what an operator, or any other library-object argument, must not take;
 # a product also refuses the XPattern that an operator is built from
 _NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
+# what a Toeplitz-matrix argument T must not take
+_NOT_BANDS = {**_NOT_AN_OPERATOR, "circulant": CirculantCol(N, _ONES), "operator": _OP}
 
 
 def _solve(b=_ONES, **cfg):
@@ -120,14 +122,21 @@ ROWS = {
         # the length of x0 is known only to the solve
         ("x0", _vectors(owned=True), lambda v: _solve(x0=v), False),
     ],
-    "cscs_solve": [("b", _vectors(owned=True), _solve, False)],
+    "cscs_solve": [
+        ("T", _NOT_BANDS, lambda v: cscs_solve(v, _ONES, SolverConfig(theta=1.0)), False),
+        ("b", _vectors(owned=True), _solve, False),
+        ("cfg", {**_NOT_AN_OPERATOR, "theta": 1.0, "fields": {"theta": 1.0}},
+         lambda v: cscs_solve(_T, _ONES, v), False),
+    ],
     "dft": [
         ("x", _vectors(any_length=True), dft, True),
         ("x, inverse", _vectors(any_length=True), lambda v: dft(v, inverse=True), True),
     ],
     "iteration_matrix_rho": [
+        ("T", _NOT_BANDS, lambda v: iteration_matrix_rho(v, 1.0), False),
         ("theta", _POSITIVE, lambda v: iteration_matrix_rho(_T, v), False)],
     "theta_scan": [
+        ("T", _NOT_BANDS, lambda v: theta_scan(v, [1.0]), False),
         ("grid", {**_vectors(owned=True, any_length=True), "zero": [1.0, 0.0],
                   "negative": [-1.0]},
          lambda v: theta_scan(_T, v), False)],
@@ -136,6 +145,7 @@ ROWS = {
         ("pattern", {**_NOT_AN_OPERATOR, "operator": _OP.circulant_part}, CirculantOperator,
          False)],
     "ToeplitzOperator": [
+        ("from_bands T", _NOT_BANDS, ToeplitzOperator.from_bands, False),
         ("circulant_part", {**_NOT_AN_OPERATOR, "skew": _OP.skew_part},
          lambda v: ToeplitzOperator(v, _OP.skew_part), False),
         ("skew_part", {**_NOT_AN_OPERATOR, "circulant": _OP.circulant_part,
@@ -191,9 +201,11 @@ ROWS = {
         ("n", _SIZE, lambda v: ToeplitzBands(v, np.ones(2 * N - 1)), False),
         ("coeffs", _vectors(2 * N - 1, owned=True), lambda v: ToeplitzBands(N, v), False),
     ],
-    "cscs_split": "takes a ToeplitzBands, which checks itself",
+    "cscs_split": [("T", _NOT_BANDS, cscs_split, False)],
     "dense_of": [("M", {**_NOT_AN_OPERATOR, "operator": _OP}, dense_of, False)],
-    "naive_matvec": [("x", _vectors(), lambda v: naive_matvec(_T, v), True)],
+    "naive_matvec": [
+        ("M", {**_NOT_AN_OPERATOR, "operator": _OP}, lambda v: naive_matvec(v, _ONES), False),
+        ("x", _vectors(), lambda v: naive_matvec(_T, v), True)],
     # an even length is no 2n - 1
     "toeplitz_from_bands": [
         ("coeffs", {**_vectors(2 * N - 1, owned=True, any_length=True),
