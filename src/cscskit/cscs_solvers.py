@@ -15,17 +15,16 @@ With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
 three core products, the last of them S x^(k+1).  Its stopping test
 uses T x = C x + S x and the next sweep's u reads the same S x, so a
 sweep and its test cost four core products.  Each of the four
-operators is U X U.T for an X-pattern core X: Omega and Sigma of the
-split spectra, built once by ``ToeplitzOperator.from_bands``
-(whose half spectra also give the positive-definiteness warnings), and
-the inverse patterns of theta I + Omega and theta I + Sigma, built once
-per solve (building them is the fail-fast singular-shift check).
+operators is U X U.T for an X-pattern core X held as its half spectrum:
+Omega and Sigma of ``ToeplitzOperator.from_bands`` (which also give the
+positive-definiteness warnings), and the inverses of theta I + Omega and
+theta I + Sigma, 1 / (theta + lambda) on those half spectra, once per
+solve (the fail-fast singular-shift check).  No solve builds an X-pattern.
 
 A backend only maps a core to the product x -> U X U.T x:
 
 * ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
-  core product: the core is held as its n//2 + 1 eigenvalues, and a
-  product is one real DFT of x, one complex multiply and one inverse
+  core product: one real DFT of x, one complex multiply and one inverse
   real DFT, which together compute U.T x, the X-pattern product and U.
   A sweep costs six complex DFTs of n/2 points at even n (n points at
   odd n), eight with its stopping test, and counts the six DCTs and six
@@ -35,10 +34,10 @@ A backend only maps a core to the product x -> U X U.T x:
   ``toeplitz_matvec``.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
-  D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  The X-patterns hold
-  their eigenvalues in DFT order, lambda = diag + 1j*anti, so its setup
-  expands them once per solve and runs no DFT, and a product costs two
-  complex DFTs of n points: six a sweep, eight with its stopping test.
+  D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
+  eigenvalues in DFT order off each half spectrum by conjugate symmetry,
+  O(n) and no DFT, and a product costs two complex DFTs of n points: six
+  a sweep, eight with its stopping test.
 
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
@@ -56,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dft
-from .fast_matvec import CirculantOperator, ToeplitzOperator, _core_product
-from .real_schur import SingularShiftError, _shifted_inverse
+from .fast_matvec import ToeplitzOperator, _core_product
+from .real_schur import SingularShiftError, _eigenvalues
 from .structured_matrices import (
     ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
@@ -86,9 +85,9 @@ def dft(x, inverse: bool = False) -> np.ndarray:
 BACKENDS = ("dct_dst", "fft")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Shift, stopping rule and backend selection for ``cscs_solve``."""
+    """Shift, stopping rule and backend for ``cscs_solve``, checked when built; frozen."""
 
     theta: float
     tol: float = 1e-7
@@ -136,9 +135,9 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     """Solve T x = b by the CSCS iteration.
 
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
-    is singular, and ``ValueError`` for a non-finite ``b`` or ``x0``, a
-    ``T`` that is not a ``ToeplitzBands`` or a ``cfg`` that is not a
-    ``SolverConfig``.
+    is singular, its ``index`` a position in that part's ``spectrum``, and
+    ``ValueError`` for a non-finite ``b`` or ``x0``, a ``T`` that is not
+    a ``ToeplitzBands`` or a ``cfg`` that is not a ``SolverConfig``.
     Indefiniteness of C or S is only a recorded warning; the sweep
     proceeds regardless until the residual stops being finite.
     """
@@ -197,38 +196,27 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
 def _cores(op, theta, real):
     """Products with C, S, (theta I + C)^-1 and (theta I + S)^-1 for one solve.
 
-    The two inverses are X-patterns built once per solve, so a singular
-    shift raises here, before the first sweep.  The real backend holds
-    all four as half spectra; the expanded patterns are dropped on return.
+    The inverses are computed on the half spectra of C and S, so a
+    singular shift raises before the first sweep.
     """
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    inverses = (_shifted_inverse(omega, theta), _shifted_inverse(sigma, theta))
+    parts = (op.circulant_part, op.skew_part)
+    parts += tuple(part._shifted_inverse(theta) for part in parts)
     if real:
-        parts = (op.circulant_part, op.skew_part, *map(CirculantOperator, inverses))
-        return tuple(map(_real_core, parts))
-    return tuple(map(_complex_cores(op.n), (omega, sigma, *inverses)))
-
-
-def _real_core(op):
-    """x -> U X U.T x in real arithmetic: the core product of ``fast_matvec``."""
-    return lambda v: _core_product(op, v, op.kind)
-
-
-def _complex_cores(n):
-    """X -> (x -> U X U.T x) in complex arithmetic, two ``dft`` calls a product."""
+        return tuple((lambda v, p=p: _core_product(p, v, p.kind)) for p in parts)
     # Ftilde = D F^*: the skew side runs the circulant product on the
     # D-modulated vector
+    n = op.n
     dbar = np.exp(-1j * np.pi * np.arange(n) / n)
 
-    def core(X):
-        # the core holds its eigenvalues in DFT order; each product returns
-        # a real copy, so no result keeps its complex buffer alive
-        lam = X.diag + 1j * X.anti
-        if X.pairing == "circulant":
+    def core(part):
+        # the eigenvalues in DFT order; each product returns a real copy,
+        # so no result keeps its complex buffer alive
+        lam = _eigenvalues(part.kind, n, part.spectrum)
+        if part.kind == "circulant":
             return lambda v: dft(lam * dft(v, inverse=True)).real.copy()
         return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real.copy()
 
-    return core
+    return tuple(map(core, parts))
 
 
 def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .real_schur import (
     XPattern, _column_spectrum, _count_blocks, _from_spectrum, _half_spectrum,
-    _sine_size, _spectral_pair, _spectrum,
+    _inverse_parts, _sine_size, _spectral_pair, _spectrum,
 )
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
@@ -84,12 +84,18 @@ class CirculantOperator:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "spectrum", spectrum)
+        return self
 
     @classmethod
     def _of(cls, kind, col) -> "CirculantOperator":
-        op = object.__new__(cls)
-        op._hold(kind, col.shape[0], _column_spectrum(kind, col))
-        return op
+        return object.__new__(cls)._hold(kind, col.shape[0], _column_spectrum(kind, col))
+
+    def _shifted_inverse(self, theta) -> "CirculantOperator":
+        """(theta I + this)^-1: each held eigenvalue lambda becomes 1 / (theta + lambda)."""
+        spectrum = np.empty_like(self.spectrum)
+        spectrum.real, spectrum.imag = _inverse_parts(theta, self.spectrum.real,
+                                                      self.spectrum.imag)
+        return object.__new__(CirculantOperator)._hold(self.kind, self.n, spectrum)
 
     @property
     def pattern(self) -> XPattern:

@@ -56,14 +56,13 @@ eigenvalue labeling.
 A shifted core theta*I + X is inverted in O(n), and its inverse is again
 an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
 (d = theta + alpha, b = beta), which multiplies like d + ib, so its
-inverse is [[d, -b], [b, d]] / (d^2 + b^2).  ``_shifted_inverse`` checks
-that theta is finite, runs the singular check and returns that pattern.
+inverse is [[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda).
+``_inverse_parts`` is that map, with the finite-theta and singular
+checks, on the parts of any eigenvalues: a pattern's (diag, anti) in
+``_shifted_inverse``, a half spectrum in ``cscs_solve``, once per solve.
 ``xpattern_apply`` is the X-pattern product and takes no shift
 ((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
-product with the inverse pattern.  ``cscs_solve`` builds both inverse
-patterns once per solve, so a singular shift fails before the first
-sweep, and applies them as it applies Omega and Sigma, through its
-backend's core product.
+product with the inverse pattern.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
@@ -96,7 +95,8 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class SingularShiftError(ValueError):
-    """A shifted core theta*I + X is singular at some pattern position."""
+    """theta*I + X is singular at eigenvalue ``index``: a position in the
+    pattern (``xpattern_shifted_solve``) or in ``spectrum`` (``cscs_solve``)."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -201,19 +201,22 @@ def _half_spectrum(side, n, alphas, betas):
     return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
 
 
+def _eigenvalues(side, n, half):
+    """lambda in DFT order from a half spectrum, by lambda[n-j] (circulant) or
+    lambda[n-1-j] (skew) = conj(lambda[j]): O(n) indexing, no DFT."""
+    if side == "circulant":  # conj(lambda[:m+1]), then lambda[m+1:]
+        return np.concatenate((np.conj(half), half[(n - 1) // 2:0:-1]))
+    if n % 2:  # lambda[:m], then lambda[m:]
+        return np.concatenate((np.conj(half[:0:-1]), half))
+    # lambda[0::2] = half, lambda[1::2] = conj(half[::-1])
+    return np.column_stack((half, np.conj(half[::-1]))).ravel()
+
+
 def _spectral_pair(side, n, half):
     """The SpectralPair that ``_half_spectrum`` read, exactly."""
-    m = n // 2
-    if side == "circulant":
-        return SpectralPair(half.real, -half.imag[1:1 + (n - 1) // 2], side)
-    if n % 2:
-        lo = np.conj(half[:0:-1])
-        return SpectralPair(np.append(lo.real, half[0].real), lo.imag, side)
-    c = (m + 1) // 2
-    lo = np.empty(m, dtype=np.complex128)
-    lo[0::2] = half[:c]
-    lo[1::2] = np.conj(half[:c - 1:-1])
-    return SpectralPair(lo.real, lo.imag, side)
+    lam = _eigenvalues(side, n, half)
+    k, sine = int(side == "circulant"), _sine_size(side, n)
+    return SpectralPair(lam.real[:n - sine], lam.imag[k:k + sine], side)
 
 
 def _core_scale(side: str, n: int):
@@ -389,23 +392,31 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     return _spectral_pair(kind, col.shape[0], _column_spectrum(kind, col))
 
 
-def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
-    """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det.
+def _inverse_parts(theta, re, im):
+    """1 / (theta + re + i im) entrywise: (d/det, -im/det), d = theta + re.
 
-    Raises as ``xpattern_shifted_solve`` does: ValueError for a theta
-    that is not a finite number, SingularShiftError for a singular position.
+    Raises ValueError for a theta that is not a finite number, and
+    SingularShiftError at the first index whose det = d^2 + im^2 is within
+    eps of the squared scale theta^2 + max(re^2 + im^2), i.e. where
+    |theta + lambda| is within sqrt(eps) of the spectrum's magnitude and
+    rounding alone decides its size.
     """
     _number(theta, "shift theta")
-    d = theta + X.diag
-    det = d * d + X.anti * X.anti
-    scale = theta * theta + np.max(X.diag * X.diag + X.anti * X.anti)
+    d = theta + re
+    det = d * d + im * im
+    scale = theta * theta + np.max(re * re + im * im)
     bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
     if bad.size:
         j = int(bad[0])
         raise SingularShiftError(
-            f"shift theta={theta} is singular at pattern index {j} "
-            f"(alpha={X.diag[j]}, beta={X.anti[j]})", index=j)
-    return XPattern(X.n, X.pairing, d / det, -X.anti / det)
+            f"shift theta={theta} is singular at index {j} (eigenvalue real "
+            f"part {re[j]}, imaginary part {im[j]})", index=j)
+    return d / det, -im / det
+
+
+def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
+    """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det."""
+    return XPattern(X.n, X.pairing, *_inverse_parts(theta, X.diag, X.anti))
 
 
 def xpattern_apply(X: XPattern, y) -> np.ndarray:
@@ -420,16 +431,10 @@ def xpattern_apply(X: XPattern, y) -> np.ndarray:
 
 
 def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
-    """Solve (theta*I + X) y = z in O(n).
+    """Solve (theta*I + X) y = z in O(n): the product with the inverse pattern.
 
-    Each pair is a 2x2 system [[d, b], [-b, d]] with determinant
-    d^2 + b^2 (d = theta + alpha); fixed points have b = 0.  The solve is
-    the product with the inverse pattern, diag d / det and anti -b / det.
-
-    A position counts as singular when its determinant is within eps of
-    the squared scale theta^2 + max(alpha^2 + beta^2), i.e. when the
-    shifted eigenvalue |theta + lambda| is within sqrt(eps) of the
-    spectrum's magnitude and rounding alone decides its size.
+    Each pair is a 2x2 system [[d, b], [-b, d]] (d = theta + alpha,
+    b = beta, 0 at fixed points); ``_inverse_parts`` inverts and checks it.
     """
     return xpattern_apply(_shifted_inverse(X, theta), z)
 

@@ -1,5 +1,6 @@
 """CSCS solver, DFT baseline, spectral-radius and shift-scan diagnostics."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cscskit import _dft, cscs_solvers
+from cscskit import _dft, cscs_solvers, real_schur
 from cscskit.bench_cli import ProblemSpec, gen_coeffs
 from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
@@ -18,7 +19,8 @@ from cscskit.fast_matvec import (
     CirculantOperator, ToeplitzOperator, circulant_matvec, skew_circulant_matvec,
 )
 from cscskit.real_schur import (
-    SingularShiftError, XPattern, from_core, to_core, xpattern_shifted_solve,
+    SingularShiftError, XPattern, _shifted_inverse, from_core, to_core,
+    xpattern_shifted_solve,
 )
 from cscskit.structured_matrices import (
     cscs_split, dense_of, naive_matvec, toeplitz_from_bands,
@@ -261,6 +263,17 @@ def _shifted_operator(X, theta):
     return CirculantOperator(XPattern(X.n, X.pairing, d / det, -X.anti / det))
 
 
+def _pattern_product(X):
+    # the complex product read off an X-pattern: lambda = diag + i anti
+    # holds the eigenvalues in DFT order, and the skew side runs the
+    # circulant product on the D-modulated vector
+    lam = X.diag + 1j * X.anti
+    if X.pairing == "circulant":
+        return lambda v: dft(lam * dft(v, inverse=True)).real
+    dbar = np.exp(-1j * np.pi * np.arange(X.n) / X.n)
+    return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real
+
+
 @pytest.mark.parametrize("n", [64, 65, 66])
 def test_one_sweep_is_the_public_x_pattern_sweep(n):
     # the solve's shifted cores, built once per solve, are the public
@@ -318,6 +331,8 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     # reusing the stopping test's S x_new in the next sweep changes no bit:
     # this loop recomputes S x at the top of each sweep and for each
     # residual T x = C x + S x; dct_dst runs it with the public operators
+    # and fft with the products of the X-patterns and their inverses, so
+    # both also pin the solve's half-spectrum cores to the pattern route
     rng = np.random.default_rng(3000 + n)
     T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
     b = rng.standard_normal(n)
@@ -331,7 +346,9 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
             (lambda v, p=p: circulant_matvec(p, v)) if p.kind == "circulant"
             else (lambda v, p=p: skew_circulant_matvec(p, v)) for p in parts)
     else:
-        c, s, c_inv, s_inv = cscs_solvers._cores(op, theta, False)
+        omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+        c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_inverse(omega, theta),
+                                                    _shifted_inverse(sigma, theta)))
     for x0 in (None, rng.standard_normal(n)):
         report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, max_iters=12, x0=x0,
                                                backend=backend, record_iterates=True))
@@ -375,8 +392,54 @@ def test_one_sweep_is_the_two_dense_half_steps(n, backend):
 def test_singular_shift_raises():
     # C = S = -I and theta = 1 makes theta I + C exactly singular
     T = toeplitz_from_bands([0.0, 0.0, -2.0, 0.0, 0.0])
-    with pytest.raises(SingularShiftError):
+    with pytest.raises(SingularShiftError) as err:
         cscs_solve(T, np.ones(3), SolverConfig(theta=1.0))
+    assert err.value.index == 0
+    assert str(err.value) == ("shift theta=1.0 is singular at index 0 "
+                              "(eigenvalue real part -1.0, imaginary part 0.0)")
+    # the index is a position in the operator's spectrum: at n = 6 the
+    # skew spectrum is lambda[0::2], and theta = sqrt(3)/2 cancels its
+    # entry 1, lambda[2] (pattern position 2)
+    T = toeplitz_from_bands([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    lam = ToeplitzOperator.from_bands(T).skew_part.spectrum[1]
+    for backend in ("dct_dst", "fft"):
+        with pytest.raises(SingularShiftError) as err:
+            cscs_solve(T, np.ones(6), SolverConfig(theta=-lam.real, backend=backend))
+        assert err.value.index == 1
+        assert str(err.value).endswith(
+            f"(eigenvalue real part {lam.real}, imaginary part {lam.imag})")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("backend", "bogus"), ("theta", -1.985), ("tol", np.nan), ("max_iters", 0),
+])
+def test_config_is_frozen(name, value):
+    # an assignment would bypass __post_init__'s checks: "bogus" ran the
+    # fft backend, a negative theta ran to non_finite, tol = nan ran every
+    # sweep and max_iters = 0 none
+    cfg = SolverConfig(theta=1.985)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, value)
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_no_solve_builds_an_x_pattern(monkeypatch, backend, start):
+    # the four cores are the operators' half spectra and their shifted
+    # inverses, computed entrywise: no X-pattern is expanded or inverted
+    built = []
+    init = real_schur.XPattern.__post_init__
+    monkeypatch.setattr(real_schur.XPattern, "__post_init__",
+                        lambda X: built.append(X.n) or init(X))
+    n = 33
+    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    x0 = None if start == "zero" else np.random.default_rng(n).uniform(-1, 1, n)
+    report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, x0=x0, backend=backend))
+    assert report.converged
+    assert built == []
+    # the counter sees a pattern when one is built
+    ToeplitzOperator.from_bands(T).skew_part.pattern
+    assert built == [n]
 
 
 def test_config_validation():
