@@ -40,9 +40,9 @@ from .cscs_solvers import (
     BACKENDS, RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
     theta_scan,
 )
-from .fast_matvec import ToeplitzOperator
+from .fast_matvec import CirculantOperator
 from .real_schur import SingularShiftError
-from .structured_matrices import _vector
+from .structured_matrices import _vector, cscs_split
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,10 +88,12 @@ def _cmd_solve(args):
 
 
 def _cmd_spectrum(args):
-    op = ToeplitzOperator.from_bands(_problem(args))
+    # each factor from its own column, so the rows are real_spectrum's bit for bit
+    c, s = cscs_split(_problem(args))
     with _opened(args.out or sys.stdout) as out:
         out.write("part,k,alpha,beta\n")
-        for part, factor in (("circulant", op.circulant_part), ("skew", op.skew_part)):
+        for part, factor in (("circulant", CirculantOperator.from_circulant(c)),
+                             ("skew", CirculantOperator.from_skew_circulant(s))):
             if args.part not in (None, part):
                 continue
             # one row per eigenvalue pair (or real eigenvalue): its real

@@ -30,8 +30,9 @@ A backend only maps a core to the product x -> U X U.T x:
   odd n), eight with its stopping test, and counts the six DCTs and six
   DSTs its basis changes compute in a ``counting()`` block for the
   report.  The four cores of a solve hold 4(n//2 + 1) complex values,
-  half the 8n doubles of four X-patterns.  The residual is bitwise
-  ``toeplitz_matvec``.
+  half the 8n doubles of four X-patterns.  At even n the residual is
+  bitwise ``toeplitz_matvec``; at odd n that product reads both sides
+  off one DFT and agrees with the residual's C x + S x to rounding.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
@@ -42,12 +43,17 @@ A backend only maps a core to the product x -> U X U.T x:
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
 
-Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2,
-after ``max_iters`` sweeps, or at the first non-finite residual; the
-report's ``stop_reason`` says which.  Residuals are recomputed each
-sweep with the backend's own products, never recursively updated; a
-nonzero x^(0) costs two more products, C x^(0) and S x^(0), for the
-first one.
+Iterations stop when ||b - T x^(k)||_2 <= tol * ||b - T x^(0)||_2
+("converged"), after ``max_iters`` sweeps ("max_iters"), at the first
+relative residual above 1/eps ("diverged": the residual has grown
+1/eps-fold over the initial one, ||b|| when x^(0) = 0, so the rounding
+in b - T x is as large as that initial residual and certifies nothing),
+or at the first non-finite one ("non_finite", which a huge but finite b
+can reach first); the report's ``stop_reason`` says which, and for
+"diverged" and "non_finite" a warning names the sweep.  Residuals are
+recomputed each sweep with the backend's own products, never recursively
+updated; a nonzero x^(0) costs two more products, C x^(0) and S x^(0),
+for the first one.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +74,8 @@ __all__ = [
 ]
 
 RHO_DENSE_GUARD = 4096
+# a relative residual above 1/eps stops a solve as "diverged"
+_DIVERGED = 1.0 / np.finfo(np.float64).eps
 
 
 def dft(x, inverse: bool = False) -> np.ndarray:
@@ -112,7 +120,7 @@ class SolveReport:
     iterations: int
     residuals: np.ndarray          # relative residual after each full sweep
     converged: bool
-    stop_reason: str               # "converged", "max_iters" or "non_finite"
+    stop_reason: str               # "converged", "max_iters", "diverged" or "non_finite"
     warnings: list = field(default_factory=list)
     iterates: list | None = None
     transform_counts: list | None = None   # per-sweep (n_dct, n_dst), dct_dst only
@@ -139,7 +147,8 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     ``ValueError`` for a non-finite ``b`` or ``x0``, a ``T`` that is not
     a ``ToeplitzBands`` or a ``cfg`` that is not a ``SolverConfig``.
     Indefiniteness of C or S is only a recorded warning; the sweep
-    proceeds regardless until the residual stops being finite.
+    proceeds regardless until the residual exceeds 1/eps or stops being
+    finite.
     """
     n = _instance(T, ToeplitzBands, "T").n
     theta = _instance(cfg, SolverConfig, "cfg").theta
@@ -188,6 +197,13 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
             notes.append(f"relative residual is {rel} after sweep {len(residuals)}; "
                          "stopped")
             stop = "non_finite"
+            break
+        if rel > _DIVERGED:
+            # grown 1/eps-fold over the initial residual: the rounding in
+            # b - T x is as large as it, so the residual certifies nothing
+            notes.append(f"relative residual {rel:.6g} exceeds 1/eps after sweep "
+                         f"{len(residuals)}; stopped")
+            stop = "diverged"
             break
     return SolveReport(x, len(residuals), np.array(residuals), stop == "converged",
                        stop, notes, iterates, counts, sizes)

@@ -28,7 +28,14 @@ what its two basis changes compute, one DCT and one DST each at the
 block sizes, in ``counting()``, so a sweep still reads six DCTs and six
 DSTs.  The half spectrum is (n//2 + 1) complex values, half the 2n
 doubles of an X-pattern core; ``pattern`` expands it on demand.  A
-Toeplitz product is the sum of the two through the splitting T = C + S.
+Toeplitz product is the sum of the two through the splitting T = C + S,
+and ``from_bands`` builds both spectra.  At even n they cost what the two
+products or builds cost: four complex DFTs of n/2 points a product, two a
+build.  At odd n every one of these real DFTs is of n points, and one
+complex DFT carries two of them (``real_schur._spectra``/``_from_spectra``):
+a Toeplitz product costs two complex DFTs of n points, not four, and a
+build one, not two.  The paired product agrees with the sum of the two
+to rounding, and the counts in ``counting()`` are the same.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -39,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .real_schur import (
-    XPattern, _column_spectrum, _count_blocks, _from_spectrum, _half_spectrum,
-    _inverse_parts, _sine_size, _spectral_pair, _spectrum,
+    XPattern, _column_spectra, _column_spectrum, _count_blocks, _from_spectra, _from_spectrum,
+    _half_spectrum, _inverse_parts, _sine_size, _spectra, _spectral_pair, _spectrum,
 )
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
@@ -87,15 +94,15 @@ class CirculantOperator:
         return self
 
     @classmethod
-    def _of(cls, kind, col) -> "CirculantOperator":
-        return object.__new__(cls)._hold(kind, col.shape[0], _column_spectrum(kind, col))
+    def _of(cls, kind, n, spectrum) -> "CirculantOperator":
+        return object.__new__(cls)._hold(kind, n, spectrum)
 
     def _shifted_inverse(self, theta) -> "CirculantOperator":
         """(theta I + this)^-1: each held eigenvalue lambda becomes 1 / (theta + lambda)."""
         spectrum = np.empty_like(self.spectrum)
         spectrum.real, spectrum.imag = _inverse_parts(theta, self.spectrum.real,
                                                       self.spectrum.imag)
-        return object.__new__(CirculantOperator)._hold(self.kind, self.n, spectrum)
+        return CirculantOperator._of(self.kind, self.n, spectrum)
 
     @property
     def pattern(self) -> XPattern:
@@ -106,13 +113,13 @@ class CirculantOperator:
     def from_circulant(cls, col) -> "CirculantOperator":
         """The circulant with this first column: one real DFT of it."""
         col = col.col if isinstance(col, CirculantCol) else _vector(col, "first column")
-        return cls._of("circulant", col)
+        return cls._of("circulant", col.shape[0], _column_spectrum("circulant", col))
 
     @classmethod
     def from_skew_circulant(cls, col) -> "CirculantOperator":
         """The skew-circulant with this first column: one real DFT of it."""
         col = col.col if isinstance(col, SkewCirculantCol) else _vector(col, "first column")
-        return cls._of("skew", col)
+        return cls._of("skew", col.shape[0], _column_spectrum("skew", col))
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,11 @@ class ToeplitzOperator:
 
     @classmethod
     def from_bands(cls, T: ToeplitzBands) -> "ToeplitzOperator":
-        c, s = cscs_split(T)
-        return cls(CirculantOperator.from_circulant(c),
-                   CirculantOperator.from_skew_circulant(s))
+        """C and S of the CSCS split, both spectra from one ``_spectra`` (one DFT at odd n)."""
+        c, s = (part.col for part in cscs_split(T))
+        hc, hs = _column_spectra(c, s)
+        return cls(CirculantOperator._of("circulant", T.n, hc),
+                   CirculantOperator._of("skew", T.n, hs))
 
     @property
     def n(self) -> int:
@@ -166,8 +175,15 @@ def skew_circulant_matvec(op: CirculantOperator, x) -> np.ndarray:
 
 
 def toeplitz_matvec(op: ToeplitzOperator, x) -> np.ndarray:
-    """T @ x = C @ x + S @ x."""
+    """T @ x = C @ x + S @ x: at odd n one DFT gives both spectra and one both inverses."""
     if not isinstance(op, ToeplitzOperator):
         raise ValueError(f"toeplitz_matvec operator must be a ToeplitzOperator, got {op!r}")
-    return (circulant_matvec(op.circulant_part, x)
-            + skew_circulant_matvec(op.skew_part, x))
+    n = op.n
+    if n % 2 == 0:
+        return (circulant_matvec(op.circulant_part, x)
+                + skew_circulant_matvec(op.skew_part, x))
+    x = _vector(x, "vector", n, finite=False)
+    for kind in ("circulant", "skew"):
+        _count_blocks(kind, n, 2)  # U.T and U
+    hc, hs = _spectra(x, x)
+    return _from_spectra(op.circulant_part.spectrum * hc, op.skew_part.spectrum * hs, n)

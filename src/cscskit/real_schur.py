@@ -26,6 +26,11 @@ order, of the circulant or skew-circulant whose first column is x, and
 m = n // 2, the half spectrum is conj(lambda[:m+1]) on the circulant
 side (``_rdft(x)``), lambda[0::2] on the skew side at even n (the fold
 ``_folded_dft(x)``) and lambda[m:] at odd n (``_rdft`` of x (-1)^j).
+``_spectra`` does the same for one circulant and one skew vector at
+once, and at odd n ``_from_spectra`` maps two half spectra back to the
+sum of their vectors: there both sides are real DFTs of n points, so
+one complex DFT carries each pair (``_rdft_pair``/``_irdft_pair``); at
+even n ``_spectra`` runs each side on its own.
 Everything else is O(n) work around that pair: ``to_core`` (U.T x) and
 ``from_core`` (U y) scale the half spectrum into the core layout and
 back, ``apply_block_transform`` is Q around them, ``real_spectrum``
@@ -82,7 +87,8 @@ import numpy as np
 
 from .structured_matrices import _number, _size, _vector
 from .trig_transforms import (
-    DttPlan, Family, Flavor, _count, _folded_dft, _folded_idft, _irdft, _rdft, counting,
+    DttPlan, Family, Flavor, _count, _folded_dft, _folded_idft, _irdft, _irdft_pair, _rdft,
+    _rdft_pair, counting,
 )
 
 __all__ = [
@@ -168,16 +174,47 @@ def _from_spectrum(side: str, half, n: int) -> np.ndarray:
     return x
 
 
+def _spectra(xc, xs):
+    """(circulant half spectrum of xc, skew half spectrum of xs), xc and xs of one length.
+
+    At odd n both are real DFTs of n points, of xc and of xs (-1)^j, so
+    one complex DFT gives the pair; at even n each side runs its own.
+    """
+    if xc.shape[0] % 2 == 0:
+        return _spectrum("circulant", xc), _spectrum("skew", xs)
+    return _rdft_pair(xc, _alternated(xs))
+
+
+def _from_spectra(hc, hs, n: int) -> np.ndarray:
+    """The sum of the x with circulant half spectrum hc and the y with skew half
+    spectrum hs, n odd: one complex DFT inverts both (``_irdft_pair``)."""
+    x, y = _irdft_pair(hc, hs, n)
+    y[1::2] *= -1.0
+    x += y
+    return x
+
+
+def _column_spectra(c, s):
+    """The circulant half spectrum of c and the skew one of s, as ``_column_spectrum``
+    gives them, from one ``_spectra``."""
+    n = c.shape[0]
+    hc, hs = _spectra(c, s)
+    return _real_entries("circulant", n, hc), _real_entries("skew", n, hs)
+
+
 def _column_spectrum(side: str, col) -> np.ndarray:
-    """The half spectrum of a first column, its real eigenvalues exactly real.
+    """The half spectrum of a first column, its real eigenvalues exactly real."""
+    _sine_size(side, col.shape[0])  # rejects an unknown side
+    return _real_entries(side, col.shape[0], _spectrum(side, col))
+
+
+def _real_entries(side: str, n: int, half) -> np.ndarray:
+    """``half`` with the imaginary part of its real eigenvalues set to exactly 0.
 
     Those are the entries that are their own conjugates: lambda[0], and
     lambda[n/2] at even n, on the circulant side, and lambda[m] at odd n
     on the skew side, which is entry 0 of its half spectrum.
     """
-    n = col.shape[0]
-    _sine_size(side, n)  # rejects an unknown side
-    half = _spectrum(side, col)
     if side == "circulant" or n % 2:
         half.imag[0] = 0.0
     if side == "circulant" and n % 2 == 0:

@@ -50,8 +50,13 @@ and for odd n it is one DFT of n points.  The skew side at even n = 2m
 folds instead: ``_folded_dft`` is the m-point DFT of
 (x[:m] - i x[m:]) exp(-i pi j / n), and ``_folded_idft`` its inverse.
 So one basis change, both its blocks at once, costs one complex DFT of
-n/2 points at even n and of n points at odd n.  The split and twist
-tables are read-only and kept for the 16 most recent sizes.
+n/2 points at even n and of n points at odd n.  At odd n two real
+vectors x and y share one: ``_rdft_pair`` splits Z = DFT(x + i y) by
+conjugate symmetry, and ``_irdft_pair`` inverts two half spectra at once
+(Sorensen, Jones, Heideman and Burrus, "Real-valued fast Fourier
+transform algorithms", IEEE TASSP 1987), so a Toeplitz product's two
+basis changes each way cost one complex DFT of n points, not two.  The
+split and twist tables are read-only and kept for the 16 most recent sizes.
 
 Inside a ``counting()`` block every basis change counts, through
 ``_count``, the DCT and the DST it computes, and ``dtt_apply`` counts
@@ -272,6 +277,43 @@ def _irdft(y, n: int) -> np.ndarray:
     x = np.conj(dft_vector(u)).view(np.float64)
     x /= h
     return x
+
+
+def _rdft_pair(x, y):
+    """(``_rdft(x)``, ``_rdft(y)``) of two real vectors of one odd length n, from one DFT.
+
+    With Z = DFT(x + i y) and indices mod n, X_k = (Z_k + conj Z_-k) / 2
+    and Y_k = (Z_k - conj Z_-k) / (2i), k = 0..n//2.
+    """
+    n = x.shape[0]
+    m = n // 2
+    z = np.empty(n, dtype=np.complex128)
+    z.real, z.imag = x, y
+    z = _wrapped(dft_vector(z))
+    head = z[:m + 1]
+    tail = np.conj(z[n:n - m - 1:-1])  # conj Z_-k
+    xs = head + tail
+    xs *= 0.5
+    ys = head - tail
+    ys *= -0.5j
+    return xs, ys
+
+
+def _irdft_pair(p, q, n: int):
+    """(``_irdft(p, n)``, ``_irdft(q, n)``) at odd n, from one DFT.
+
+    p + i q is the half spectrum of x + i y, whose Hermitian extensions
+    give the full spectrum F: F_k = p_k + i q_k and F_(n-k) = conj p_k
+    + i conj q_k.  One n-point DFT of conj F is n conj(x + i y).
+    """
+    m = n // 2
+    g = np.empty(n, dtype=np.complex128)
+    g.real[:m + 1] = p.real - q.imag  # conj(p + i q)
+    g.imag[:m + 1] = -p.imag - q.real
+    g.real[:m:-1] = p.real[1:] + q.imag[1:]  # p - i q, at n - k
+    g.imag[:m:-1] = p.imag[1:] - q.real[1:]
+    w = dft_vector(g)
+    return w.real / n, w.imag / -n
 
 
 def _folded_dft(x) -> np.ndarray:

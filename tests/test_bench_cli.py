@@ -264,6 +264,20 @@ def test_cli_solve_nonconvergent_exits_3(tmp_path):
     assert "not positive definite" in stderr
 
 
+def test_cli_solve_diverged_exits_3(tmp_path):
+    # indefinite bands at a small shift: the residual passes 1/eps at sweep 18
+    n = 64
+    t = np.zeros(2 * n - 1)
+    t[n - 1], t[n - 2], t[n] = -1.0, 3.0, 3.0
+    bands = tmp_path / "bands.txt"
+    write_vector(bands, t)
+    code, stdout, stderr = run_cli(["solve", "--bands-file", str(bands),
+                                    "--theta", "0.05"])
+    assert code == 3
+    assert "converged=False iterations=18 " in stdout
+    assert "exceeds 1/eps after sweep 18" in stderr
+
+
 def test_cli_solve_non_finite_bands_exits_2(tmp_path):
     bands = tmp_path / "bands.txt"
     bands.write_text("3\n0\nnan\n0\n")

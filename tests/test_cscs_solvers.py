@@ -229,22 +229,56 @@ def test_non_positive_definite_warns_but_runs():
     assert report.iterations == 5
 
 
-@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
-def test_diverging_solve_stops_at_first_non_finite_residual(backend):
-    # indefinite bands at a small shift: the iterates grow until the
-    # residual overflows, after which every sweep would be NaN
-    n = 64
+def _indefinite_bands(n):
     bands = np.zeros(2 * n - 1)
     bands[n - 1] = -1.0
     bands[n - 2] = bands[n] = 3.0
-    T = toeplitz_from_bands(bands)
+    return bands
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_diverging_solve_stops_at_first_non_finite_residual(backend):
+    # indefinite bands at a small shift and a huge but finite b: the
+    # iterates grow about tenfold a sweep, and the residual norm overflows
+    # at a relative residual near 1e4, long before it could exceed 1/eps
+    n = 64
+    T = toeplitz_from_bands(_indefinite_bands(n))
     with pytest.warns(RuntimeWarning):
-        report = cscs_solve(T, np.ones(n), SolverConfig(theta=0.05, backend=backend))
+        report = cscs_solve(T, np.full(n, 1e150), SolverConfig(theta=0.05, backend=backend))
     assert report.stop_reason == "non_finite" and not report.converged
     assert report.iterations == len(report.residuals) < 500
     assert np.isfinite(report.residuals[:-1]).all()
     assert not np.isfinite(report.residuals[-1])
     assert len(report.warnings) == 3 and "stopped" in report.warnings[-1]
+
+
+def _random_indefinite_bands():
+    rng = np.random.default_rng(1)
+    bands = 0.3 * rng.standard_normal(127)
+    bands[63] = 1.0
+    return bands
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("bands, theta, sweeps", [
+    (_indefinite_bands(64), 0.05, 18),
+    (_random_indefinite_bands(), 3.0, 67),
+])
+def test_diverging_solve_stops_once_the_residual_exceeds_one_over_eps(
+        bands, theta, sweeps, backend):
+    # past ||b - T x|| > ||b|| / eps the rounding in b - T x is as large as
+    # b, so the residual certifies nothing; these ran to 2.5e154 (151
+    # sweeps, overflowing) and 3.8e129 (all 500 sweeps, "max_iters")
+    T = toeplitz_from_bands(bands)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cscs_solve(T, np.ones(T.n), SolverConfig(theta=theta, backend=backend))
+    assert report.stop_reason == "diverged" and not report.converged
+    assert report.iterations == len(report.residuals) == sweeps
+    assert report.residuals[-1] > 1 / np.finfo(np.float64).eps
+    assert (report.residuals[:-1] <= 1 / np.finfo(np.float64).eps).all()
+    assert np.isfinite(report.solution).all()
+    assert "exceeds 1/eps" in report.warnings[-1]
 
 
 def test_stop_reason_names_why_the_solve_stopped():

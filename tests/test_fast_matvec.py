@@ -14,7 +14,7 @@ from cscskit.real_schur import (
 )
 from cscskit.trig_transforms import counting
 from cscskit.structured_matrices import (
-    CirculantCol, SkewCirculantCol, naive_matvec, toeplitz_from_bands,
+    CirculantCol, SkewCirculantCol, cscs_split, naive_matvec, toeplitz_from_bands,
 )
 
 from conftest import random_bands
@@ -235,6 +235,109 @@ def test_each_core_holds_half_the_spectrum(n, rng):
         assert part.spectrum.base is None
         assert not part.spectrum.flags.writeable
 
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 65, 257, 4097])
+def test_each_solve_core_holds_half_the_spectrum(n, rng):
+    # the four cores cscs_solve builds: the from_bands parts and their
+    # shifted inverses, computed on the half spectra
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    op = ToeplitzOperator.from_bands(T)
+    theta = float(T.t(0))
+    for part in (op.circulant_part, op.skew_part):
+        for core in (part, part._shifted_inverse(theta)):
+            assert core.spectrum.dtype == np.complex128
+            assert core.spectrum.nbytes <= (n // 2 + 1) * 16
+            assert core.spectrum.base is None
+            assert not core.spectrum.flags.writeable
+
+
+def _embedded_matvec(T, x):
+    # T x through a 2n circulant embedding with numpy.fft, a test-only oracle
+    n = T.n
+    col = np.concatenate((T.coeffs[n - 1:], [0.0], T.coeffs[:n - 1]))
+    return np.fft.irfft(np.fft.rfft(col) * np.fft.rfft(x, 2 * n), 2 * n)[:n]
+
+
+ODD = [*range(1, 18, 2), 257, 4097]
+# from 2^15 on, numpy multiplies the core product's spectrum temporary in
+# place with the operands swapped, which rounds differently
+EVEN = [*range(2, 17, 2), 256, 4000, 4096, 65536]
+
+
+@pytest.mark.parametrize("n", ODD)
+def test_odd_toeplitz_product_matches_the_oracle(n, rng):
+    # at odd n one complex DFT carries the real DFTs of both sides
+    T = toeplitz_from_bands(random_bands(rng, n))
+    x = rng.standard_normal(n)
+    want = naive_matvec(T, x) if n < 4096 else _embedded_matvec(T, x)
+    got = toeplitz_matvec(ToeplitzOperator.from_bands(T), x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", ODD)
+def test_odd_from_bands_spectra_match_the_separate_builds(n, rng):
+    # one DFT builds both spectra; each matches its own column's to rounding
+    T = toeplitz_from_bands(random_bands(rng, n))
+    c, s = cscs_split(T)
+    op = ToeplitzOperator.from_bands(T)
+    for got, want in ((op.circulant_part, CirculantOperator.from_circulant(c)),
+                      (op.skew_part, CirculantOperator.from_skew_circulant(s))):
+        scale = np.abs(want.spectrum).max()
+        assert np.abs(got.spectrum - want.spectrum).max() <= 1e-14 * scale, got.kind
+        # lambda[0] (circulant) and lambda[m] (skew) are real, exactly
+        assert got.spectrum.imag[0] == 0.0
+        assert got.spectrum.dtype == np.complex128
+        assert got.spectrum.shape == (n // 2 + 1,)
+        assert got.spectrum.base is None
+        assert not got.spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("n", EVEN)
+def test_even_toeplitz_product_and_build_are_the_separate_ones(n, rng):
+    # even n runs each side's own real DFT, as the separate calls do
+    T = toeplitz_from_bands(random_bands(rng, n))
+    c, s = cscs_split(T)
+    op = ToeplitzOperator.from_bands(T)
+    parts = (CirculantOperator.from_circulant(c), CirculantOperator.from_skew_circulant(s))
+    for got, want in zip((op.circulant_part, op.skew_part), parts):
+        assert got.spectrum.tobytes() == want.spectrum.tobytes(), got.kind
+    x = rng.standard_normal(n)
+    want = circulant_matvec(parts[0], x) + skew_circulant_matvec(parts[1], x)
+    assert toeplitz_matvec(op, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 256, 257, 4096, 4097])
+def test_dfts_per_toeplitz_product_and_build(n, monkeypatch, rng):
+    # a product runs two real DFTs forward and two back, a build two
+    # forward: at odd n one complex DFT carries each pair
+    calls = []
+    dft_vector = trig_transforms.dft_vector
+
+    def recording(x):
+        calls.append(len(x))
+        return dft_vector(x)
+
+    monkeypatch.setattr(trig_transforms, "dft_vector", recording)
+    T = toeplitz_from_bands(random_bands(rng, n))
+    op = ToeplitzOperator.from_bands(T)
+    assert len(calls) == (1 if n % 2 else 2)
+    calls.clear()
+    toeplitz_matvec(op, rng.standard_normal(n))
+    assert len(calls) == (2 if n % 2 else 4)
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 256, 257])
+def test_toeplitz_product_counts_both_core_products(n, rng):
+    # the pairing shares DFTs, not basis changes: still two per side
+    op = ToeplitzOperator.from_bands(toeplitz_from_bands(random_bands(rng, n)))
+    x = rng.standard_normal(n)
+    with counting() as want:
+        circulant_matvec(op.circulant_part, x)
+        skew_circulant_matvec(op.skew_part, x)
+    with counting() as got:
+        toeplitz_matvec(op, x)
+    assert got == want
 
 @pytest.mark.parametrize("n", range(1, 18))
 def test_sweep_counts_follow_the_block_rule(n, rng):
