@@ -129,5 +129,5 @@ def dft_vector(x):
 
 def idft_vector(x):
     """Inverse DFT: idft(dft(x)) == x; divides by the length."""
-    x = np.asarray(x, dtype=np.complex128)
+    x = _vector(x, "dft input", finite=False, dtype=np.complex128)
     return np.conj(dft_vector(np.conj(x))) / x.shape[0]

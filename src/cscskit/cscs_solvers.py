@@ -24,15 +24,17 @@ solve (the fail-fast singular-shift check).  No solve builds an X-pattern.
 A backend only maps a core to the product x -> U X U.T x:
 
 * ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
-  core product: one real DFT of x, one complex multiply and one inverse
-  real DFT, which together compute U.T x, the X-pattern product and U.
+  core product, which ``real_schur._product`` computes: one real DFT of
+  x, one complex multiply and one inverse real DFT, which together
+  compute U.T x, the X-pattern product and U.
   A sweep costs six complex DFTs of n/2 points at even n (n points at
   odd n), eight with its stopping test, and counts the six DCTs and six
   DSTs its basis changes compute in a ``counting()`` block for the
   report.  The four cores of a solve hold 4(n//2 + 1) complex values,
-  half the 8n doubles of four X-patterns.  At even n the residual is
-  bitwise ``toeplitz_matvec``; at odd n that product reads both sides
-  off one DFT and agrees with the residual's C x + S x to rounding.
+  half the 8n doubles of four X-patterns.  At every even n the residual
+  is bitwise ``toeplitz_matvec``, which runs the same two core products;
+  at odd n that product reads both sides off one DFT and agrees with the
+  residual's C x + S x to rounding.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
@@ -53,7 +55,8 @@ can reach first); the report's ``stop_reason`` says which, and for
 "diverged" and "non_finite" a warning names the sweep.  Residuals are
 recomputed each sweep with the backend's own products, never recursively
 updated; a nonzero x^(0) costs two more products, C x^(0) and S x^(0),
-for the first one.
+for the first one.  A norm whose squares overflow is rescaled by the
+largest entry, so a finite b of any size solves like b scaled down.
 """
 
 from dataclasses import dataclass, field
@@ -162,10 +165,10 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     # both read it, so a sweep and its test cost four core products
     if x.any():
         sx = s(x)
-        r0 = np.linalg.norm(b - (c(x) + sx))
+        r0 = _norm(b - (c(x) + sx))
     else:
         sx = np.zeros(n)
-        r0 = np.linalg.norm(b)
+        r0 = _norm(b)
     iterates = [x.copy()] if cfg.record_iterates else None
     counts, sizes = ([], set()) if counted else (None, None)
     if r0 == 0.0:
@@ -187,7 +190,7 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
             sizes.update(size for _, size in used)
         if iterates is not None:
             iterates.append(x.copy())
-        rel = np.linalg.norm(b - (c(x) + sx)) / r0
+        rel = _norm(b - (c(x) + sx)) / r0
         residuals.append(rel)
         if rel <= cfg.tol:
             stop = "converged"
@@ -207,6 +210,19 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
             break
     return SolveReport(x, len(residuals), np.array(residuals), stop == "converged",
                        stop, notes, iterates, counts, sizes)
+
+
+def _norm(v):
+    """||v||_2, also for a finite v whose squared entries overflow (about 1e154 up).
+
+    ``np.linalg.norm`` sums the squares, so only an inf it returns for a
+    finite v is recomputed, scaled by max |v|; every other norm is its own.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if np.isinf(norm) and np.isfinite(scale := np.abs(v).max()):
+        norm = scale * np.linalg.norm(v / scale)
+    return norm
 
 
 def _cores(op, theta, real):

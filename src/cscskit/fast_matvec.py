@@ -20,19 +20,25 @@ lambda the eigenvalues in DFT order and m = n // 2:
     S x, odd n:  irdft(lambda[m:] * rdft(s x), n) * s,  s = (-1)^j.
 
 A real DFT of even n is one complex DFT of n/2 points, of odd n one of n
-points (``trig_transforms``).  The map to the half spectrum and back is
-``real_schur``'s one pair, ``_spectrum``/``_from_spectrum``, which every
-basis change runs, and ``from_circulant``/``from_skew_circulant`` build
-an operator from one real DFT of its first column.  Each product counts
-what its two basis changes compute, one DCT and one DST each at the
-block sizes, in ``counting()``, so a sweep still reads six DCTs and six
-DSTs.  The half spectrum is (n//2 + 1) complex values, half the 2n
-doubles of an X-pattern core; ``pattern`` expands it on demand.  A
-Toeplitz product is the sum of the two through the splitting T = C + S,
-and ``from_bands`` builds both spectra.  At even n they cost what the two
-products or builds cost: four complex DFTs of n/2 points a product, two a
+points (``trig_transforms``).  This module holds the operators and checks
+the arguments of their products; ``real_schur`` computes every product,
+as it computes every basis change.  ``real_schur._product`` is the one
+core product: its two basis changes are ``_spectrum``/``_from_spectrum``,
+and it counts them, one DCT and one DST each at the block sizes, in
+``counting()``, so a sweep still reads six DCTs and six DSTs.  Its
+multiply is spectrum * h with the DFT h named, so every product rounds
+alike at every n: numpy rounds spectrum * h and h * spectrum
+differently, and swaps the operands of an unnamed temporary from 256 KiB
+up.  ``from_circulant``/``from_skew_circulant`` build an
+operator from one real DFT of its first column.  The half spectrum is
+(n//2 + 1) complex values, half the 2n doubles of an X-pattern core;
+``pattern`` expands it on demand through ``real_schur._eigenvalues``.  A
+Toeplitz product is the sum of the two through the splitting T = C + S
+(``real_schur._toeplitz_product``), and ``from_bands`` builds both
+spectra.  At even n they cost what the two products or builds cost, one
+side after the other: four complex DFTs of n/2 points a product, two a
 build.  At odd n every one of these real DFTs is of n points, and one
-complex DFT carries two of them (``real_schur._spectra``/``_from_spectra``):
+complex DFT carries two of them (``real_schur._spectra``, ``_irdft_pair``):
 a Toeplitz product costs two complex DFTs of n points, not four, and a
 build one, not two.  The paired product agrees with the sum of the two
 to rounding, and the counts in ``counting()`` are the same.
@@ -46,8 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .real_schur import (
-    XPattern, _column_spectra, _column_spectrum, _count_blocks, _from_spectra, _from_spectrum,
-    _half_spectrum, _inverse_parts, _sine_size, _spectra, _spectral_pair, _spectrum,
+    XPattern, _column_spectra, _column_spectrum, _eigenvalues, _inverse_parts,
+    _pattern_spectrum, _product, _toeplitz_product,
 )
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
@@ -79,10 +85,7 @@ class CirculantOperator:
     def __init__(self, pattern: XPattern):
         if not isinstance(pattern, XPattern):
             raise ValueError(f"CirculantOperator pattern must be an XPattern, got {pattern!r}")
-        n, kind = pattern.n, pattern.pairing
-        k, sine = int(kind == "circulant"), _sine_size(kind, n)
-        self._hold(kind, n, _half_spectrum(kind, n, pattern.diag[:n - sine],
-                                           pattern.anti[k:k + sine]))
+        self._hold(pattern.pairing, pattern.n, _pattern_spectrum(pattern))
 
     def _hold(self, kind, n, spectrum):
         if spectrum.base is not None:  # a view keeps its whole base alive, and writable
@@ -107,7 +110,8 @@ class CirculantOperator:
     @property
     def pattern(self) -> XPattern:
         """The X-pattern core, expanded from the half spectrum."""
-        return _spectral_pair(self.kind, self.n, self.spectrum).expand()
+        lam = _eigenvalues(self.kind, self.n, self.spectrum)
+        return XPattern(self.n, self.kind, lam.real, lam.imag)
 
     @classmethod
     def from_circulant(cls, col) -> "CirculantOperator":
@@ -158,10 +162,7 @@ def _core_product(op, x, kind):
         raise ValueError(f"{kind} product operator must be a CirculantOperator, got {op!r}")
     if op.kind != kind:
         raise ValueError(f"operator holds a {op.kind} spectrum, expected {kind}")
-    n = op.n
-    x = _vector(x, "vector", n, finite=False)
-    _count_blocks(kind, n, 2)  # U.T and U
-    return _from_spectrum(kind, op.spectrum * _spectrum(kind, x), n)
+    return _product(kind, op.spectrum, _vector(x, "vector", op.n, finite=False))
 
 
 def circulant_matvec(op: CirculantOperator, x) -> np.ndarray:
@@ -178,12 +179,5 @@ def toeplitz_matvec(op: ToeplitzOperator, x) -> np.ndarray:
     """T @ x = C @ x + S @ x: at odd n one DFT gives both spectra and one both inverses."""
     if not isinstance(op, ToeplitzOperator):
         raise ValueError(f"toeplitz_matvec operator must be a ToeplitzOperator, got {op!r}")
-    n = op.n
-    if n % 2 == 0:
-        return (circulant_matvec(op.circulant_part, x)
-                + skew_circulant_matvec(op.skew_part, x))
-    x = _vector(x, "vector", n, finite=False)
-    for kind in ("circulant", "skew"):
-        _count_blocks(kind, n, 2)  # U.T and U
-    hc, hs = _spectra(x, x)
-    return _from_spectra(op.circulant_part.spectrum * hc, op.skew_part.spectrum * hs, n)
+    x = _vector(x, "vector", op.n, finite=False)
+    return _toeplitz_product(op.circulant_part.spectrum, op.skew_part.spectrum, x)

@@ -27,10 +27,22 @@ m = n // 2, the half spectrum is conj(lambda[:m+1]) on the circulant
 side (``_rdft(x)``), lambda[0::2] on the skew side at even n (the fold
 ``_folded_dft(x)``) and lambda[m:] at odd n (``_rdft`` of x (-1)^j).
 ``_spectra`` does the same for one circulant and one skew vector at
-once, and at odd n ``_from_spectra`` maps two half spectra back to the
-sum of their vectors: there both sides are real DFTs of n points, so
-one complex DFT carries each pair (``_rdft_pair``/``_irdft_pair``); at
-even n ``_spectra`` runs each side on its own.
+once: at odd n both sides are real DFTs of n points, so one complex DFT
+carries the pair (``_rdft_pair``), and one more maps two half spectra
+back to the sum of their vectors (``_irdft_pair``); at even n
+``_spectra`` runs each side on its own.
+
+Every fast product is computed here, as U @ core @ U.T @ x read right to
+left: ``_product`` is one ``_spectrum``, the multiply by the core's half
+spectrum and one ``_from_spectrum``, and ``_toeplitz_product`` is
+C x + S x, one side after the other at even n and through the pair at
+odd n.  ``fast_matvec`` only checks their arguments.  The multiply is
+always spectrum * h into a new array, with h named so that numpy cannot
+swap the operands in place (``_product``), so every product rounds alike
+at every n.  ``_eigenvalues`` maps a half spectrum to lambda in DFT
+order, its real eigenvalues exactly real, and ``_half_spectrum`` maps
+alphas and betas back: X-patterns, spectral pairs and the ``fft``
+backend read those two maps.
 Everything else is O(n) work around that pair: ``to_core`` (U.T x) and
 ``from_core`` (U y) scale the half spectrum into the core layout and
 back, ``apply_block_transform`` is Q around them, ``real_spectrum``
@@ -73,12 +85,12 @@ product with the inverse pattern.
 basis; it exists for tests and is never called by production paths.
 
 Input contract (checks from ``structured_matrices``): ``XPattern``,
-``real_spectrum``, a shifted solve's theta and ``dense_u_oracle``'s
-size raise ValueError for a bool, a non-number, the
-wrong shape and NaN or Inf.  The products (``apply_q``,
+``real_spectrum``, ``SpectralPair.eigenvalues``/``expand``, a shifted
+solve's theta and ``dense_u_oracle``'s size raise ValueError for a
+bool, a non-number, the wrong shape and NaN or Inf.  The products (``apply_q``,
 ``apply_block_transform``, ``to_core``/``from_core``, ``dtt_apply``,
-``xpattern_apply``, the z of ``xpattern_shifted_solve``) check only the
-shape and pass NaN and Inf through.
+``xpattern_apply``, the z of ``xpattern_shifted_solve``) check the shape
+and the kind (a bool or complex array raises) and pass NaN and Inf through.
 """
 
 from dataclasses import dataclass
@@ -174,6 +186,40 @@ def _from_spectrum(side: str, half, n: int) -> np.ndarray:
     return x
 
 
+def _product(side: str, spectrum, x) -> np.ndarray:
+    """U @ core @ U.T @ x for the core with this half spectrum: one real DFT of x,
+    the multiply and the inverse.  It counts its two basis changes.
+
+    The multiply is spectrum * h with h a named array, at every n: numpy's
+    complex multiply rounds spectrum * h and h * spectrum differently, it
+    runs an unnamed ``spectrum * _spectrum(side, x)`` in place with the
+    operands swapped once the temporary passes 256 KiB (n >= 32768), and
+    its in-place multiply of one-entry arrays rounds like neither.
+    """
+    _count_blocks(side, x.shape[0], 2)  # U.T and U
+    h = _spectrum(side, x)
+    return _from_spectrum(side, spectrum * h, x.shape[0])
+
+
+def _toeplitz_product(cspectrum, sspectrum, x) -> np.ndarray:
+    """C @ x + S @ x for the circulant and skew cores with these half spectra.
+
+    At even n each side runs its own ``_product``, one after the other:
+    both spectra held before either inverse double the working set, and
+    timed slower at n = 65536.  At odd n one complex DFT gives both spectra
+    (``_spectra``) and one inverts both (``_irdft_pair``, the skew vector
+    then alternated back); the counts are the same.
+    """
+    n = x.shape[0]
+    if n % 2 == 0:
+        return _product("circulant", cspectrum, x) + _product("skew", sspectrum, x)
+    for side in ("circulant", "skew"):
+        _count_blocks(side, n, 2)  # U.T and U
+    hc, hs = _spectra(x, x)
+    xc, xs = _irdft_pair(cspectrum * hc, sspectrum * hs, n)
+    return xc + _alternated(xs)
+
+
 def _spectra(xc, xs):
     """(circulant half spectrum of xc, skew half spectrum of xs), xc and xs of one length.
 
@@ -183,15 +229,6 @@ def _spectra(xc, xs):
     if xc.shape[0] % 2 == 0:
         return _spectrum("circulant", xc), _spectrum("skew", xs)
     return _rdft_pair(xc, _alternated(xs))
-
-
-def _from_spectra(hc, hs, n: int) -> np.ndarray:
-    """The sum of the x with circulant half spectrum hc and the y with skew half
-    spectrum hs, n odd: one complex DFT inverts both (``_irdft_pair``)."""
-    x, y = _irdft_pair(hc, hs, n)
-    y[1::2] *= -1.0
-    x += y
-    return x
 
 
 def _column_spectra(c, s):
@@ -223,7 +260,7 @@ def _real_entries(side: str, n: int, half) -> np.ndarray:
 
 
 def _half_spectrum(side, n, alphas, betas):
-    """The half spectrum that a SpectralPair's alphas and betas hold."""
+    """The half spectrum whose eigenvalues have these alphas and betas (``SpectralPair``)."""
     m = n // 2
     if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
         half = alphas.astype(np.complex128)
@@ -238,15 +275,30 @@ def _half_spectrum(side, n, alphas, betas):
     return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
 
 
+def _pattern_spectrum(X) -> np.ndarray:
+    """The half spectrum of an X-pattern core, read from its alphas and betas."""
+    k, sine = int(X.pairing == "circulant"), _sine_size(X.pairing, X.n)
+    return _half_spectrum(X.pairing, X.n, X.diag[:X.n - sine], X.anti[k:k + sine])
+
+
 def _eigenvalues(side, n, half):
     """lambda in DFT order from a half spectrum, by lambda[n-j] (circulant) or
-    lambda[n-1-j] (skew) = conj(lambda[j]): O(n) indexing, no DFT."""
+    lambda[n-1-j] (skew) = conj(lambda[j]): O(n) indexing, no DFT.
+
+    The real eigenvalues, lambda[0] and lambda[n/2] at even n (circulant)
+    and lambda[(n-1)/2] at odd n (skew), get an imaginary part of exactly
+    +0.0, which conj and a shifted inverse's -im/det would leave at -0.0:
+    ``_real_entries`` sets them in the entries that hold the half spectrum.
+    """
     if side == "circulant":  # conj(lambda[:m+1]), then lambda[m+1:]
-        return np.concatenate((np.conj(half), half[(n - 1) // 2:0:-1]))
-    if n % 2:  # lambda[:m], then lambda[m:]
-        return np.concatenate((np.conj(half[:0:-1]), half))
-    # lambda[0::2] = half, lambda[1::2] = conj(half[::-1])
-    return np.column_stack((half, np.conj(half[::-1]))).ravel()
+        lam = np.concatenate((np.conj(half), half[(n - 1) // 2:0:-1]))
+        _real_entries(side, n, lam[:n // 2 + 1])
+    elif n % 2:  # lambda[:m], then lambda[m:]
+        lam = np.concatenate((np.conj(half[:0:-1]), half))
+        _real_entries(side, n, lam[n // 2:])
+    else:  # lambda[0::2] = half, lambda[1::2] = conj(half[::-1]); none is real
+        return np.column_stack((half, np.conj(half[::-1]))).ravel()
+    return lam
 
 
 def _spectral_pair(side, n, half):
@@ -388,7 +440,8 @@ class SpectralPair:
     alpha[0..m] with betas for the strictly interior pairs; skew keeps
     alpha[0..m-1] (plus the real middle eigenvalue when n is odd) and
     one beta per pair.  A record of ``real_spectrum``'s output: its
-    numbers are checked when ``expand`` builds the XPattern.
+    numbers and lengths are checked when ``eigenvalues`` (and so
+    ``expand``) reads them.
     """
 
     alphas: np.ndarray
@@ -403,21 +456,19 @@ class SpectralPair:
 
     def expand(self) -> XPattern:
         """Lossless expansion to the full-length X-pattern core."""
-        n, hs, s = self.n, self.alphas.shape[0], self.betas.shape[0]
-        # circulant pairs start after the fixed point 0, skew pairs at 0;
-        # the reflection fills the partners: diag past hs, the last s of anti
-        k = int(self.kind == "circulant")
-        diag, anti = np.zeros(n), np.zeros(n)
-        diag[:hs] = self.alphas
-        diag[hs:] = _reflect(self.kind, diag)[hs:]
-        anti[k:k + s] = self.betas
-        anti[n - s:] = -_reflect(self.kind, anti)[n - s:]
-        return XPattern(n, self.kind, diag, anti)
+        lam = self.eigenvalues()
+        return XPattern(self.n, self.kind, lam.real, lam.imag)
 
     def eigenvalues(self) -> np.ndarray:
-        """Full complex eigenvalue multiset (conjugate pairs restored)."""
-        x = self.expand()
-        return x.diag + 1j * x.anti  # anti is zero at the fixed points
+        """Full complex eigenvalue multiset (conjugate pairs restored), in DFT order.
+
+        Raises ValueError for an unknown kind, and for alphas and betas that
+        are not finite or not of the lengths the layout fixes for their n.
+        """
+        n, sine = _size(self.n, "SpectralPair size n"), _sine_size(self.kind, self.n)
+        alphas = _vector(self.alphas, "SpectralPair alphas", n - sine)
+        betas = _vector(self.betas, "SpectralPair betas", sine)
+        return _eigenvalues(self.kind, n, _half_spectrum(self.kind, n, alphas, betas))
 
 
 def real_spectrum(kind: str, col) -> SpectralPair:

@@ -26,7 +26,9 @@ a bool, a non-number, the wrong shape or type and NaN or Inf.  Value
 objects check themselves when built and hold read-only float64 copies
 of their arrays.
 The linear products (transforms, core products, matvecs, ``dft``) check
-only the shape and pass NaN and Inf through, as IEEE arithmetic does: a
+the shape and that the values are numbers (a bool or a complex array
+raises, except a complex one for ``dft``), and pass NaN and Inf through,
+as IEEE arithmetic does: a
 sweep and its stopping test make 12 checked calls, and a finiteness
 test in each would add about a tenth to them at n = 256 (1.5 us each,
 on a 2-core x86-64 host).
@@ -75,21 +77,24 @@ def _instance(value, kinds, what):
 def _vector(values, what, n=None, finite=True, dtype=np.float64):
     """``values`` as a 1-d array of length ``n``, or nonempty when n is None.
 
-    With ``finite`` the values must be real numbers (not bools, strings or
-    complex values, which numpy would convert) and finite, and the result
-    is a read-only float64 copy.  Without it only the shape is checked,
-    and the result may be ``values`` itself, converted to ``dtype``.
-    Raises ValueError for anything else.
+    The values must be numbers: integers or reals, and complex values
+    only for a complex ``dtype``; numpy would convert a bool or a string
+    silently, and a complex value to its real part with only a
+    ComplexWarning.  With
+    ``finite`` they must be real, not bools even in a list, and finite,
+    and the result is a read-only float64 copy.  Without it only the kind
+    and the shape are checked, and the result may be ``values`` itself,
+    converted to ``dtype``.  Raises ValueError for anything else.
     """
     try:
-        v = np.asarray(values) if finite else np.asarray(values, dtype=dtype)
+        v = np.asarray(values)
     except (TypeError, ValueError):
         v = None
-    if finite and v is not None:
+    if v is not None:
         # numpy reads [True, 2.0] as the float64 vector [1.0, 2.0]
-        mixed = isinstance(values, (list, tuple)) and any(
+        mixed = finite and isinstance(values, (list, tuple)) and any(
             isinstance(x, (bool, np.bool_)) for x in values)
-        if mixed or v.dtype.kind not in "iuf":
+        if mixed or v.dtype.kind not in ("iufc" if dtype is np.complex128 else "iuf"):
             v = None
     if v is None:
         raise ValueError(f"{what} must be a list of numbers, got {values!r}")
@@ -98,7 +103,7 @@ def _vector(values, what, n=None, finite=True, dtype=np.float64):
     if n is None and (v.ndim != 1 or v.shape[0] < 1):
         raise ValueError(f"expected a non-empty vector for {what}, got shape {v.shape}")
     if not finite:
-        return v
+        return v.astype(dtype, copy=False)
     if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite (got NaN or Inf)")
     v = v.astype(np.float64)

@@ -238,15 +238,15 @@ def _indefinite_bands(n):
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])
 def test_diverging_solve_stops_at_first_non_finite_residual(backend):
-    # indefinite bands at a small shift and a huge but finite b: the
-    # iterates grow about tenfold a sweep, and the residual norm overflows
-    # at a relative residual near 1e4, long before it could exceed 1/eps
+    # indefinite bands at a small shift and a b near the largest double:
+    # the iterates grow about tenfold a sweep and overflow at sweep 8, long
+    # before the relative residual could exceed 1/eps
     n = 64
     T = toeplitz_from_bands(_indefinite_bands(n))
     with pytest.warns(RuntimeWarning):
-        report = cscs_solve(T, np.full(n, 1e150), SolverConfig(theta=0.05, backend=backend))
+        report = cscs_solve(T, np.full(n, 1e300), SolverConfig(theta=0.05, backend=backend))
     assert report.stop_reason == "non_finite" and not report.converged
-    assert report.iterations == len(report.residuals) < 500
+    assert report.iterations == len(report.residuals) == 8
     assert np.isfinite(report.residuals[:-1]).all()
     assert not np.isfinite(report.residuals[-1])
     assert len(report.warnings) == 3 and "stopped" in report.warnings[-1]
@@ -279,6 +279,21 @@ def test_diverging_solve_stops_once_the_residual_exceeds_one_over_eps(
     assert (report.residuals[:-1] <= 1 / np.finfo(np.float64).eps).all()
     assert np.isfinite(report.solution).all()
     assert "exceeds 1/eps" in report.warnings[-1]
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_a_right_hand_side_whose_norm_squared_overflows_converges(backend):
+    # ||b||^2 overflows from about 1e154 an entry; the residual norms
+    # overflowed to inf, and the solve stopped as "non_finite" after sweep 1
+    T = gen_coeffs(ProblemSpec("ex1", 64, 0.9))
+    cfg = SolverConfig(theta=1.5, backend=backend)
+    want = cscs_solve(T, np.ones(64), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cscs_solve(T, np.full(64, 1e160), cfg)
+    assert report.converged and report.iterations == want.iterations == 21
+    assert np.allclose(report.residuals, want.residuals, rtol=1e-12, atol=1e-15)
+    assert np.allclose(report.solution / 1e160, want.solution, rtol=1e-13, atol=0.0)
 
 
 def test_stop_reason_names_why_the_solve_stopped():

@@ -10,7 +10,8 @@ from cscskit.fast_matvec import (
     skew_circulant_matvec, toeplitz_matvec,
 )
 from cscskit.real_schur import (
-    XPattern, _shifted_inverse, apply_block_transform, from_core, real_spectrum, to_core,
+    XPattern, _eigenvalues, _from_spectrum, _shifted_inverse, _spectrum,
+    apply_block_transform, from_core, real_spectrum, to_core,
 )
 from cscskit.trig_transforms import counting
 from cscskit.structured_matrices import (
@@ -260,9 +261,45 @@ def _embedded_matvec(T, x):
 
 
 ODD = [*range(1, 18, 2), 257, 4097]
-# from 2^15 on, numpy multiplies the core product's spectrum temporary in
-# place with the operands swapped, which rounds differently
 EVEN = [*range(2, 17, 2), 256, 4000, 4096, 65536]
+
+
+@pytest.mark.parametrize("n", [1, 2, 32768, 65536])
+def test_products_multiply_spectrum_times_h_at_every_n(n, rng):
+    # from 2^15 on numpy ran the unnamed spectrum * _spectrum(x) in place
+    # as h * spectrum, which rounds differently, and its in-place multiply
+    # of one-entry arrays (n = 1, 2) rounds like neither; the products
+    # round as the multiply with a named half spectrum does at every n
+    op = ToeplitzOperator.from_bands(toeplitz_from_bands(random_bands(rng, n)))
+    for x in rng.standard_normal((8 if n < 3 else 1, n)):
+        want = {}
+        for part in (op.circulant_part, op.skew_part):
+            h = _spectrum(part.kind, x)
+            want[part.kind] = _from_spectrum(part.kind, part.spectrum * h, n)
+        got = {"circulant": circulant_matvec(op.circulant_part, x),
+               "skew": skew_circulant_matvec(op.skew_part, x)}
+        for kind in ("circulant", "skew"):
+            assert got[kind].tobytes() == want[kind].tobytes(), kind
+        if n % 2 == 0:  # odd n pairs the sides in one DFT
+            assert (toeplitz_matvec(op, x).tobytes()
+                    == (want["circulant"] + want["skew"]).tobytes())
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 64, 65, 257])
+def test_real_eigenvalues_are_exactly_real(n, rng):
+    # conj and a shifted inverse's -im/det left -0.0 as the imaginary part
+    # of a self-conjugate eigenvalue; lambda and the pattern read +0.0
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    op = ToeplitzOperator.from_bands(T)
+    theta = float(T.t(0))
+    for part in (op.circulant_part, op.skew_part):
+        for core in (part, part._shifted_inverse(theta)):
+            X = core.pattern
+            fixed = X.partner == np.arange(n)
+            assert fixed.any() == (core.kind == "circulant" or n % 2 == 1)
+            lam = _eigenvalues(core.kind, n, core.spectrum)
+            for imag in (X.anti[fixed], lam.imag[fixed]):
+                assert (imag == 0.0).all() and not np.signbit(imag).any(), core.kind
 
 
 @pytest.mark.parametrize("n", ODD)

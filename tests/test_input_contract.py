@@ -41,12 +41,15 @@ _NUMBER = {"nan": NAN, "+inf": INF, "-inf": -INF, "bool": True, "ndim": np.array
 _POSITIVE = {**_NUMBER, "zero": 0.0, "negative": -1.0}
 
 
-def _vectors(n=N, owned=False, any_length=False):
+def _vectors(n=N, owned=False, any_length=False, complex_ok=False):
     """Bad values for a vector argument of length n.
 
-    A vector that is kept or solved with (``owned``) also rejects the
-    bools and complex values that numpy would convert to float64 without
-    a word.
+    Every vector rejects a bool array, and a complex one, with a zero or
+    a nonzero imaginary part, unless complex is its declared dtype
+    (``complex_ok``): numpy would convert them to float64 without a word,
+    or with only a ComplexWarning, keeping the real part.  A vector that
+    is kept or solved with (``owned``) also rejects a list of bools, even
+    mixed with numbers.
     """
     def holding(value):
         v = np.ones(n)
@@ -55,12 +58,13 @@ def _vectors(n=N, owned=False, any_length=False):
 
     bad = {"nan": holding(NAN), "+inf": holding(INF), "-inf": holding(-INF),
            "bool": True, "ndim": np.ones((n, 1)), "empty": np.ones(0),
-           "non-number": ["x"] * n}
+           "non-number": ["x"] * n, "bool-array": np.ones(n, dtype=bool)}
+    if not complex_ok:
+        bad.update(complex=np.ones(n, dtype=complex), **{"complex-imag": np.ones(n) * (1 + 1j)})
     if not any_length:
         bad["length"] = np.ones(n + 1)
     if owned:
-        bad.update(bools=[True] * n, complex=np.ones(n, dtype=complex),
-                   **{"mixed-bool": [True] + [1.0] * (n - 1)})
+        bad.update(bools=[True] * n, **{"mixed-bool": [True] + [1.0] * (n - 1)})
     return bad
 
 
@@ -129,8 +133,9 @@ ROWS = {
          lambda v: cscs_solve(_T, _ONES, v), False),
     ],
     "dft": [
-        ("x", _vectors(any_length=True), dft, True),
-        ("x, inverse", _vectors(any_length=True), lambda v: dft(v, inverse=True), True),
+        ("x", _vectors(any_length=True, complex_ok=True), dft, True),
+        ("x, inverse", _vectors(any_length=True, complex_ok=True),
+         lambda v: dft(v, inverse=True), True),
     ],
     "iteration_matrix_rho": [
         ("T", _NOT_BANDS, lambda v: iteration_matrix_rho(v, 1.0), False),

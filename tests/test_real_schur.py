@@ -205,6 +205,46 @@ def test_eigenvalue_multiset_matches_dense(n, rng):
         assert np.abs(ours - dense).max() < 1e-10 * max(1, np.abs(dense).max())
 
 
+def test_eigenvalues_build_no_x_pattern(monkeypatch, rng):
+    # eigenvalues() expanded a whole XPattern to read diag + 1j * anti;
+    # it reads the half spectrum's conjugate symmetry, and expand() is
+    # the pattern of the same lambda
+    built = []
+    init = real_schur.XPattern.__post_init__
+    monkeypatch.setattr(real_schur.XPattern, "__post_init__",
+                        lambda X: built.append(X.n) or init(X))
+    for n in [*range(1, 10), 64, 65]:
+        for kind in ("circulant", "skew"):
+            pair = real_spectrum(kind, rng.standard_normal(n))
+            lam = pair.eigenvalues()
+            assert built == [], (kind, n)
+            X = pair.expand()
+            assert built == [n]
+            built.clear()
+            assert lam.real.tobytes() == X.diag.tobytes()
+            assert lam.imag.tobytes() == X.anti.tobytes()
+    pair = real_spectrum("skew", rng.standard_normal(4))
+    with pytest.raises(ValueError, match="unknown side"):
+        real_schur.SpectralPair(pair.alphas, pair.betas, "toeplitz").eigenvalues()
+
+
+@pytest.mark.parametrize("alphas, betas, kind, match", [
+    # n = 6 holds 4 circulant alphas and 2 betas, 3 skew alphas and 3 betas
+    (np.arange(5.0), np.ones(1), "circulant", "alphas must have shape"),
+    (np.arange(2.0), np.ones(4), "skew", "alphas must have shape"),
+    (np.array([1.0, np.nan, 2.0, 3.0]), np.ones(2), "circulant", "finite"),
+    (np.ones(3), np.array([1.0, np.inf, 0.0]), "skew", "finite"),
+    (np.ones(4), np.ones(2, dtype=complex), "circulant", "list of numbers"),
+    (np.ones(0), np.ones(0), "skew", "size n must be >= 1"),
+])
+def test_malformed_spectral_pair_raises(alphas, betas, kind, match):
+    # eigenvalues() and expand() check what an XPattern checked for them
+    pair = real_schur.SpectralPair(alphas, betas, kind)
+    for read in (pair.eigenvalues, pair.expand):
+        with pytest.raises(ValueError, match=match):
+            read()
+
+
 @pytest.mark.parametrize("n", range(2, 34))
 def test_reconstruction_both_kinds(n, rng):
     for kind, maker in (("circulant", CirculantCol), ("skew", SkewCirculantCol)):
