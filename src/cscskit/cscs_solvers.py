@@ -14,7 +14,8 @@ With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
 
 three core products, the last of them S x^(k+1).  Its stopping test
 uses T x = C x + S x and the next sweep's u reads the same S x, so a
-sweep and its test cost four core products.  Each of the four
+sweep and its test cost four core products, and a backend gives the last
+two, (C x, S x), from one call.  Each of the four
 operators is U X U.T for an X-pattern core X held as its half spectrum:
 Omega and Sigma of ``ToeplitzOperator.from_bands`` (which also give the
 positive-definiteness warnings), and the inverses of theta I + Omega and
@@ -26,15 +27,17 @@ A backend only maps a core to the product x -> U X U.T x:
 * ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
   core product, which ``real_schur._product`` computes: one real DFT of
   x, one complex multiply and one inverse real DFT, which together
-  compute U.T x, the X-pattern product and U.
-  A sweep costs six complex DFTs of n/2 points at even n (n points at
-  odd n), eight with its stopping test, and counts the six DCTs and six
-  DSTs its basis changes compute in a ``counting()`` block for the
-  report.  The four cores of a solve hold 4(n//2 + 1) complex values,
-  half the 8n doubles of four X-patterns.  At every even n the residual
-  is bitwise ``toeplitz_matvec``, which runs the same two core products;
-  at odd n that product reads both sides off one DFT and agrees with the
-  residual's C x + S x to rounding.
+  compute U.T x, the X-pattern product and U.  (C x, S x) is
+  ``real_schur._products``: at even n two such products, at odd n, where
+  each real DFT is one of n points, one complex DFT that gives both
+  spectra and one that inverts both.  A sweep with its stopping test
+  costs eight complex DFTs of n/2 points at even n and six of n points
+  at odd n.  The sweep counts the six DCTs and six DSTs of its three
+  products' basis changes in a ``counting()`` block for the report: the
+  pair counts those of S x, and C x is its stopping test's.  The four
+  cores of a solve hold 4(n//2 + 1) complex values, half the 8n doubles
+  of four X-patterns.  The residual's C x + S x is bitwise
+  ``toeplitz_matvec`` at every n, which runs the same pair.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
@@ -55,8 +58,9 @@ can reach first); the report's ``stop_reason`` says which, and for
 "diverged" and "non_finite" a warning names the sweep.  Residuals are
 recomputed each sweep with the backend's own products, never recursively
 updated; a nonzero x^(0) costs two more products, C x^(0) and S x^(0),
-for the first one.  A norm whose squares overflow is rescaled by the
-largest entry, so a finite b of any size solves like b scaled down.
+for the first one, each on its own.  A norm whose squares overflow is
+rescaled by the largest entry, so a finite b of any size solves like b
+scaled down.
 """
 
 from dataclasses import dataclass, field
@@ -65,7 +69,7 @@ import numpy as np
 
 from . import _dft
 from .fast_matvec import ToeplitzOperator, _core_product
-from .real_schur import SingularShiftError, _eigenvalues
+from .real_schur import SingularShiftError, _count_blocks, _eigenvalues, _products
 from .structured_matrices import (
     ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
@@ -160,10 +164,13 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
-    c, s, c_inv, s_inv = _cores(op, theta, counted)
+    c, s, c_inv, s_inv, products = _cores(op, theta, counted)
     # S x is a sweep's last product: its stopping test and the next sweep
-    # both read it, so a sweep and its test cost four core products
+    # both read it, so a sweep and its test cost four core products, the
+    # last two, (C x, S x), from one call
     if x.any():
+        # each on its own: the first sweep from x0 is then the sweep of the
+        # public products, bit for bit
         sx = s(x)
         r0 = _norm(b - (c(x) + sx))
     else:
@@ -183,14 +190,14 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
             # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I
             v = 2 * theta * c_inv(u) - u + b
             x = s_inv(v)
-            sx = s(x)
+            cx, sx = products(x)
         if counted:
             dct = sum(k for (flavor, _), k in used.items() if flavor is Flavor.COSINE)
             counts.append((dct, used.total() - dct))
             sizes.update(size for _, size in used)
         if iterates is not None:
             iterates.append(x.copy())
-        rel = _norm(b - (c(x) + sx)) / r0
+        rel = _norm(b - (cx + sx)) / r0
         residuals.append(rel)
         if rel <= cfg.tol:
             stop = "converged"
@@ -226,15 +233,22 @@ def _norm(v):
 
 
 def _cores(op, theta, real):
-    """Products with C, S, (theta I + C)^-1 and (theta I + S)^-1 for one solve.
+    """Products with C, S, (theta I + C)^-1 and (theta I + S)^-1, and v -> (C v, S v).
 
     The inverses are computed on the half spectra of C and S, so a
-    singular shift raises before the first sweep.
+    singular shift raises before the first sweep.  The ``dct_dst`` pair
+    is ``real_schur._products``: at odd n one complex DFT each way gives
+    both.  It counts the two basis changes of S v, the sweep's last
+    product; C v is its stopping test's and counts nothing.
     """
     parts = (op.circulant_part, op.skew_part)
     parts += tuple(part._shifted_inverse(theta) for part in parts)
     if real:
-        return tuple((lambda v, p=p: _core_product(p, v, p.kind)) for p in parts)
+        def products(v):
+            _count_blocks("skew", op.n, 2)  # U.T and U of S v
+            return _products(op.circulant_part.spectrum, op.skew_part.spectrum, v)
+
+        return (*((lambda v, p=p: _core_product(p, v, p.kind)) for p in parts), products)
     # Ftilde = D F^*: the skew side runs the circulant product on the
     # D-modulated vector
     n = op.n
@@ -248,7 +262,8 @@ def _cores(op, theta, real):
             return lambda v: dft(lam * dft(v, inverse=True)).real.copy()
         return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real.copy()
 
-    return tuple(map(core, parts))
+    c, s, c_inv, s_inv = map(core, parts)
+    return c, s, c_inv, s_inv, lambda v: (c(v), s(v))
 
 
 def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:

@@ -34,14 +34,17 @@ operator from one real DFT of its first column.  The half spectrum is
 (n//2 + 1) complex values, half the 2n doubles of an X-pattern core;
 ``pattern`` expands it on demand through ``real_schur._eigenvalues``.  A
 Toeplitz product is the sum of the two through the splitting T = C + S
-(``real_schur._toeplitz_product``), and ``from_bands`` builds both
+(``real_schur._toeplitz_product``, the sum of the pair that
+``real_schur._products`` gives), and ``from_bands`` builds both
 spectra.  At even n they cost what the two products or builds cost, one
 side after the other: four complex DFTs of n/2 points a product, two a
 build.  At odd n every one of these real DFTs is of n points, and one
 complex DFT carries two of them (``real_schur._spectra``, ``_irdft_pair``):
 a Toeplitz product costs two complex DFTs of n points, not four, and a
 build one, not two.  The paired product agrees with the sum of the two
-to rounding, and the counts in ``counting()`` are the same.
+to rounding, and the counts in ``counting()`` are the same.  The CSCS
+sweep runs the same pair for its last product and its stopping test, so
+at odd n a sweep and its test cost six complex DFTs of n points.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.

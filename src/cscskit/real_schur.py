@@ -34,21 +34,26 @@ back to the sum of their vectors (``_irdft_pair``); at even n
 
 Every fast product is computed here, as U @ core @ U.T @ x read right to
 left: ``_product`` is one ``_spectrum``, the multiply by the core's half
-spectrum and one ``_from_spectrum``, and ``_toeplitz_product`` is
-C x + S x, one side after the other at even n and through the pair at
-odd n.  ``fast_matvec`` only checks their arguments.  The multiply is
-always spectrum * h into a new array, with h named so that numpy cannot
-swap the operands in place (``_product``), so every product rounds alike
-at every n.  ``_eigenvalues`` maps a half spectrum to lambda in DFT
-order, its real eigenvalues exactly real, and ``_half_spectrum`` maps
-alphas and betas back: X-patterns, spectral pairs and the ``fft``
-backend read those two maps.
-Everything else is O(n) work around that pair: ``to_core`` (U.T x) and
-``from_core`` (U y) scale the half spectrum into the core layout and
-back, ``apply_block_transform`` is Q around them, ``real_spectrum``
-reads a column's eigenvalues off one real DFT, and ``dtt_apply`` is one
-block of the factor at n = L, the DFT embedding length of the
-``trig_transforms`` table.  A basis change counts the DCT and the DST
+spectrum and one ``_from_spectrum``, and ``_products`` is (C x, S x),
+one side after the other at even n and through the pair at odd n, where
+it costs two complex DFTs of n points instead of four.
+``_toeplitz_product`` is their sum, and the CSCS sweep ends with the pair
+(S x_new for the next sweep, C x_new for its stopping test).
+``_product`` and ``_toeplitz_product`` count their basis changes and run
+the uncounted kernels ``_side_product`` and ``_products``; ``fast_matvec``
+only checks their arguments.  The multiply is always spectrum * h into a
+new array, with h named so that numpy cannot swap the operands in place
+(``_side_product``), so every product rounds alike at every n.
+``_eigenvalues`` maps a half spectrum to lambda in DFT order, its real
+eigenvalues exactly real, and ``_half_spectrum`` maps alphas and betas
+back: X-patterns, spectral pairs and the ``fft`` backend read those two
+maps.
+Everything else is O(n) work around ``_spectrum`` and ``_from_spectrum``:
+``to_core`` (U.T x) and ``from_core`` (U y) scale the half spectrum into
+the core layout and back, ``apply_block_transform`` is Q around them,
+``real_spectrum`` reads a column's eigenvalues off one real DFT, and
+``dtt_apply`` is one block of the factor at n = L, the DFT embedding
+length of the ``trig_transforms`` table.  A basis change counts the DCT and the DST
 it computes.  The layout follows from the sine-block size, (n-1)//2 on
 the circulant side and n//2 on the skew side (``_sine_size``): the
 cosine block holds the other entries, and the transform families are
@@ -188,7 +193,13 @@ def _from_spectrum(side: str, half, n: int) -> np.ndarray:
 
 def _product(side: str, spectrum, x) -> np.ndarray:
     """U @ core @ U.T @ x for the core with this half spectrum: one real DFT of x,
-    the multiply and the inverse.  It counts its two basis changes.
+    the multiply and the inverse.  It counts its two basis changes."""
+    _count_blocks(side, x.shape[0], 2)  # U.T and U
+    return _side_product(side, spectrum, x)
+
+
+def _side_product(side: str, spectrum, x) -> np.ndarray:
+    """``_product`` without its count.
 
     The multiply is spectrum * h with h a named array, at every n: numpy's
     complex multiply rounds spectrum * h and h * spectrum differently, it
@@ -196,7 +207,6 @@ def _product(side: str, spectrum, x) -> np.ndarray:
     operands swapped once the temporary passes 256 KiB (n >= 32768), and
     its in-place multiply of one-entry arrays rounds like neither.
     """
-    _count_blocks(side, x.shape[0], 2)  # U.T and U
     h = _spectrum(side, x)
     return _from_spectrum(side, spectrum * h, x.shape[0])
 
@@ -204,20 +214,30 @@ def _product(side: str, spectrum, x) -> np.ndarray:
 def _toeplitz_product(cspectrum, sspectrum, x) -> np.ndarray:
     """C @ x + S @ x for the circulant and skew cores with these half spectra.
 
-    At even n each side runs its own ``_product``, one after the other:
-    both spectra held before either inverse double the working set, and
-    timed slower at n = 65536.  At odd n one complex DFT gives both spectra
-    (``_spectra``) and one inverts both (``_irdft_pair``, the skew vector
-    then alternated back); the counts are the same.
+    It counts two basis changes a side, as two ``_product`` calls do, and
+    adds the pair of ``_products``.
+    """
+    for side in ("circulant", "skew"):
+        _count_blocks(side, x.shape[0], 2)  # U.T and U
+    cx, sx = _products(cspectrum, sspectrum, x)
+    return cx + sx
+
+
+def _products(cspectrum, sspectrum, x):
+    """(C @ x, S @ x) for the circulant and skew cores with these half spectra.
+
+    It counts nothing.  At even n each side runs its own ``_side_product``,
+    one after the other: both spectra held before either inverse double
+    the working set, and timed slower at n = 65536.  At odd n one complex
+    DFT gives both spectra (``_spectra``) and one inverts both
+    (``_irdft_pair``, the skew vector then alternated back).
     """
     n = x.shape[0]
     if n % 2 == 0:
-        return _product("circulant", cspectrum, x) + _product("skew", sspectrum, x)
-    for side in ("circulant", "skew"):
-        _count_blocks(side, n, 2)  # U.T and U
+        return _side_product("circulant", cspectrum, x), _side_product("skew", sspectrum, x)
     hc, hs = _spectra(x, x)
     xc, xs = _irdft_pair(cspectrum * hc, sspectrum * hs, n)
-    return xc + _alternated(xs)
+    return xc, _alternated(xs)
 
 
 def _spectra(xc, xs):

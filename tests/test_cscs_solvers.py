@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cscskit import _dft, cscs_solvers, real_schur
+from cscskit import _dft, cscs_solvers, real_schur, trig_transforms
 from cscskit.bench_cli import ProblemSpec, gen_coeffs
 from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
@@ -17,6 +17,7 @@ from cscskit.cscs_solvers import (
 )
 from cscskit.fast_matvec import (
     CirculantOperator, ToeplitzOperator, circulant_matvec, skew_circulant_matvec,
+    toeplitz_matvec,
 )
 from cscskit.real_schur import (
     SingularShiftError, XPattern, _shifted_inverse, from_core, to_core,
@@ -25,6 +26,7 @@ from cscskit.real_schur import (
 from cscskit.structured_matrices import (
     cscs_split, dense_of, naive_matvec, toeplitz_from_bands,
 )
+from cscskit.trig_transforms import Flavor, counting
 
 from conftest import random_bands
 
@@ -351,18 +353,19 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
 def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backend, start):
     # a sweep's last product is S x_new, which its stopping test and the
     # next sweep both read: 4 core products a sweep, plus C x0 and S x0
-    # for the first residual from a nonzero x0
+    # for the first residual from a nonzero x0; dct_dst runs S x_new and
+    # the test's C x_new as one pair
     calls = []
     if backend == "dct_dst":
-        real = cscs_solvers._core_product
+        core, pair = cscs_solvers._core_product, cscs_solvers._products
         monkeypatch.setattr(cscs_solvers, "_core_product",
-                            lambda op, v, kind: calls.append(kind) or real(op, v, kind))
-        per_product = 1
+                            lambda op, v, kind: calls.append("core") or core(op, v, kind))
+        monkeypatch.setattr(cscs_solvers, "_products",
+                            lambda cs, ss, v: calls.append("pair") or pair(cs, ss, v))
     else:
         real = cscs_solvers.dft
         monkeypatch.setattr(cscs_solvers, "dft",
                             lambda v, inverse=False: calls.append(inverse) or real(v, inverse))
-        per_product = 2
     n = 32
     T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
     x0 = None if start == "zero" else np.random.default_rng(n).uniform(-1, 1, n)
@@ -371,17 +374,22 @@ def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backe
         report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, tol=1e-300, max_iters=k,
                                                         x0=x0, backend=backend))
         assert report.iterations == k
-        assert len(calls) == per_product * (4 * k + (0 if x0 is None else 2))
+        if backend == "dct_dst":
+            assert calls.count("pair") == k
+            assert calls.count("core") == 2 * k + (0 if x0 is None else 2)
+        else:
+            assert len(calls) == 2 * (4 * k + (0 if x0 is None else 2))
 
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])
 @pytest.mark.parametrize("n", [*range(1, 10), 64, 65, 256, 257])
 def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     # reusing the stopping test's S x_new in the next sweep changes no bit:
-    # this loop recomputes S x at the top of each sweep and for each
-    # residual T x = C x + S x; dct_dst runs it with the public operators
-    # and fft with the products of the X-patterns and their inverses, so
-    # both also pin the solve's half-spectrum cores to the pattern route
+    # this loop recomputes S x at the top of each sweep and (C x, S x) for
+    # each residual; dct_dst runs it with the public operators and the
+    # pair of real_schur._products, and fft with the products of the
+    # X-patterns and their inverses, so both also pin the solve's
+    # half-spectrum cores to the pattern route
     rng = np.random.default_rng(3000 + n)
     T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
     b = rng.standard_normal(n)
@@ -394,28 +402,110 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
         c, s, c_inv, s_inv = (
             (lambda v, p=p: circulant_matvec(p, v)) if p.kind == "circulant"
             else (lambda v, p=p: skew_circulant_matvec(p, v)) for p in parts)
+        spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
+        pair = lambda v: real_schur._products(*spectra, v)
     else:
         omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
         c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_inverse(omega, theta),
                                                     _shifted_inverse(sigma, theta)))
+        pair = lambda v: (c(v), s(v))
     for x0 in (None, rng.standard_normal(n)):
         report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, max_iters=12, x0=x0,
                                                backend=backend, record_iterates=True))
         x = np.zeros(n) if x0 is None else x0.copy()
         r0 = np.linalg.norm(b - (c(x) + s(x))) if x.any() else np.linalg.norm(b)
         iterates, residuals = [x.copy()], []
-        for _ in range(12):
-            u = theta * x - s(x) + b
+        for k in range(12):
+            # the first sweep reads S x0 of the single product, every later
+            # one the S x of the pair
+            u = theta * x - (pair(x)[1] if k else s(x)) + b
             v = 2 * theta * c_inv(u) - u + b
             x = s_inv(v)
             iterates.append(x.copy())
-            residuals.append(np.linalg.norm(b - (c(x) + s(x))) / r0)
+            cx, sx = pair(x)
+            residuals.append(np.linalg.norm(b - (cx + sx)) / r0)
             if residuals[-1] <= 1e-12:
                 break
         assert np.array_equal(report.solution, x)
         assert np.array_equal(report.residuals, residuals)
         assert len(report.iterates) == len(iterates)
         assert all(map(np.array_equal, report.iterates, iterates))
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 256, 257, 4097])
+def test_dfts_per_sweep(monkeypatch, n, backend):
+    # dct_dst: three core products and the stopping test's C x, two real
+    # DFTs each; at odd n S x_new and C x_new share one complex DFT each
+    # way, so six a sweep, and the build takes one (two at even n).  fft:
+    # two complex DFTs a product, eight a sweep, and none to build
+    calls = []
+    module = trig_transforms if backend == "dct_dst" else cscs_solvers
+    name = "dft_vector" if backend == "dct_dst" else "dft"
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    for k in (1, 2, 5):
+        calls.clear()
+        report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, tol=1e-300, max_iters=k,
+                                                        backend=backend))
+        assert report.iterations == k
+        if backend == "fft":
+            assert len(calls) == 8 * k
+        elif n % 2:
+            assert len(calls) == 6 * k + 1
+        else:
+            assert len(calls) == 8 * k + 2
+
+
+def _separate_products_solve(T, b, theta, x0):
+    # the solve to tol = 1e-12 as four separate public core products a
+    # sweep, its three counted as the solve counts them: (iterations,
+    # solution, per-sweep counts, sizes, initial residual)
+    op = ToeplitzOperator.from_bands(T)
+    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    c_inv, s_inv = _shifted_operator(omega, theta), _shifted_operator(sigma, theta)
+    x = np.zeros(T.n) if x0 is None else x0.copy()
+    cx, sx = circulant_matvec(op.circulant_part, x), skew_circulant_matvec(op.skew_part, x)
+    r0 = np.linalg.norm(b - (cx + sx)) if x.any() else np.linalg.norm(b)
+    counts, sizes = [], set()
+    for sweep in range(1, 501):
+        with counting() as used:
+            u = theta * x - sx + b
+            v = 2 * theta * circulant_matvec(c_inv, u) - u + b
+            x = skew_circulant_matvec(s_inv, v)
+            sx = skew_circulant_matvec(op.skew_part, x)
+        dct = sum(k for (flavor, _), k in used.items() if flavor is Flavor.COSINE)
+        counts.append((dct, used.total() - dct))
+        sizes.update(size for _, size in used)
+        cx = circulant_matvec(op.circulant_part, x)
+        if np.linalg.norm(b - (cx + sx)) / r0 <= 1e-12:
+            break
+    return sweep, x, counts, sizes, r0
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+@pytest.mark.parametrize("n", [3, 5, 9, 65, 257, 4097])
+def test_odd_n_sweeps_share_dfts_with_their_stopping_test(n, start):
+    # at odd n the pair (C x_new, S x_new) rounds unlike two separate
+    # products; the solve still counts (6, 6) of the same sizes a sweep,
+    # runs as many sweeps and lands on the same solution to rounding, and
+    # its last residual reads toeplitz_matvec, which runs the same pair
+    rng = np.random.default_rng(5000 + n)
+    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
+    b = rng.standard_normal(n)
+    x0 = None if start == "zero" else rng.standard_normal(n)
+    theta = float(T.t(0)) / 2
+    report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, x0=x0))
+    sweeps, x, counts, sizes, r0 = _separate_products_solve(T, b, theta, x0)
+    assert report.converged
+    assert report.transform_counts == counts == [(6, 6)] * sweeps
+    assert report.transform_sizes == sizes
+    assert report.iterations == sweeps
+    assert np.linalg.norm(report.solution - x) <= 1e-13 * np.linalg.norm(x)
+    tx = toeplitz_matvec(ToeplitzOperator.from_bands(T), report.solution)
+    assert report.residuals[-1] == np.linalg.norm(b - tx) / r0
 
 
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])
