@@ -15,8 +15,10 @@ With (theta I - C)(theta I + C)^{-1} = 2 theta (theta I + C)^{-1} - I,
 three core products, the last of them S x^(k+1).  Its stopping test
 uses T x = C x + S x and the next sweep's u reads the same S x, so a
 sweep and its test cost four core products, and a backend gives the last
-two, (C x, S x), from one call.  Each of the four
-operators is U X U.T for an X-pattern core X held as its half spectrum:
+two, (C x, S x), from one call.  A solve is then three maps on either
+backend: (theta I + C)^-1, (theta I + S)^-1 and v -> (C v, S v).  Each
+of the four operators is U X U.T for an X-pattern core X held as its
+half spectrum:
 Omega and Sigma of ``ToeplitzOperator.from_bands`` (which also give the
 positive-definiteness warnings), and the inverses of theta I + Omega and
 theta I + Sigma, 1 / (theta + lambda) on those half spectra, once per
@@ -24,8 +26,9 @@ solve (the fail-fast singular-shift check).  No solve builds an X-pattern.
 
 A backend only maps a core to the product x -> U X U.T x:
 
-* ``dct_dst`` applies it in real arithmetic through ``fast_matvec``'s
-  core product, which ``real_schur._product`` computes: one real DFT of
+* ``dct_dst`` applies it in real arithmetic through
+  ``real_schur._product``, the core product under ``fast_matvec``'s
+  checks, called on the held spectra as the pair is: one real DFT of
   x, one complex multiply and one inverse real DFT, which together
   compute U.T x, the X-pattern product and U.  (C x, S x) is
   ``real_schur._products``: at even n two such products, at odd n, where
@@ -42,8 +45,9 @@ A backend only maps a core to the product x -> U X U.T x:
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
   eigenvalues in DFT order off each half spectrum by conjugate symmetry,
-  O(n) and no DFT, and a product costs two complex DFTs of n points: six
-  a sweep, eight with its stopping test.
+  O(n) and no DFT, and conj D off ``trig_transforms._twist``, the table
+  of the skew fold, and a product costs two complex DFTs of n points:
+  six a sweep, eight with its stopping test.
 
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
@@ -57,10 +61,12 @@ or at the first non-finite one ("non_finite", which a huge but finite b
 can reach first); the report's ``stop_reason`` says which, and for
 "diverged" and "non_finite" a warning names the sweep.  Residuals are
 recomputed each sweep with the backend's own products, never recursively
-updated; a nonzero x^(0) costs two more products, C x^(0) and S x^(0),
-for the first one, each on its own.  A norm whose squares overflow is
+updated; a nonzero x^(0)'s first residual reads the sweep's pair,
+(C x^(0), S x^(0)), once more.  A norm whose squares overflow is
 rescaled by the largest entry, so a finite b of any size solves like b
-scaled down.
+scaled down, and the shifted inverses are formed scale-free
+(``real_schur._inverse_parts``), so T and theta times a power of two
+solve in the same sweeps.
 """
 
 from dataclasses import dataclass, field
@@ -68,12 +74,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dft
-from .fast_matvec import ToeplitzOperator, _core_product
-from .real_schur import SingularShiftError, _count_blocks, _eigenvalues, _products
+from .fast_matvec import ToeplitzOperator
+from .real_schur import (
+    SingularShiftError, _count_blocks, _eigenvalues, _product, _products,
+)
 from .structured_matrices import (
     ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
-from .trig_transforms import Flavor, counting
+from .trig_transforms import Flavor, _twist, counting
 
 __all__ = [
     "SolverConfig", "SolveReport", "cscs_solve", "dft",
@@ -164,27 +172,18 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
-    c, s, c_inv, s_inv, products = _cores(op, theta, counted)
+    c_inv, s_inv, products = _cores(op, theta, counted)
     # S x is a sweep's last product: its stopping test and the next sweep
     # both read it, so a sweep and its test cost four core products, the
-    # last two, (C x, S x), from one call
-    if x.any():
-        # each on its own: the first sweep from x0 is then the sweep of the
-        # public products, bit for bit
-        sx = s(x)
-        r0 = _norm(b - (c(x) + sx))
-    else:
-        sx = np.zeros(n)
-        r0 = _norm(b)
+    # last two, (C x, S x), from one call; a nonzero x0 starts from that call
+    cx, sx = products(x) if x.any() else (0.0, np.zeros(n))
+    r0 = _norm(b - (cx + sx))
     iterates = [x.copy()] if cfg.record_iterates else None
     counts, sizes = ([], set()) if counted else (None, None)
-    if r0 == 0.0:
-        return SolveReport(x, 0, np.empty(0), True, "converged", notes, iterates,
-                           counts, sizes)
-
     residuals = []
-    stop = "max_iters"
-    for _ in range(cfg.max_iters):
+    # a zero initial residual is a converged solve of zero sweeps
+    stop = "max_iters" if r0 else "converged"
+    while stop == "max_iters" and len(residuals) < cfg.max_iters:
         with counting() as used:
             u = theta * x - sx + b
             # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I
@@ -201,20 +200,17 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
         residuals.append(rel)
         if rel <= cfg.tol:
             stop = "converged"
-            break
-        if not np.isfinite(rel):
+        elif not np.isfinite(rel):
             # every later sweep would only carry the NaN or Inf along
             notes.append(f"relative residual is {rel} after sweep {len(residuals)}; "
                          "stopped")
             stop = "non_finite"
-            break
-        if rel > _DIVERGED:
+        elif rel > _DIVERGED:
             # grown 1/eps-fold over the initial residual: the rounding in
             # b - T x is as large as it, so the residual certifies nothing
             notes.append(f"relative residual {rel:.6g} exceeds 1/eps after sweep "
                          f"{len(residuals)}; stopped")
             stop = "diverged"
-            break
     return SolveReport(x, len(residuals), np.array(residuals), stop == "converged",
                        stop, notes, iterates, counts, sizes)
 
@@ -233,26 +229,30 @@ def _norm(v):
 
 
 def _cores(op, theta, real):
-    """Products with C, S, (theta I + C)^-1 and (theta I + S)^-1, and v -> (C v, S v).
+    """The three maps of a solve: (theta I + C)^-1, (theta I + S)^-1 and v -> (C v, S v).
 
     The inverses are computed on the half spectra of C and S, so a
-    singular shift raises before the first sweep.  The ``dct_dst`` pair
-    is ``real_schur._products``: at odd n one complex DFT each way gives
-    both.  It counts the two basis changes of S v, the sweep's last
-    product; C v is its stopping test's and counts nothing.
+    singular shift raises before the first sweep.  On ``dct_dst`` each
+    inverse is one ``real_schur._product`` on its held spectrum, and the
+    pair is ``real_schur._products``: at odd n one complex DFT each way
+    gives both.  The pair counts the two basis changes of S v, the
+    sweep's last product; C v is its stopping test's and counts nothing.
     """
     parts = (op.circulant_part, op.skew_part)
     parts += tuple(part._shifted_inverse(theta) for part in parts)
     if real:
+        cs, ss, ci, si = (part.spectrum for part in parts)
+
         def products(v):
             _count_blocks("skew", op.n, 2)  # U.T and U of S v
-            return _products(op.circulant_part.spectrum, op.skew_part.spectrum, v)
+            return _products(cs, ss, v)
 
-        return (*((lambda v, p=p: _core_product(p, v, p.kind)) for p in parts), products)
+        return (lambda v: _product("circulant", ci, v), lambda v: _product("skew", si, v),
+                products)
     # Ftilde = D F^*: the skew side runs the circulant product on the
-    # D-modulated vector
+    # D-modulated vector, and conj D is the skew fold's twist table
     n = op.n
-    dbar = np.exp(-1j * np.pi * np.arange(n) / n)
+    dbar = _twist(n)
 
     def core(part):
         # the eigenvalues in DFT order; each product returns a real copy,
@@ -263,7 +263,7 @@ def _cores(op, theta, real):
         return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real.copy()
 
     c, s, c_inv, s_inv = map(core, parts)
-    return c, s, c_inv, s_inv, lambda v: (c(v), s(v))
+    return c_inv, s_inv, lambda v: (c(v), s(v))
 
 
 def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
@@ -318,14 +318,19 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     positive definite.  Returns the grid point minimizing the product
     (ties broken toward the smallest theta) plus all evaluated bounds.
     This is a parameter-picking convenience, not an optimality claim.
+    The spectra and the grid are scaled by the one power of two that
+    takes the spectra's largest part to [1/2, 1), which is exact and
+    leaves every ratio as it was, before anything is squared; a scaled
+    shift past 2^500 is clamped there, where its bound rounds to 1.
     """
     grid = _vector(grid, "theta grid")
     if not (grid > 0).all():
         raise ValueError("theta grid entries must be positive")
     op = ToeplitzOperator.from_bands(T)
-    (cre, cim2), (sre, sim2) = ((part.spectrum.real.copy(), part.spectrum.imag ** 2)
-                                for part in (op.circulant_part, op.skew_part))
+    spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
+    k = -np.frexp(max(max(np.abs(h.real).max(), np.abs(h.imag).max()) for h in spectra))[1]
+    (cre, cim2), (sre, sim2) = ((np.ldexp(h.real, k), np.ldexp(h.imag, k) ** 2) for h in spectra)
     bounds = np.array([_factor_bound(cre, cim2, th) * _factor_bound(sre, sim2, th)
-                       for th in grid])
+                       for th in np.minimum(np.ldexp(grid, k), 2.0 ** 500)])
     best = np.lexsort((grid, bounds))[0]
     return float(grid[best]), bounds

@@ -37,8 +37,10 @@ left: ``_product`` is one ``_spectrum``, the multiply by the core's half
 spectrum and one ``_from_spectrum``, and ``_products`` is (C x, S x),
 one side after the other at even n and through the pair at odd n, where
 it costs two complex DFTs of n points instead of four.
-``_toeplitz_product`` is their sum, and the CSCS sweep ends with the pair
-(S x_new for the next sweep, C x_new for its stopping test).
+``_toeplitz_product`` is their sum.  The CSCS sweep calls ``_product``
+for its two shifted inverses and ends with the pair (S x_new for the
+next sweep, C x_new for its stopping test), which also starts a solve
+from a nonzero x0, all on the spectra it holds.
 ``_product`` and ``_toeplitz_product`` count their basis changes and run
 the uncounted kernels ``_side_product`` and ``_products``; ``fast_matvec``
 only checks their arguments.  The multiply is always spectrum * h into a
@@ -82,6 +84,8 @@ inverse is [[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda).
 ``_inverse_parts`` is that map, with the finite-theta and singular
 checks, on the parts of any eigenvalues: a pattern's (diag, anti) in
 ``_shifted_inverse``, a half spectrum in ``cscs_solve``, once per solve.
+It squares d and b only after one exact power-of-two scaling, so theta
+and X times 2^k give the inverse times 2^-k, bit for bit in range.
 ``xpattern_apply`` is the X-pattern product and takes no shift
 ((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
 product with the inverse pattern.
@@ -507,19 +511,25 @@ def _inverse_parts(theta, re, im):
     SingularShiftError at the first index whose det = d^2 + im^2 is within
     eps of the squared scale theta^2 + max(re^2 + im^2), i.e. where
     |theta + lambda| is within sqrt(eps) of the spectrum's magnitude and
-    rounding alone decides its size.
+    rounding alone decides its size.  It is scale-free: theta, re and im
+    are scaled by the one power of two 2^k that takes the largest of
+    them to [1/2, 1) before they are squared, and the quotients by 2^k
+    again.  Both are exact, so the result is bitwise the unscaled one
+    wherever that squares without overflow or underflow.
     """
     _number(theta, "shift theta")
-    d = theta + re
-    det = d * d + im * im
-    scale = theta * theta + np.max(re * re + im * im)
+    k = -np.frexp(max(abs(theta), np.abs(re).max(), np.abs(im).max()))[1]
+    t, sre, sim = (np.ldexp(v, k) for v in (theta, re, im))
+    d = t + sre
+    det = d * d + sim * sim
+    scale = t * t + np.max(sre * sre + sim * sim)
     bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
     if bad.size:
         j = int(bad[0])
         raise SingularShiftError(
             f"shift theta={theta} is singular at index {j} (eigenvalue real "
             f"part {re[j]}, imaginary part {im[j]})", index=j)
-    return d / det, -im / det
+    return np.ldexp(d / det, k), np.ldexp(-sim / det, k)
 
 
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:

@@ -55,8 +55,12 @@ vectors x and y share one: ``_rdft_pair`` splits Z = DFT(x + i y) by
 conjugate symmetry, and ``_irdft_pair`` inverts two half spectra at once
 (Sorensen, Jones, Heideman and Burrus, "Real-valued fast Fourier
 transform algorithms", IEEE TASSP 1987), so a Toeplitz product's two
-basis changes each way cost one complex DFT of n points, not two.  The
-split and twist tables are read-only and kept for the 16 most recent sizes.
+basis changes each way cost one complex DFT of n points, not two.
+
+The twist exp(-i pi j / n), j < n, is one table, ``_twist``: the fold
+reads its first n/2 entries, and the complex reference backend of
+``cscs_solvers`` all n, as the conj D of its skew product.  It and the
+split table are read-only and kept for the 16 most recent sizes.
 
 Inside a ``counting()`` block every basis change counts, through
 ``_count``, the DCT and the DST it computes, and ``dtt_apply`` counts
@@ -233,9 +237,10 @@ def _rdft_table(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _fold_table(n: int) -> np.ndarray:
-    """exp(-i pi j / n), j < n/2: the twist of the skew fold at even n."""
-    t = np.exp(-1j * np.pi * np.arange(n // 2) / n)
+def _twist(n: int) -> np.ndarray:
+    """exp(-i pi j / n), j < n: the skew fold at even n reads the first n/2
+    entries, and the ``fft`` backend of ``cscs_solvers`` all n, as conj D."""
+    t = np.exp(-1j * np.pi * np.arange(n) / n)
     t.flags.writeable = False
     return t
 
@@ -327,7 +332,7 @@ def _folded_dft(x) -> np.ndarray:
     z = np.empty(m, dtype=np.complex128)
     z.real = x[:m]
     z.imag = -x[m:]  # np.negative(..., out=z.imag) misreads some strided x
-    z *= _fold_table(2 * m)
+    z *= _twist(2 * m)[:m]
     return dft_vector(z)
 
 
@@ -339,7 +344,7 @@ def _folded_idft(y) -> np.ndarray:
     """
     m = y.shape[0]
     w = dft_vector(np.conj(y))  # m conj v
-    w *= _fold_table(2 * m)
+    w *= _twist(2 * m)[:m]
     x = np.empty(2 * m)
     np.divide(w.real, m, out=x[:m])
     np.divide(w.imag, m, out=x[m:])

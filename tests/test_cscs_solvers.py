@@ -329,7 +329,8 @@ def _pattern_product(X):
 def test_one_sweep_is_the_public_x_pattern_sweep(n):
     # the solve's shifted cores, built once per solve, are the public
     # operators of the inverse X-patterns, bit for bit; the X-pattern
-    # route through to_core and from_core agrees to rounding
+    # route through to_core and from_core agrees to rounding.  S x0 is the
+    # pair's, as the solve takes it
     T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
     rng = np.random.default_rng(n)
     b, x = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
@@ -337,7 +338,8 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    u = theta * x - skew_circulant_matvec(op.skew_part, x) + b
+    sx = real_schur._products(op.circulant_part.spectrum, op.skew_part.spectrum, x)[1]
+    u = theta * x - sx + b
     v = 2 * theta * circulant_matvec(_shifted_operator(omega, theta), u) - u + b
     want = skew_circulant_matvec(_shifted_operator(sigma, theta), v)
     assert report.iterations == 1
@@ -354,12 +356,12 @@ def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backe
     # a sweep's last product is S x_new, which its stopping test and the
     # next sweep both read: 4 core products a sweep, plus C x0 and S x0
     # for the first residual from a nonzero x0; dct_dst runs S x_new and
-    # the test's C x_new as one pair
+    # the test's C x_new as one pair, and C x0 and S x0 as one more
     calls = []
     if backend == "dct_dst":
-        core, pair = cscs_solvers._core_product, cscs_solvers._products
-        monkeypatch.setattr(cscs_solvers, "_core_product",
-                            lambda op, v, kind: calls.append("core") or core(op, v, kind))
+        core, pair = cscs_solvers._product, cscs_solvers._products
+        monkeypatch.setattr(cscs_solvers, "_product",
+                            lambda side, h, v: calls.append("core") or core(side, h, v))
         monkeypatch.setattr(cscs_solvers, "_products",
                             lambda cs, ss, v: calls.append("pair") or pair(cs, ss, v))
     else:
@@ -375,8 +377,8 @@ def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backe
                                                         x0=x0, backend=backend))
         assert report.iterations == k
         if backend == "dct_dst":
-            assert calls.count("pair") == k
-            assert calls.count("core") == 2 * k + (0 if x0 is None else 2)
+            assert calls.count("pair") == k + (0 if x0 is None else 1)
+            assert calls.count("core") == 2 * k
         else:
             assert len(calls) == 2 * (4 * k + (0 if x0 is None else 2))
 
@@ -386,10 +388,10 @@ def test_a_sweep_and_its_stopping_test_run_four_core_products(monkeypatch, backe
 def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     # reusing the stopping test's S x_new in the next sweep changes no bit:
     # this loop recomputes S x at the top of each sweep and (C x, S x) for
-    # each residual; dct_dst runs it with the public operators and the
-    # pair of real_schur._products, and fft with the products of the
-    # X-patterns and their inverses, so both also pin the solve's
-    # half-spectrum cores to the pattern route
+    # each residual and from a nonzero x0; dct_dst runs it with the public
+    # inverse operators and the pair of real_schur._products, and fft with
+    # the products of the X-patterns and their inverses, so both also pin
+    # the solve's half-spectrum cores to the pattern route
     rng = np.random.default_rng(3000 + n)
     T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
     b = rng.standard_normal(n)
@@ -397,11 +399,9 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     op = ToeplitzOperator.from_bands(T)
     if backend == "dct_dst":
         omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-        parts = (op.circulant_part, op.skew_part,
-                 _shifted_operator(omega, theta), _shifted_operator(sigma, theta))
-        c, s, c_inv, s_inv = (
-            (lambda v, p=p: circulant_matvec(p, v)) if p.kind == "circulant"
-            else (lambda v, p=p: skew_circulant_matvec(p, v)) for p in parts)
+        cinv_op, sinv_op = _shifted_operator(omega, theta), _shifted_operator(sigma, theta)
+        c_inv = lambda v: circulant_matvec(cinv_op, v)
+        s_inv = lambda v: skew_circulant_matvec(sinv_op, v)
         spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
         pair = lambda v: real_schur._products(*spectra, v)
     else:
@@ -413,12 +413,10 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
         report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, max_iters=12, x0=x0,
                                                backend=backend, record_iterates=True))
         x = np.zeros(n) if x0 is None else x0.copy()
-        r0 = np.linalg.norm(b - (c(x) + s(x))) if x.any() else np.linalg.norm(b)
+        r0 = np.linalg.norm(b - np.add(*pair(x))) if x.any() else np.linalg.norm(b)
         iterates, residuals = [x.copy()], []
         for k in range(12):
-            # the first sweep reads S x0 of the single product, every later
-            # one the S x of the pair
-            u = theta * x - (pair(x)[1] if k else s(x)) + b
+            u = theta * x - pair(x)[1] + b
             v = 2 * theta * c_inv(u) - u + b
             x = s_inv(v)
             iterates.append(x.copy())
@@ -432,13 +430,16 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
         assert all(map(np.array_equal, report.iterates, iterates))
 
 
+@pytest.mark.parametrize("start", ["zero", "random"])
 @pytest.mark.parametrize("backend", ["dct_dst", "fft"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 256, 257, 4097])
-def test_dfts_per_sweep(monkeypatch, n, backend):
+def test_dfts_per_sweep(monkeypatch, n, backend, start):
     # dct_dst: three core products and the stopping test's C x, two real
     # DFTs each; at odd n S x_new and C x_new share one complex DFT each
     # way, so six a sweep, and the build takes one (two at even n).  fft:
-    # two complex DFTs a product, eight a sweep, and none to build
+    # two complex DFTs a product, eight a sweep, and none to build.  A
+    # nonzero x0 adds the pair (C x0, S x0): two DFTs at odd n and four at
+    # even n on dct_dst, four on fft
     calls = []
     module = trig_transforms if backend == "dct_dst" else cscs_solvers
     name = "dft_vector" if backend == "dct_dst" else "dft"
@@ -446,17 +447,19 @@ def test_dfts_per_sweep(monkeypatch, n, backend):
     monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    x0 = None if start == "zero" else np.random.default_rng(n).uniform(-1, 1, n)
+    pair = 0 if x0 is None else 2 if backend == "dct_dst" and n % 2 else 4
     for k in (1, 2, 5):
         calls.clear()
         report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, tol=1e-300, max_iters=k,
-                                                        backend=backend))
+                                                        x0=x0, backend=backend))
         assert report.iterations == k
         if backend == "fft":
-            assert len(calls) == 8 * k
+            assert len(calls) == 8 * k + pair
         elif n % 2:
-            assert len(calls) == 6 * k + 1
+            assert len(calls) == 6 * k + 1 + pair
         else:
-            assert len(calls) == 8 * k + 2
+            assert len(calls) == 8 * k + 2 + pair
 
 
 def _separate_products_solve(T, b, theta, x0):
@@ -504,7 +507,11 @@ def test_odd_n_sweeps_share_dfts_with_their_stopping_test(n, start):
     assert report.transform_sizes == sizes
     assert report.iterations == sweeps
     assert np.linalg.norm(report.solution - x) <= 1e-13 * np.linalg.norm(x)
-    tx = toeplitz_matvec(ToeplitzOperator.from_bands(T), report.solution)
+    # the solve's r0 reads the pair from a nonzero x0, as toeplitz_matvec does
+    op = ToeplitzOperator.from_bands(T)
+    if x0 is not None:
+        r0 = np.linalg.norm(b - toeplitz_matvec(op, x0))
+    tx = toeplitz_matvec(op, report.solution)
     assert report.residuals[-1] == np.linalg.norm(b - tx) / r0
 
 
@@ -770,3 +777,64 @@ def test_theta_scan_bound_is_inf_at_a_singular_grid_point():
         best, bounds = theta_scan(T, [1.0, 2.0, 3.0])
     assert best == 1.0
     assert np.array_equal(bounds, [9.0, np.inf, 25.0])
+
+
+def test_theta_scan_bound_is_one_at_huge_shifts():
+    # (theta - lambda)^2 overflowed from about 1e154 up: NaN bounds, with
+    # overflow warnings; past 2^500 the bound rounds to exactly 1
+    T = gen_coeffs(ProblemSpec("ex3", 256))
+    best, bounds = theta_scan(T, np.linspace(1.0, 1e300, 3))
+    assert best == 1.0
+    assert bounds[0] == theta_scan(T, [1.0])[1][0] < 1.0
+    assert np.array_equal(bounds[1:], [1.0, 1.0])
+
+
+# ------------------------------------------------- free of a power-of-two scale
+
+# T, theta and the shift grid times s = 2^e: ex3 256 raised a false
+# SingularShiftError at 2^-996 and overflowed at 2^530 and 2^996, and ex1
+# 257 ran 500 sweeps to max_iters at 2^-530 (RuntimeWarnings fail a test)
+_SCALED_CELLS = [("ex3", 256, None, 3.585), ("ex1", 257, 0.9, 1.5),
+                 ("ex2", 256, None, 3.595), ("ex1", 4000, 0.9, 1.985)]
+
+
+@pytest.mark.parametrize("e", [530, -530, 996, -996])
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+@pytest.mark.parametrize("example, n, p, theta", _SCALED_CELLS)
+def test_a_solve_is_free_of_a_power_of_two_scale(example, n, p, theta, backend, e):
+    # the scaled solve takes the unscaled sweeps to x / s, bitwise at 2^+-530,
+    # where every intermediate stays in the normal range
+    T = gen_coeffs(ProblemSpec(example, n, p))
+    s = 2.0 ** e
+    base = cscs_solve(T, np.ones(n), SolverConfig(theta=theta, backend=backend))
+    report = cscs_solve(toeplitz_from_bands(T.coeffs * s), np.ones(n),
+                        SolverConfig(theta=theta * s, backend=backend))
+    assert report.converged and report.iterations == base.iterations
+    x = report.solution * s
+    assert np.linalg.norm(x - base.solution) <= 1e-13 * np.linalg.norm(base.solution)
+    if abs(e) == 530:
+        assert np.array_equal(x, base.solution)
+
+
+@pytest.mark.parametrize("e", [530, -530, 996, -996])
+@pytest.mark.parametrize("example, n, p, theta", _SCALED_CELLS)
+def test_theta_scan_is_free_of_a_power_of_two_scale(example, n, p, theta, e):
+    T = gen_coeffs(ProblemSpec(example, n, p))
+    s = 2.0 ** e
+    grid = np.linspace(0.5, 6.0, 23)
+    best, bounds = theta_scan(T, grid)
+    scaled_best, scaled_bounds = theta_scan(toeplitz_from_bands(T.coeffs * s), grid * s)
+    assert np.array_equal(scaled_bounds, bounds)
+    assert scaled_best / s == best
+
+
+@pytest.mark.parametrize("e", [530, -530])
+@pytest.mark.parametrize("example, n, p, theta", _SCALED_CELLS)
+def test_shifted_solve_is_free_of_a_power_of_two_scale(example, n, p, theta, e):
+    op = ToeplitzOperator.from_bands(gen_coeffs(ProblemSpec(example, n, p)))
+    z = np.random.default_rng(n).uniform(-1, 1, n)
+    s = 2.0 ** e
+    for X in (op.circulant_part.pattern, op.skew_part.pattern):
+        scaled = XPattern(n, X.pairing, X.diag * s, X.anti * s)
+        assert np.array_equal(xpattern_shifted_solve(scaled, theta * s, z) * s,
+                              xpattern_shifted_solve(X, theta, z))

@@ -404,7 +404,7 @@ def test_sweep_counts_follow_the_block_rule(n, rng):
 
 def test_product_tables_stay_bounded():
     # a process that meets many sizes keeps product tables for a bounded number
-    caches = (trig_transforms._rdft_table, trig_transforms._fold_table)
+    caches = (trig_transforms._rdft_table, trig_transforms._twist)
     bounds = [cache.cache_info().maxsize for cache in caches]
     assert None not in bounds
     for n in range(100, 100 + 2 * 3 * max(bounds), 2):

@@ -151,3 +151,14 @@ def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
             lengths.clear()
             dtt_apply(plan, rng.standard_normal(s), transposed)
             assert lengths == [want], (s, transposed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 256, 257, 4000, 4096, 4097, 65536])
+def test_one_twist_table_serves_the_fold_and_the_fft_backend(n):
+    # exp(-i pi j / n) is built once a size: the fft backend reads all n
+    # entries as conj D, and the skew fold the first n//2, bitwise the
+    # table it built for itself
+    t = trig_transforms._twist(n)
+    assert not t.flags.writeable
+    assert t.tobytes() == np.exp(-1j * np.pi * np.arange(n) / n).tobytes()
+    assert t[:n // 2].tobytes() == np.exp(-1j * np.pi * np.arange(n // 2) / n).tobytes()
