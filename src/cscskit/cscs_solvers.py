@@ -26,28 +26,26 @@ solve (the fail-fast singular-shift check).  No solve builds an X-pattern.
 
 A backend only maps a core to the product x -> U X U.T x:
 
-* ``dct_dst`` applies it in real arithmetic through
-  ``real_schur._product``, the core product under ``fast_matvec``'s
-  checks, called on the held spectra as the pair is: one real DFT of
-  x, one complex multiply and one inverse real DFT, which together
-  compute U.T x, the X-pattern product and U.  (C x, S x) is
-  ``real_schur._products``: at even n two such products, at odd n, where
-  each real DFT is one of n points, one complex DFT that gives both
-  spectra and one that inverts both.  A sweep with its stopping test
-  costs eight complex DFTs of n/2 points at even n and six of n points
-  at odd n.  The sweep counts the six DCTs and six DSTs of its three
-  products' basis changes in a ``counting()`` block for the report: the
-  pair counts those of S x, and C x is its stopping test's.  The four
-  cores of a solve hold 4(n//2 + 1) complex values, half the 8n doubles
-  of four X-patterns.  The residual's C x + S x is bitwise
+* ``dct_dst`` applies it in real arithmetic from the held half spectra,
+  through the kernel of ``trig_transforms`` (its module docstring gives
+  the layout and the DFT counts): each inverse is one ``_product``, one
+  real DFT of x, one complex multiply and one inverse real DFT, and the
+  pair is ``_products``, which at odd n gives both products from one
+  complex DFT each way.  A sweep with its stopping test costs eight
+  complex DFTs of n/2 points at even n and six of n points at odd n.
+  The sweep counts the six DCTs and six DSTs of its three products'
+  basis changes in a ``counting()`` block for the report: the pair
+  counts those of S x, and C x is its stopping test's.  The four cores
+  of a solve hold 4(n//2 + 1) complex values, half the 8n doubles of
+  four X-patterns.  The residual's C x + S x is bitwise
   ``toeplitz_matvec`` at every n, which runs the same pair.
 * ``fft`` is the complex reference: C = F Lambda F^* and
   S = Ftilde Lambdatilde Ftilde^* with Ftilde = D F^*,
   D = diag(1, e^{i pi/n}, ..., e^{i (n-1) pi/n}).  Its setup reads the
-  eigenvalues in DFT order off each half spectrum by conjugate symmetry,
-  O(n) and no DFT, and conj D off ``trig_transforms._twist``, the table
-  of the skew fold, and a product costs two complex DFTs of n points:
-  six a sweep, eight with its stopping test.
+  eigenvalues in DFT order off each half spectrum (``_eigenvalues``),
+  and conj D off ``_twist``, the table of the skew fold, and a product
+  costs two complex DFTs of n points: six a sweep, eight with its
+  stopping test.
 
 Both backends perform the same exact-arithmetic update, so their iterate
 sequences agree to rounding.
@@ -65,7 +63,7 @@ updated; a nonzero x^(0)'s first residual reads the sweep's pair,
 (C x^(0), S x^(0)), once more.  A norm whose squares overflow is
 rescaled by the largest entry, so a finite b of any size solves like b
 scaled down, and the shifted inverses are formed scale-free
-(``real_schur._inverse_parts``), so T and theta times a power of two
+(``trig_transforms._inverse_parts``), so T and theta times a power of two
 solve in the same sweeps.
 """
 
@@ -75,13 +73,13 @@ import numpy as np
 
 from . import _dft
 from .fast_matvec import ToeplitzOperator
-from .real_schur import (
-    SingularShiftError, _count_blocks, _eigenvalues, _product, _products,
-)
 from .structured_matrices import (
     ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
-from .trig_transforms import Flavor, _twist, counting
+from .trig_transforms import (
+    Flavor, SingularShiftError, _count_blocks, _eigenvalues, _product, _products, _twist,
+    counting,
+)
 
 __all__ = [
     "SolverConfig", "SolveReport", "cscs_solve", "dft",
@@ -110,7 +108,12 @@ BACKENDS = ("dct_dst", "fft")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shift, stopping rule and backend for ``cscs_solve``, checked when built; frozen."""
+    """Shift, stopping rule and backend for ``cscs_solve``, checked when built; frozen.
+
+    ``x0`` is kept as a read-only, finite, non-empty 1-d float64 copy,
+    whose length ``cscs_solve`` checks against n; ``record_iterates`` must
+    be a bool.
+    """
 
     theta: float
     tol: float = 1e-7
@@ -125,6 +128,10 @@ class SolverConfig:
         _size(self.max_iters, "max_iters")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", _vector(self.x0, "initial guess"))
+        if not isinstance(self.record_iterates, (bool, np.bool_)):
+            raise ValueError(f"record_iterates must be a bool, got {self.record_iterates!r}")
 
 
 @dataclass
@@ -159,16 +166,22 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
 
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
     is singular, its ``index`` a position in that part's ``spectrum``, and
-    ``ValueError`` for a non-finite ``b`` or ``x0``, a ``T`` that is not
-    a ``ToeplitzBands`` or a ``cfg`` that is not a ``SolverConfig``.
-    Indefiniteness of C or S is only a recorded warning; the sweep
-    proceeds regardless until the residual exceeds 1/eps or stops being
-    finite.
+    ``ValueError`` for a non-finite ``b``, an ``x0`` not of length n, a
+    ``T`` that is not a ``ToeplitzBands`` or a ``cfg`` that is not a
+    ``SolverConfig``.  Indefiniteness of C or S is only a recorded
+    warning; the sweep proceeds regardless until the residual exceeds
+    1/eps or stops being finite.
+
+    An outer ``counting()`` block sees no sweep's transforms: each sweep
+    counts in its own block, read into ``transform_counts``.  From a
+    nonzero x0 it sees the setup pair's two skew basis changes (one DCT
+    and one DST each way) and nothing more, since C x0, like every
+    stopping test's C x, counts nothing; on ``fft`` it sees nothing.
     """
     n = _instance(T, ToeplitzBands, "T").n
     theta = _instance(cfg, SolverConfig, "cfg").theta
     b = _vector(b, "right-hand side", n)
-    x = np.zeros(n) if cfg.x0 is None else _vector(cfg.x0, "initial guess", n).copy()
+    x = np.zeros(n) if cfg.x0 is None else _vector(cfg.x0, "initial guess", n, finite=False).copy()
     op = ToeplitzOperator.from_bands(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
@@ -233,10 +246,10 @@ def _cores(op, theta, real):
 
     The inverses are computed on the half spectra of C and S, so a
     singular shift raises before the first sweep.  On ``dct_dst`` each
-    inverse is one ``real_schur._product`` on its held spectrum, and the
-    pair is ``real_schur._products``: at odd n one complex DFT each way
-    gives both.  The pair counts the two basis changes of S v, the
-    sweep's last product; C v is its stopping test's and counts nothing.
+    inverse is one ``_product`` on its held spectrum, and the pair is
+    ``_products``: at odd n one complex DFT each way gives both.  The
+    pair counts the two basis changes of S v, the sweep's last product;
+    C v is its stopping test's and counts nothing.
     """
     parts = (op.circulant_part, op.skew_part)
     parts += tuple(part._shifted_inverse(theta) for part in parts)

@@ -5,46 +5,20 @@ to left,
 
     C @ x = U @ Omega @ U.T @ x,      S @ x = Utilde @ Sigma @ Utilde.T @ x.
 
-The cosine and sine blocks of U.T x are, up to scale, the real and
-imaginary parts of one real DFT of x (criterion 3's block identity
-Q U = blockdiag(DCT, J DST J) read backwards), and the X-pattern core is
-that DFT's halfcomplex layout.  So an operator holds only its
-floor(n/2) + 1 eigenvalues, in the layout its product reads, and each
-product is one real DFT, one complex multiply and one inverse.  With
-lambda the eigenvalues in DFT order and m = n // 2:
-
-    C x = irdft(conj(lambda[:m+1]) * rdft(x), n);
-    S x, even n: fold z = (x[:m] - i x[m:]) e^(-i pi j/n), one m-point DFT,
-         times lambda[0::2], the inverse, times e^(i pi j/n), and unfold
-         [Re, -Im];
-    S x, odd n:  irdft(lambda[m:] * rdft(s x), n) * s,  s = (-1)^j.
-
-A real DFT of even n is one complex DFT of n/2 points, of odd n one of n
-points (``trig_transforms``).  This module holds the operators and checks
-the arguments of their products; ``real_schur`` computes every product,
-as it computes every basis change.  ``real_schur._product`` is the one
-core product: its two basis changes are ``_spectrum``/``_from_spectrum``,
-and it counts them, one DCT and one DST each at the block sizes, in
-``counting()``, so a sweep still reads six DCTs and six DSTs.  Its
-multiply is spectrum * h with the DFT h named, so every product rounds
-alike at every n: numpy rounds spectrum * h and h * spectrum
-differently, and swaps the operands of an unnamed temporary from 256 KiB
-up.  ``from_circulant``/``from_skew_circulant`` build an
-operator from one real DFT of its first column.  The half spectrum is
-(n//2 + 1) complex values, half the 2n doubles of an X-pattern core;
-``pattern`` expands it on demand through ``real_schur._eigenvalues``.  A
-Toeplitz product is the sum of the two through the splitting T = C + S
-(``real_schur._toeplitz_product``, the sum of the pair that
-``real_schur._products`` gives), and ``from_bands`` builds both
-spectra.  At even n they cost what the two products or builds cost, one
-side after the other: four complex DFTs of n/2 points a product, two a
-build.  At odd n every one of these real DFTs is of n points, and one
-complex DFT carries two of them (``real_schur._spectra``, ``_irdft_pair``):
-a Toeplitz product costs two complex DFTs of n points, not four, and a
-build one, not two.  The paired product agrees with the sum of the two
-to rounding, and the counts in ``counting()`` are the same.  The CSCS
-sweep runs the same pair for its last product and its stopping test, so
-at odd n a sweep and its test cost six complex DFTs of n points.
+The X-pattern core is the halfcomplex layout of one real DFT, so an
+operator holds only its floor(n/2) + 1 eigenvalues, its half spectrum,
+in the layout its product reads, and each product is one real DFT, one
+complex multiply and one inverse.  The layout, the products and their
+DFT counts are ``trig_transforms``'s (its module docstring): this module
+holds the operators and checks the arguments of their products, which
+call ``_product`` (C x or S x) and ``_toeplitz_product`` (T x = C x + S x
+through the splitting T = C + S), and so count their basis changes, one
+DCT and one DST each at the block sizes, in ``counting()``.
+``from_circulant``/``from_skew_circulant`` build an operator from one
+real DFT of its first column, and ``from_bands`` builds both spectra
+from one ``_spectra``.  The half spectrum is (n//2 + 1) complex values,
+half the 2n doubles of an X-pattern core; ``pattern`` expands it on
+demand.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -54,12 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .real_schur import (
-    XPattern, _column_spectra, _column_spectrum, _eigenvalues, _inverse_parts,
-    _pattern_spectrum, _product, _toeplitz_product,
-)
+from .real_schur import XPattern
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
+)
+from .trig_transforms import (
+    _column_spectra, _column_spectrum, _eigenvalues, _half_spectrum, _inverse_parts, _product,
+    _sine_size, _toeplitz_product,
 )
 
 __all__ = [
@@ -88,7 +63,11 @@ class CirculantOperator:
     def __init__(self, pattern: XPattern):
         if not isinstance(pattern, XPattern):
             raise ValueError(f"CirculantOperator pattern must be an XPattern, got {pattern!r}")
-        self._hold(pattern.pairing, pattern.n, _pattern_spectrum(pattern))
+        kind, n = pattern.pairing, pattern.n
+        k, sine = int(kind == "circulant"), _sine_size(kind, n)
+        # the alphas and betas of its eigenvalues (``real_schur.SpectralPair``)
+        self._hold(kind, n, _half_spectrum(kind, n, pattern.diag[:n - sine],
+                                           pattern.anti[k:k + sine]))
 
     def _hold(self, kind, n, spectrum):
         if spectrum.base is not None:  # a view keeps its whole base alive, and writable

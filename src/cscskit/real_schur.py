@@ -18,53 +18,21 @@ even n) unchanged:
 
 The cosine and sine blocks of U.T x are, up to scale, the real and
 imaginary parts of one real DFT of x (the identity above read
-backwards), so this module computes every basis change as that DFT, and
-it is the one place that decides the side.  ``_spectrum`` maps a real x
-of length n to its half spectrum, n//2 + 1 complex values at most, and
-``_from_spectrum`` maps it back.  With lambda the eigenvalues, in DFT
-order, of the circulant or skew-circulant whose first column is x, and
-m = n // 2, the half spectrum is conj(lambda[:m+1]) on the circulant
-side (``_rdft(x)``), lambda[0::2] on the skew side at even n (the fold
-``_folded_dft(x)``) and lambda[m:] at odd n (``_rdft`` of x (-1)^j).
-``_spectra`` does the same for one circulant and one skew vector at
-once: at odd n both sides are real DFTs of n points, so one complex DFT
-carries the pair (``_rdft_pair``), and one more maps two half spectra
-back to the sum of their vectors (``_irdft_pair``); at even n
-``_spectra`` runs each side on its own.
-
-Every fast product is computed here, as U @ core @ U.T @ x read right to
-left: ``_product`` is one ``_spectrum``, the multiply by the core's half
-spectrum and one ``_from_spectrum``, and ``_products`` is (C x, S x),
-one side after the other at even n and through the pair at odd n, where
-it costs two complex DFTs of n points instead of four.
-``_toeplitz_product`` is their sum.  The CSCS sweep calls ``_product``
-for its two shifted inverses and ends with the pair (S x_new for the
-next sweep, C x_new for its stopping test), which also starts a solve
-from a nonzero x0, all on the spectra it holds.
-``_product`` and ``_toeplitz_product`` count their basis changes and run
-the uncounted kernels ``_side_product`` and ``_products``; ``fast_matvec``
-only checks their arguments.  The multiply is always spectrum * h into a
-new array, with h named so that numpy cannot swap the operands in place
-(``_side_product``), so every product rounds alike at every n.
-``_eigenvalues`` maps a half spectrum to lambda in DFT order, its real
-eigenvalues exactly real, and ``_half_spectrum`` maps alphas and betas
-back: X-patterns, spectral pairs and the ``fft`` backend read those two
-maps.
-Everything else is O(n) work around ``_spectrum`` and ``_from_spectrum``:
-``to_core`` (U.T x) and ``from_core`` (U y) scale the half spectrum into
-the core layout and back, ``apply_block_transform`` is Q around them,
-``real_spectrum`` reads a column's eigenvalues off one real DFT, and
-``dtt_apply`` is one block of the factor at n = L, the DFT embedding
-length of the ``trig_transforms`` table.  A basis change counts the DCT and the DST
-it computes.  The layout follows from the sine-block size, (n-1)//2 on
-the circulant side and n//2 on the skew side (``_sine_size``): the
-cosine block holds the other entries, and the transform families are
-DCT-I/DST-I (circulant, even n), DCT-V/DST-V (circulant, odd n),
-DCT-II/DST-II (skew, even n) and DCT-VI/DST-VI (skew, odd n).
+backwards), so every basis change is that DFT: its half-spectrum
+layout, the dispatch on side and parity, the core products and their
+DFT counts are ``trig_transforms``'s (its module docstring).  This
+module is the paper's real-Schur API on top of it, all O(n) work around
+one ``_spectrum`` or ``_from_spectrum``: ``to_core`` (U.T x) and
+``from_core`` (U y) scale the half spectrum into the core layout and
+back, ``apply_block_transform`` is Q around them, ``real_spectrum``
+reads a column's eigenvalues off one real DFT, and ``dtt_apply`` is one
+block of the factor at n = L, the DFT embedding length of the
+``trig_transforms`` table.  A basis change counts the DCT and the DST
+it computes.
 
 The X-pattern entries are the half spectrum of the first column, read
 in the core layout: with vhat = to_core(side, col) and
-hs = n - sine size,
+hs = n - sine size (``_sine_size``),
 
     alpha[k] = w[k] * vhat[k],            0 <= k < hs
     beta[k]  = -sqrt(n/2) * vhat[n-1-k],  0 <= k < sine size
@@ -80,12 +48,8 @@ eigenvalue labeling.
 A shifted core theta*I + X is inverted in O(n), and its inverse is again
 an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
 (d = theta + alpha, b = beta), which multiplies like d + ib, so its
-inverse is [[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda).
-``_inverse_parts`` is that map, with the finite-theta and singular
-checks, on the parts of any eigenvalues: a pattern's (diag, anti) in
-``_shifted_inverse``, a half spectrum in ``cscs_solve``, once per solve.
-It squares d and b only after one exact power-of-two scaling, so theta
-and X times 2^k give the inverse times 2^-k, bit for bit in range.
+inverse is [[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda),
+which ``trig_transforms._inverse_parts`` computes with its checks.
 ``xpattern_apply`` is the X-pattern product and takes no shift
 ((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
 product with the inverse pattern.
@@ -106,10 +70,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured_matrices import _number, _size, _vector
+from .structured_matrices import _size, _vector
 from .trig_transforms import (
-    DttPlan, Family, Flavor, _count, _folded_dft, _folded_idft, _irdft, _irdft_pair, _rdft,
-    _rdft_pair, counting,
+    DttPlan, Family, Flavor, SingularShiftError, _column_spectrum, _count, _count_blocks,
+    _eigenvalues, _from_spectrum, _half_spectrum, _inverse_parts, _sine_size, _spectrum,
+    counting,
 )
 
 __all__ = [
@@ -119,15 +84,6 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-
-class SingularShiftError(ValueError):
-    """theta*I + X is singular at eigenvalue ``index``: a position in the
-    pattern (``xpattern_shifted_solve``) or in ``spectrum`` (``cscs_solve``)."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 def apply_q(x, transposed: bool = False) -> np.ndarray:
@@ -144,185 +100,6 @@ def apply_q(x, transposed: bool = False) -> np.ndarray:
     y[1:h + 1] = plus(head, tail[::-1]) / _SQRT2
     y[n - h:] = minus(tail, head[::-1]) / _SQRT2
     return y
-
-
-def _sine_size(side: str, n: int) -> int:
-    """Size of the sine block: (n-1)//2 on the circulant side, n//2 on the skew side.
-
-    It is the number of conjugate pairs, and it fixes the rest of the
-    layout: the cosine block holds the other n - size entries, whose
-    alphas come first in the core; the betas are the sine block reversed.
-    """
-    if side == "circulant":
-        return (n - 1) // 2
-    if side == "skew":
-        return n // 2
-    raise ValueError(f"unknown side {side!r}")
-
-
-def _count_blocks(side: str, n: int, times: int = 1) -> None:
-    """Count the DCT and the DST that ``times`` basis changes of this side compute."""
-    sine = _sine_size(side, n)
-    _count(Flavor.COSINE, n - sine, times)
-    if sine:
-        _count(Flavor.SINE, sine, times)
-
-
-def _alternated(x):
-    """x * (-1)^j as a new array."""
-    y = np.array(x, dtype=np.float64)
-    y[1::2] *= -1.0
-    return y
-
-
-def _spectrum(side: str, x) -> np.ndarray:
-    """The half spectrum of a real vector x: one real DFT (module docstring)."""
-    if side == "circulant":
-        return _rdft(x)
-    if x.shape[0] % 2 == 0:
-        return _folded_dft(x)
-    return _rdft(_alternated(x))
-
-
-def _from_spectrum(side: str, half, n: int) -> np.ndarray:
-    """The real x of length n with ``_spectrum(side, x) == half``."""
-    if side == "circulant":
-        return _irdft(half, n)
-    if n % 2 == 0:
-        return _folded_idft(half)
-    x = _irdft(half, n)
-    x[1::2] *= -1.0
-    return x
-
-
-def _product(side: str, spectrum, x) -> np.ndarray:
-    """U @ core @ U.T @ x for the core with this half spectrum: one real DFT of x,
-    the multiply and the inverse.  It counts its two basis changes."""
-    _count_blocks(side, x.shape[0], 2)  # U.T and U
-    return _side_product(side, spectrum, x)
-
-
-def _side_product(side: str, spectrum, x) -> np.ndarray:
-    """``_product`` without its count.
-
-    The multiply is spectrum * h with h a named array, at every n: numpy's
-    complex multiply rounds spectrum * h and h * spectrum differently, it
-    runs an unnamed ``spectrum * _spectrum(side, x)`` in place with the
-    operands swapped once the temporary passes 256 KiB (n >= 32768), and
-    its in-place multiply of one-entry arrays rounds like neither.
-    """
-    h = _spectrum(side, x)
-    return _from_spectrum(side, spectrum * h, x.shape[0])
-
-
-def _toeplitz_product(cspectrum, sspectrum, x) -> np.ndarray:
-    """C @ x + S @ x for the circulant and skew cores with these half spectra.
-
-    It counts two basis changes a side, as two ``_product`` calls do, and
-    adds the pair of ``_products``.
-    """
-    for side in ("circulant", "skew"):
-        _count_blocks(side, x.shape[0], 2)  # U.T and U
-    cx, sx = _products(cspectrum, sspectrum, x)
-    return cx + sx
-
-
-def _products(cspectrum, sspectrum, x):
-    """(C @ x, S @ x) for the circulant and skew cores with these half spectra.
-
-    It counts nothing.  At even n each side runs its own ``_side_product``,
-    one after the other: both spectra held before either inverse double
-    the working set, and timed slower at n = 65536.  At odd n one complex
-    DFT gives both spectra (``_spectra``) and one inverts both
-    (``_irdft_pair``, the skew vector then alternated back).
-    """
-    n = x.shape[0]
-    if n % 2 == 0:
-        return _side_product("circulant", cspectrum, x), _side_product("skew", sspectrum, x)
-    hc, hs = _spectra(x, x)
-    xc, xs = _irdft_pair(cspectrum * hc, sspectrum * hs, n)
-    return xc, _alternated(xs)
-
-
-def _spectra(xc, xs):
-    """(circulant half spectrum of xc, skew half spectrum of xs), xc and xs of one length.
-
-    At odd n both are real DFTs of n points, of xc and of xs (-1)^j, so
-    one complex DFT gives the pair; at even n each side runs its own.
-    """
-    if xc.shape[0] % 2 == 0:
-        return _spectrum("circulant", xc), _spectrum("skew", xs)
-    return _rdft_pair(xc, _alternated(xs))
-
-
-def _column_spectra(c, s):
-    """The circulant half spectrum of c and the skew one of s, as ``_column_spectrum``
-    gives them, from one ``_spectra``."""
-    n = c.shape[0]
-    hc, hs = _spectra(c, s)
-    return _real_entries("circulant", n, hc), _real_entries("skew", n, hs)
-
-
-def _column_spectrum(side: str, col) -> np.ndarray:
-    """The half spectrum of a first column, its real eigenvalues exactly real."""
-    _sine_size(side, col.shape[0])  # rejects an unknown side
-    return _real_entries(side, col.shape[0], _spectrum(side, col))
-
-
-def _real_entries(side: str, n: int, half) -> np.ndarray:
-    """``half`` with the imaginary part of its real eigenvalues set to exactly 0.
-
-    Those are the entries that are their own conjugates: lambda[0], and
-    lambda[n/2] at even n, on the circulant side, and lambda[m] at odd n
-    on the skew side, which is entry 0 of its half spectrum.
-    """
-    if side == "circulant" or n % 2:
-        half.imag[0] = 0.0
-    if side == "circulant" and n % 2 == 0:
-        half.imag[-1] = 0.0
-    return half
-
-
-def _half_spectrum(side, n, alphas, betas):
-    """The half spectrum whose eigenvalues have these alphas and betas (``SpectralPair``)."""
-    m = n // 2
-    if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
-        half = alphas.astype(np.complex128)
-        half.imag[1:1 + betas.shape[0]] = -betas
-        return half
-    # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
-    # lambda[n-1-j] = conj(lambda[j])
-    lo = np.empty(m, dtype=np.complex128)
-    lo.real, lo.imag = alphas[:m], betas
-    if n % 2:  # lambda[m:]
-        return np.concatenate((alphas[m:], np.conj(lo[::-1])))
-    return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
-
-
-def _pattern_spectrum(X) -> np.ndarray:
-    """The half spectrum of an X-pattern core, read from its alphas and betas."""
-    k, sine = int(X.pairing == "circulant"), _sine_size(X.pairing, X.n)
-    return _half_spectrum(X.pairing, X.n, X.diag[:X.n - sine], X.anti[k:k + sine])
-
-
-def _eigenvalues(side, n, half):
-    """lambda in DFT order from a half spectrum, by lambda[n-j] (circulant) or
-    lambda[n-1-j] (skew) = conj(lambda[j]): O(n) indexing, no DFT.
-
-    The real eigenvalues, lambda[0] and lambda[n/2] at even n (circulant)
-    and lambda[(n-1)/2] at odd n (skew), get an imaginary part of exactly
-    +0.0, which conj and a shifted inverse's -im/det would leave at -0.0:
-    ``_real_entries`` sets them in the entries that hold the half spectrum.
-    """
-    if side == "circulant":  # conj(lambda[:m+1]), then lambda[m+1:]
-        lam = np.concatenate((np.conj(half), half[(n - 1) // 2:0:-1]))
-        _real_entries(side, n, lam[:n // 2 + 1])
-    elif n % 2:  # lambda[:m], then lambda[m:]
-        lam = np.concatenate((np.conj(half[:0:-1]), half))
-        _real_entries(side, n, lam[n // 2:])
-    else:  # lambda[0::2] = half, lambda[1::2] = conj(half[::-1]); none is real
-        return np.column_stack((half, np.conj(half[::-1]))).ravel()
-    return lam
 
 
 def _spectral_pair(side, n, half):
@@ -502,34 +279,6 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     """
     col = _vector(col, "first column")
     return _spectral_pair(kind, col.shape[0], _column_spectrum(kind, col))
-
-
-def _inverse_parts(theta, re, im):
-    """1 / (theta + re + i im) entrywise: (d/det, -im/det), d = theta + re.
-
-    Raises ValueError for a theta that is not a finite number, and
-    SingularShiftError at the first index whose det = d^2 + im^2 is within
-    eps of the squared scale theta^2 + max(re^2 + im^2), i.e. where
-    |theta + lambda| is within sqrt(eps) of the spectrum's magnitude and
-    rounding alone decides its size.  It is scale-free: theta, re and im
-    are scaled by the one power of two 2^k that takes the largest of
-    them to [1/2, 1) before they are squared, and the quotients by 2^k
-    again.  Both are exact, so the result is bitwise the unscaled one
-    wherever that squares without overflow or underflow.
-    """
-    _number(theta, "shift theta")
-    k = -np.frexp(max(abs(theta), np.abs(re).max(), np.abs(im).max()))[1]
-    t, sre, sim = (np.ldexp(v, k) for v in (theta, re, im))
-    d = t + sre
-    det = d * d + sim * sim
-    scale = t * t + np.max(sre * sre + sim * sim)
-    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
-    if bad.size:
-        j = int(bad[0])
-        raise SingularShiftError(
-            f"shift theta={theta} is singular at index {j} (eigenvalue real "
-            f"part {re[j]}, imaginary part {im[j]})", index=j)
-    return np.ldexp(d / det, k), np.ldexp(-sim / det, k)
 
 
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:

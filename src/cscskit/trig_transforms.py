@@ -1,6 +1,7 @@
-"""The eight orthogonal trigonometric transforms (DCT/DST families I, II, V, VI).
+"""The trigonometric transforms and the half-spectrum kernel behind every product.
 
-With ``tau_l = 1/sqrt(2)`` at the boundary indices (l = 0 or l = n) and
+The eight orthogonal transforms (DCT/DST families I, II, V, VI).  With
+``tau_l = 1/sqrt(2)`` at the boundary indices (l = 0 or l = n) and
 ``iota_k = 1/sqrt(2)`` at k = n-1, the orthonormal matrices are
 
     DCT-I   (s = n+1):  sqrt(2/n)      [ tau_j tau_k cos(j k pi / n)       ]  j,k = 0..n
@@ -32,12 +33,29 @@ and L is the size n of the real Schur basis change it is a block of:
 families I and V are the cosine and sine blocks of the circulant factor
 Q U at n = L, families II and VI those of the skew factor Q.T Utilde.
 ``real_schur.dtt_apply`` computes a transform that way, as one block of
-one real DFT of L points; this module only holds the kinds, the dense
-``dtt_matrix`` that is their oracle, and the real DFT itself.
+one real DFT of L points; the dense ``dtt_matrix`` is its oracle.  Every
+matrix M here satisfies M @ M.T == I, so the transpose doubles as the
+inverse.
 
-Every matrix M here satisfies M @ M.T == I, so the transpose doubles as
-the inverse; ``dtt_apply`` takes a ``transposed`` flag instead of having
-a separate inverse entry point.
+The half spectrum.  The cosine and sine blocks of U.T x are, up to
+scale, the real and imaginary parts of one real DFT of x, so every
+basis change is that DFT.  ``_spectrum(side, x)`` maps a real x of
+length n to its half spectrum and ``_from_spectrum`` maps it back.  With
+lambda the eigenvalues, in DFT order, of the circulant or
+skew-circulant whose first column is x, and m = n // 2, it is
+
+    circulant side:        conj(lambda[:m+1]) = rdft(x)
+    skew side, even n:     lambda[0::2]       = DFT_m((x[:m] - i x[m:]) exp(-i pi j / n))
+    skew side, odd n:      lambda[m:]         = rdft(x (-1)^j)
+
+The layout follows from the sine-block size, (n-1)//2 on the circulant
+side and n//2 on the skew side (``_sine_size``): the cosine block holds
+the other entries, and the families are DCT-I/DST-I (circulant, even n),
+DCT-V/DST-V (circulant, odd n), DCT-II/DST-II (skew, even n) and
+DCT-VI/DST-VI (skew, odd n).  ``_eigenvalues`` restores lambda from a
+half spectrum by conjugate symmetry (O(n), no DFT), its real eigenvalues
+exactly real, and ``_half_spectrum`` reads one off the alphas and betas
+of a ``real_schur.SpectralPair``.
 
 The real DFT.  ``_rdft`` computes the n//2 + 1 outputs of the n-point
 DFT of a real vector, and ``_irdft`` its inverse.  Take w = exp(-2 pi i / n).
@@ -46,27 +64,39 @@ taken mod n/2 and Z = DFT_{n/2}(x[0::2] + i x[1::2]),
 
     X[k] = Z[k] (1 - i w^k) / 2 + conj Z[-k] (1 + i w^k) / 2,   k = 0..n/2,
 
-and for odd n it is one DFT of n points.  The skew side at even n = 2m
-folds instead: ``_folded_dft`` is the m-point DFT of
-(x[:m] - i x[m:]) exp(-i pi j / n), and ``_folded_idft`` its inverse.
-So one basis change, both its blocks at once, costs one complex DFT of
-n/2 points at even n and of n points at odd n.  At odd n two real
-vectors x and y share one: ``_rdft_pair`` splits Z = DFT(x + i y) by
-conjugate symmetry, and ``_irdft_pair`` inverts two half spectra at once
-(Sorensen, Jones, Heideman and Burrus, "Real-valued fast Fourier
-transform algorithms", IEEE TASSP 1987), so a Toeplitz product's two
-basis changes each way cost one complex DFT of n points, not two.
+and for odd n it is one DFT of n points.  The skew side at even n folds
+instead, as the table above shows.  The twist exp(-i pi j / n), j < n,
+is one table, ``_twist``: the fold reads its first n/2 entries, and the
+complex reference backend of ``cscs_solvers`` all n, as the conj D of
+its skew product.  It and the split table are read-only and kept for
+the 16 most recent sizes.
 
-The twist exp(-i pi j / n), j < n, is one table, ``_twist``: the fold
-reads its first n/2 entries, and the complex reference backend of
-``cscs_solvers`` all n, as the conj D of its skew product.  It and the
-split table are read-only and kept for the 16 most recent sizes.
+DFT counts.  One basis change, both its blocks at once, costs one
+complex DFT of n/2 points at even n and of n points at odd n, and a
+core product U @ core @ U.T @ x (``_product``: one ``_spectrum``, the
+multiply by the core's half spectrum, one ``_from_spectrum``) costs two.
+At odd n both sides are real DFTs of n points, so one complex DFT
+carries two of them (Sorensen, Jones, Heideman and Burrus, "Real-valued
+fast Fourier transform algorithms", IEEE TASSP 1987): ``_spectra`` gives
+a circulant and a skew half spectrum from one, and ``_products`` gives
+(C x, S x) from one each way, two complex DFTs of n points instead of
+four.  At even n ``_products`` runs the two sides one after the other.
+``_toeplitz_product`` is C x + S x.  The multiply is always spectrum * h
+into a new array, with h named so that numpy cannot swap the operands
+in place (``_side_product``), so every product rounds alike at every n.
+
+A shifted core theta I + X has eigenvalues theta + lambda;
+``_inverse_parts`` inverts them entrywise, with the finite-theta and
+singular checks (``SingularShiftError``), for an X-pattern's shifted
+solve and for a solve's two shifted inverses.
 
 Inside a ``counting()`` block every basis change counts, through
-``_count``, the DCT and the DST it computes, and ``dtt_apply`` counts
-its one transform, by (flavor, size).  The counter lives in a context
-variable, so each thread (or asyncio task) sees only its own calls;
-solvers use it to report their per-sweep transform budget.
+``_count_blocks``, the DCT and the DST it computes (``_product`` and
+``_toeplitz_product`` count theirs; ``_side_product``, ``_products`` and
+``_spectra`` count nothing), and ``dtt_apply`` counts its one transform,
+by (flavor, size).  The counter lives in a context variable, so each
+thread (or asyncio task) sees only its own calls; solvers use it to
+report their per-sweep transform budget.
 """
 
 import contextvars
@@ -79,7 +109,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._dft import dft_vector
-from .structured_matrices import _size
+from .structured_matrices import _number, _size
 
 __all__ = [
     "Family", "Flavor", "DttKind", "DttPlan", "counting", "dtt_matrix",
@@ -135,6 +165,35 @@ def counting():
         yield counts
     finally:
         _counts.reset(token)
+
+
+def _count(flavor: Flavor, size: int, times: int = 1) -> None:
+    """Count ``times`` transforms of this flavor and size in the active ``counting()`` block."""
+    counts = _counts.get()
+    if counts is not None:
+        counts[flavor, size] += times
+
+
+def _sine_size(side: str, n: int) -> int:
+    """Size of the sine block: (n-1)//2 on the circulant side, n//2 on the skew side.
+
+    It is the number of conjugate pairs, and it fixes the rest of the
+    layout: the cosine block holds the other n - size entries, whose
+    alphas come first in the core; the betas are the sine block reversed.
+    """
+    if side == "circulant":
+        return (n - 1) // 2
+    if side == "skew":
+        return n // 2
+    raise ValueError(f"unknown side {side!r}")
+
+
+def _count_blocks(side: str, n: int, times: int = 1) -> None:
+    """Count the DCT and the DST that ``times`` basis changes of this side compute."""
+    sine = _sine_size(side, n)
+    _count(Flavor.COSINE, n - sine, times)
+    if sine:
+        _count(Flavor.SINE, sine, times)
 
 
 def _tau(indices, n):
@@ -216,13 +275,6 @@ class DttPlan:
         _size(self.size, "transform size")
 
 
-def _count(flavor: Flavor, size: int, times: int = 1) -> None:
-    """Count ``times`` transforms of this flavor and size in the active ``counting()`` block."""
-    counts = _counts.get()
-    if counts is not None:
-        counts[flavor, size] += times
-
-
 def _wrapped(z):
     """Z_k for k = 0..len(z), indices mod len(z): the range a real-input split reads."""
     return np.concatenate((z, z[:1]))
@@ -284,33 +336,172 @@ def _irdft(y, n: int) -> np.ndarray:
     return x
 
 
-def _rdft_pair(x, y):
-    """(``_rdft(x)``, ``_rdft(y)``) of two real vectors of one odd length n, from one DFT.
+def _alternated(x):
+    """x * (-1)^j as a new array."""
+    y = np.array(x, dtype=np.float64)
+    y[1::2] *= -1.0
+    return y
 
-    With Z = DFT(x + i y) and indices mod n, X_k = (Z_k + conj Z_-k) / 2
-    and Y_k = (Z_k - conj Z_-k) / (2i), k = 0..n//2.
-    """
+
+def _spectrum(side: str, x) -> np.ndarray:
+    """The half spectrum of a real vector x: one real DFT (module docstring)."""
     n = x.shape[0]
+    if side == "circulant":
+        return _rdft(x)
+    if n % 2:
+        return _rdft(_alternated(x))
+    # the fold; its entry q is the skew-circulant transform at frequency 2q
+    m = n // 2
+    z = np.empty(m, dtype=np.complex128)
+    z.real = x[:m]
+    z.imag = -x[m:]  # np.negative(..., out=z.imag) misreads some strided x
+    z *= _twist(n)[:m]
+    return dft_vector(z)
+
+
+def _from_spectrum(side: str, half, n: int) -> np.ndarray:
+    """The real x of length n with ``_spectrum(side, x) == half``."""
+    if side == "circulant":
+        return _irdft(half, n)
+    if n % 2:
+        x = _irdft(half, n)
+        x[1::2] *= -1.0
+        return x
+    # the unfold: with v = IDFT_m(half) exp(i pi j / n), x = [Re v, -Im v];
+    # as one forward DFT, conj v = DFT_m(conj half) exp(-i pi j / n) / m
+    m = n // 2
+    w = dft_vector(np.conj(half))  # m conj v
+    w *= _twist(n)[:m]
+    x = np.empty(n)
+    np.divide(w.real, m, out=x[:m])
+    np.divide(w.imag, m, out=x[m:])
+    return x
+
+
+def _spectra(xc, xs):
+    """(circulant half spectrum of xc, skew half spectrum of xs), xc and xs of one length.
+
+    At even n each side runs its own.  At odd n both are real DFTs of n
+    points, of xc and of xs (-1)^j, so one complex DFT gives the pair:
+    with Z = DFT(xc + i xs (-1)^j) and indices mod n, they are
+    (Z_k + conj Z_-k) / 2 and (Z_k - conj Z_-k) / (2i), k = 0..n//2.
+    """
+    n = xc.shape[0]
+    if n % 2 == 0:
+        return _spectrum("circulant", xc), _spectrum("skew", xs)
     m = n // 2
     z = np.empty(n, dtype=np.complex128)
-    z.real, z.imag = x, y
+    z.real, z.imag = xc, _alternated(xs)
     z = _wrapped(dft_vector(z))
     head = z[:m + 1]
     tail = np.conj(z[n:n - m - 1:-1])  # conj Z_-k
-    xs = head + tail
-    xs *= 0.5
-    ys = head - tail
-    ys *= -0.5j
-    return xs, ys
+    hc = head + tail
+    hc *= 0.5
+    hs = head - tail
+    hs *= -0.5j
+    return hc, hs
 
 
-def _irdft_pair(p, q, n: int):
-    """(``_irdft(p, n)``, ``_irdft(q, n)``) at odd n, from one DFT.
+def _real_entries(side: str, n: int, half) -> np.ndarray:
+    """``half`` with the imaginary part of its real eigenvalues set to exactly 0.
 
-    p + i q is the half spectrum of x + i y, whose Hermitian extensions
-    give the full spectrum F: F_k = p_k + i q_k and F_(n-k) = conj p_k
-    + i conj q_k.  One n-point DFT of conj F is n conj(x + i y).
+    Those are the entries that are their own conjugates: lambda[0], and
+    lambda[n/2] at even n, on the circulant side, and lambda[m] at odd n
+    on the skew side, which is entry 0 of its half spectrum.
     """
+    if side == "circulant" or n % 2:
+        half.imag[0] = 0.0
+    if side == "circulant" and n % 2 == 0:
+        half.imag[-1] = 0.0
+    return half
+
+
+def _column_spectrum(side: str, col) -> np.ndarray:
+    """The half spectrum of a first column, its real eigenvalues exactly real."""
+    _sine_size(side, col.shape[0])  # rejects an unknown side
+    return _real_entries(side, col.shape[0], _spectrum(side, col))
+
+
+def _column_spectra(c, s):
+    """The circulant half spectrum of c and the skew one of s, as ``_column_spectrum``
+    gives them, from one ``_spectra``."""
+    n = c.shape[0]
+    hc, hs = _spectra(c, s)
+    return _real_entries("circulant", n, hc), _real_entries("skew", n, hs)
+
+
+def _half_spectrum(side, n, alphas, betas):
+    """The half spectrum whose eigenvalues have these alphas and betas (``SpectralPair``)."""
+    m = n // 2
+    if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
+        half = alphas.astype(np.complex128)
+        half.imag[1:1 + betas.shape[0]] = -betas
+        return half
+    # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
+    # lambda[n-1-j] = conj(lambda[j])
+    lo = np.empty(m, dtype=np.complex128)
+    lo.real, lo.imag = alphas[:m], betas
+    if n % 2:  # lambda[m:]
+        return np.concatenate((alphas[m:], np.conj(lo[::-1])))
+    return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
+
+
+def _eigenvalues(side, n, half):
+    """lambda in DFT order from a half spectrum, by lambda[n-j] (circulant) or
+    lambda[n-1-j] (skew) = conj(lambda[j]): O(n) indexing, no DFT.
+
+    The real eigenvalues, lambda[0] and lambda[n/2] at even n (circulant)
+    and lambda[(n-1)/2] at odd n (skew), get an imaginary part of exactly
+    +0.0, which conj and a shifted inverse's -im/det would leave at -0.0:
+    ``_real_entries`` sets them in the entries that hold the half spectrum.
+    """
+    if side == "circulant":  # conj(lambda[:m+1]), then lambda[m+1:]
+        lam = np.concatenate((np.conj(half), half[(n - 1) // 2:0:-1]))
+        _real_entries(side, n, lam[:n // 2 + 1])
+    elif n % 2:  # lambda[:m], then lambda[m:]
+        lam = np.concatenate((np.conj(half[:0:-1]), half))
+        _real_entries(side, n, lam[n // 2:])
+    else:  # lambda[0::2] = half, lambda[1::2] = conj(half[::-1]); none is real
+        return np.column_stack((half, np.conj(half[::-1]))).ravel()
+    return lam
+
+
+def _product(side: str, spectrum, x) -> np.ndarray:
+    """U @ core @ U.T @ x for the core with this half spectrum: one real DFT of x,
+    the multiply and the inverse.  It counts its two basis changes."""
+    _count_blocks(side, x.shape[0], 2)  # U.T and U
+    return _side_product(side, spectrum, x)
+
+
+def _side_product(side: str, spectrum, x) -> np.ndarray:
+    """``_product`` without its count.
+
+    The multiply is spectrum * h with h a named array, at every n: numpy's
+    complex multiply rounds spectrum * h and h * spectrum differently, it
+    runs an unnamed ``spectrum * _spectrum(side, x)`` in place with the
+    operands swapped once the temporary passes 256 KiB (n >= 32768), and
+    its in-place multiply of one-entry arrays rounds like neither.
+    """
+    h = _spectrum(side, x)
+    return _from_spectrum(side, spectrum * h, x.shape[0])
+
+
+def _products(cspectrum, sspectrum, x):
+    """(C @ x, S @ x) for the circulant and skew cores with these half spectra.
+
+    It counts nothing.  At even n each side runs its own ``_side_product``,
+    one after the other: both spectra held before either inverse double
+    the working set, and timed slower at n = 65536.  At odd n one complex
+    DFT gives both spectra (``_spectra``) and one inverts both: p + i q,
+    the two products' half spectra, is that of C x + i S x (-1)^j, whose
+    full spectrum F has F_k = p_k + i q_k and F_(n-k) = conj p_k + i conj q_k,
+    and one n-point DFT of conj F is n conj(C x + i S x (-1)^j).
+    """
+    n = x.shape[0]
+    if n % 2 == 0:
+        return _side_product("circulant", cspectrum, x), _side_product("skew", sspectrum, x)
+    hc, hs = _spectra(x, x)
+    p, q = cspectrum * hc, sspectrum * hs
     m = n // 2
     g = np.empty(n, dtype=np.complex128)
     g.real[:m + 1] = p.real - q.imag  # conj(p + i q)
@@ -318,34 +509,53 @@ def _irdft_pair(p, q, n: int):
     g.real[:m:-1] = p.real[1:] + q.imag[1:]  # p - i q, at n - k
     g.imag[:m:-1] = p.imag[1:] - q.real[1:]
     w = dft_vector(g)
-    return w.real / n, w.imag / -n
+    return w.real / n, _alternated(w.imag / -n)
 
 
-def _folded_dft(x) -> np.ndarray:
-    """DFT_m((x[:m] - i x[m:]) exp(-i pi j / n)) of a real x of even length n = 2m.
+def _toeplitz_product(cspectrum, sspectrum, x) -> np.ndarray:
+    """C @ x + S @ x for the circulant and skew cores with these half spectra.
 
-    Its entry q is the skew-circulant transform at frequency 2q, so a
-    skew-circulant with eigenvalues lambda (DFT order) multiplies it by
-    lambda[0::2].
+    It counts two basis changes a side, as two ``_product`` calls do, and
+    adds the pair of ``_products``.
     """
-    m = x.shape[0] // 2
-    z = np.empty(m, dtype=np.complex128)
-    z.real = x[:m]
-    z.imag = -x[m:]  # np.negative(..., out=z.imag) misreads some strided x
-    z *= _twist(2 * m)[:m]
-    return dft_vector(z)
+    for side in ("circulant", "skew"):
+        _count_blocks(side, x.shape[0], 2)  # U.T and U
+    cx, sx = _products(cspectrum, sspectrum, x)
+    return cx + sx
 
 
-def _folded_idft(y) -> np.ndarray:
-    """The real x with ``_folded_dft(x) == y``.
+class SingularShiftError(ValueError):
+    """theta*I + X is singular at eigenvalue ``index``: a position in the
+    pattern (``xpattern_shifted_solve``) or in ``spectrum`` (``cscs_solve``)."""
 
-    With v = IDFT_m(y) exp(i pi j / n), x[:m] = Re v and x[m:] = -Im v;
-    as one forward DFT, conj v = DFT_m(conj y) exp(-i pi j / n) / m.
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+
+def _inverse_parts(theta, re, im):
+    """1 / (theta + re + i im) entrywise: (d/det, -im/det), d = theta + re.
+
+    Raises ValueError for a theta that is not a finite number, and
+    SingularShiftError at the first index whose det = d^2 + im^2 is within
+    eps of the squared scale theta^2 + max(re^2 + im^2), i.e. where
+    |theta + lambda| is within sqrt(eps) of the spectrum's magnitude and
+    rounding alone decides its size.  It is scale-free: theta, re and im
+    are scaled by the one power of two 2^k that takes the largest of
+    them to [1/2, 1) before they are squared, and the quotients by 2^k
+    again.  Both are exact, so the result is bitwise the unscaled one
+    wherever that squares without overflow or underflow.
     """
-    m = y.shape[0]
-    w = dft_vector(np.conj(y))  # m conj v
-    w *= _twist(2 * m)[:m]
-    x = np.empty(2 * m)
-    np.divide(w.real, m, out=x[:m])
-    np.divide(w.imag, m, out=x[m:])
-    return x
+    _number(theta, "shift theta")
+    k = -np.frexp(max(abs(theta), np.abs(re).max(), np.abs(im).max()))[1]
+    t, sre, sim = (np.ldexp(v, k) for v in (theta, re, im))
+    d = t + sre
+    det = d * d + sim * sim
+    scale = t * t + np.max(sre * sre + sim * sim)
+    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
+    if bad.size:
+        j = int(bad[0])
+        raise SingularShiftError(
+            f"shift theta={theta} is singular at index {j} (eigenvalue real "
+            f"part {re[j]}, imaginary part {im[j]})", index=j)
+    return np.ldexp(d / det, k), np.ldexp(-sim / det, k)

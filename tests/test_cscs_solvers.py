@@ -338,7 +338,7 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
     omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
-    sx = real_schur._products(op.circulant_part.spectrum, op.skew_part.spectrum, x)[1]
+    sx = trig_transforms._products(op.circulant_part.spectrum, op.skew_part.spectrum, x)[1]
     u = theta * x - sx + b
     v = 2 * theta * circulant_matvec(_shifted_operator(omega, theta), u) - u + b
     want = skew_circulant_matvec(_shifted_operator(sigma, theta), v)
@@ -389,7 +389,7 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     # reusing the stopping test's S x_new in the next sweep changes no bit:
     # this loop recomputes S x at the top of each sweep and (C x, S x) for
     # each residual and from a nonzero x0; dct_dst runs it with the public
-    # inverse operators and the pair of real_schur._products, and fft with
+    # inverse operators and the pair of trig_transforms._products, and fft with
     # the products of the X-patterns and their inverses, so both also pin
     # the solve's half-spectrum cores to the pattern route
     rng = np.random.default_rng(3000 + n)
@@ -403,7 +403,7 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
         c_inv = lambda v: circulant_matvec(cinv_op, v)
         s_inv = lambda v: skew_circulant_matvec(sinv_op, v)
         spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
-        pair = lambda v: real_schur._products(*spectra, v)
+        pair = lambda v: trig_transforms._products(*spectra, v)
     else:
         omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
         c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_inverse(omega, theta),
@@ -649,9 +649,9 @@ def test_non_finite_rhs_and_initial_guess_rejected():
     T = toeplitz_from_bands([0.0, 0.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="right-hand side must be finite"):
         cscs_solve(T, np.array([1.0, np.inf, 1.0]), SolverConfig(theta=1.0))
-    cfg = SolverConfig(theta=1.0, x0=np.array([0.0, np.nan, 0.0]))
+    # SolverConfig checks x0 when built
     with pytest.raises(ValueError, match="initial guess must be finite"):
-        cscs_solve(T, np.ones(3), cfg)
+        cscs_solve(T, np.ones(3), SolverConfig(theta=1.0, x0=np.array([0.0, np.nan, 0.0])))
 
 
 # ------------------------------------------------------ iteration_matrix_rho

@@ -10,10 +10,9 @@ from cscskit.fast_matvec import (
     skew_circulant_matvec, toeplitz_matvec,
 )
 from cscskit.real_schur import (
-    XPattern, _eigenvalues, _from_spectrum, _shifted_inverse, _spectrum,
-    apply_block_transform, from_core, real_spectrum, to_core,
+    XPattern, _shifted_inverse, apply_block_transform, from_core, real_spectrum, to_core,
 )
-from cscskit.trig_transforms import counting
+from cscskit.trig_transforms import _eigenvalues, _from_spectrum, _spectrum, counting
 from cscskit.structured_matrices import (
     CirculantCol, SkewCirculantCol, cscs_split, naive_matvec, toeplitz_from_bands,
 )

@@ -123,8 +123,13 @@ ROWS = {
         ("theta", _POSITIVE, lambda v: SolverConfig(theta=v), False),
         ("tol", _POSITIVE, lambda v: SolverConfig(theta=1.0, tol=v), False),
         ("max_iters", _SIZE, lambda v: SolverConfig(theta=1.0, max_iters=v), False),
-        # the length of x0 is known only to the solve
+        # the length of x0 is known only to the solve; the rest is checked when built
         ("x0", _vectors(owned=True), lambda v: _solve(x0=v), False),
+        ("x0 when built", _vectors(owned=True, any_length=True),
+         lambda v: SolverConfig(theta=1.0, x0=v), False),
+        ("record_iterates", {"string": "no", "array": np.array([1, 0]), "int": 1,
+                             "float": 1.0, "none": None},
+         lambda v: SolverConfig(theta=1.0, record_iterates=v), False),
     ],
     "cscs_solve": [
         ("T", _NOT_BANDS, lambda v: cscs_solve(v, _ONES, SolverConfig(theta=1.0)), False),
@@ -275,6 +280,23 @@ def test_value_objects_own_a_read_only_copy(build):
         assert held.dtype == np.float64 and np.array_equal(held, before)
         with pytest.raises(ValueError):
             held[0] = 5.0
+
+
+def test_solver_config_owns_a_read_only_x0():
+    # SolverConfig kept the caller's x0: writing into it after the build
+    # moved where every later solve started
+    given = np.array([1.0, 2.0, 3.0, 4.0])
+    cfg = SolverConfig(theta=1.0, max_iters=1, x0=given, record_iterates=True)
+    before = _solve(x0=given.copy(), max_iters=1)
+    given[1] = 99.0
+    assert cfg.x0.dtype == np.float64 and np.array_equal(cfg.x0, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError):
+        cfg.x0[0] = 5.0
+    report = cscs_solve(_T, _ONES, cfg)
+    assert np.array_equal(report.iterates[0], [1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(report.solution, before)
+    # the solution and the iterates are the solve's own, not the held x0
+    assert report.iterates[0].flags.writeable and report.solution.flags.writeable
 
 
 def test_a_list_of_bands_builds_a_working_operator():

@@ -1,11 +1,15 @@
 """Transform kernels: definitional matrices, fast path, orthogonality."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscskit import trig_transforms
+import cscskit
+from cscskit import _dft, trig_transforms
 from cscskit.real_schur import dtt_apply
 from cscskit.trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
@@ -162,3 +166,20 @@ def test_one_twist_table_serves_the_fold_and_the_fft_backend(n):
     assert not t.flags.writeable
     assert t.tobytes() == np.exp(-1j * np.pi * np.arange(n) / n).tobytes()
     assert t[:n // 2].tobytes() == np.exp(-1j * np.pi * np.arange(n // 2) / n).tobytes()
+
+
+def test_the_dft_engine_is_bound_in_two_modules():
+    # perfbench traces the kernels' DFTs at trig_transforms.dft_vector and
+    # the complex comparator's at cscs_solvers.dft; a module that bound the
+    # engine elsewhere would run DFTs that neither count sees
+    bound = {}
+    for info in pkgutil.iter_modules(cscskit.__path__):
+        if info.name in ("_dft", "__main__"):  # importing __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"cscskit.{info.name}")
+        names = sorted(name for name, value in vars(module).items()
+                       if value is _dft or getattr(value, "__module__", None) == _dft.__name__)
+        if names:
+            bound[info.name] = names
+    assert bound == {"trig_transforms": ["dft_vector"], "cscs_solvers": ["_dft"]}
+    assert cscskit.SingularShiftError is cscskit.real_schur.SingularShiftError
