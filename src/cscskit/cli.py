@@ -40,8 +40,7 @@ from .cscs_solvers import (
     BACKENDS, RHO_DENSE_GUARD, SolverConfig, cscs_solve, iteration_matrix_rho,
     theta_scan,
 )
-from .fast_matvec import CirculantOperator
-from .real_schur import SingularShiftError
+from .real_schur import SingularShiftError, real_spectrum
 from .structured_matrices import _vector, cscs_split
 
 EXIT_OK = 0
@@ -88,17 +87,15 @@ def _cmd_solve(args):
 
 
 def _cmd_spectrum(args):
-    # each factor from its own column, so the rows are real_spectrum's bit for bit
     c, s = cscs_split(_problem(args))
     with _opened(args.out or sys.stdout) as out:
         out.write("part,k,alpha,beta\n")
-        for part, factor in (("circulant", CirculantOperator.from_circulant(c)),
-                             ("skew", CirculantOperator.from_skew_circulant(s))):
+        for part, col in (("circulant", c.col), ("skew", s.col)):
             if args.part not in (None, part):
                 continue
             # one row per eigenvalue pair (or real eigenvalue): its real
             # part on the core's diagonal, its imaginary part on the anti-diagonal
-            X = factor.pattern
+            X = real_spectrum(part, col).expand()
             for k in np.flatnonzero(np.arange(X.n) <= X.partner):
                 out.write(f"{part},{k},{X.diag[k]:.17g},{X.anti[k]:.17g}\n")
     return EXIT_OK

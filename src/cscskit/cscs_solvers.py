@@ -106,7 +106,7 @@ def dft(x, inverse: bool = False) -> np.ndarray:
 BACKENDS = ("dct_dst", "fft")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Shift, stopping rule and backend for ``cscs_solve``, checked when built; frozen.
 
@@ -134,7 +134,7 @@ class SolverConfig:
             raise ValueError(f"record_iterates must be a bool, got {self.record_iterates!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     """Outcome of one CSCS solve."""
 
@@ -263,9 +263,11 @@ def _cores(op, theta, real):
         return (lambda v: _product("circulant", ci, v), lambda v: _product("skew", si, v),
                 products)
     # Ftilde = D F^*: the skew side runs the circulant product on the
-    # D-modulated vector, and conj D is the skew fold's twist table
+    # D-modulated vector, and conj D is the skew fold's twist table; D is
+    # its conjugate, taken once a solve
     n = op.n
     dbar = _twist(n)
+    d = np.conj(dbar)
 
     def core(part):
         # the eigenvalues in DFT order; each product returns a real copy,
@@ -273,7 +275,7 @@ def _cores(op, theta, real):
         lam = _eigenvalues(part.kind, n, part.spectrum)
         if part.kind == "circulant":
             return lambda v: dft(lam * dft(v, inverse=True)).real.copy()
-        return lambda v: (np.conj(dbar) * dft(lam * dft(dbar * v), inverse=True)).real.copy()
+        return lambda v: (d * dft(lam * dft(dbar * v), inverse=True)).real.copy()
 
     c, s, c_inv, s_inv = map(core, parts)
     return c_inv, s_inv, lambda v: (c(v), s(v))

@@ -16,9 +16,9 @@ through the splitting T = C + S), and so count their basis changes, one
 DCT and one DST each at the block sizes, in ``counting()``.
 ``from_circulant``/``from_skew_circulant`` build an operator from one
 real DFT of its first column, and ``from_bands`` builds both spectra
-from one ``_spectra``.  The half spectrum is (n//2 + 1) complex values,
-half the 2n doubles of an X-pattern core; ``pattern`` expands it on
-demand.
+from one ``_spectra``; no operator is built from an X-pattern, and none
+expands to one.  The half spectrum is (n//2 + 1) complex values, half
+the 2n doubles of an X-pattern core.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -28,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .real_schur import XPattern
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
 )
 from .trig_transforms import (
-    _column_spectra, _column_spectrum, _eigenvalues, _half_spectrum, _inverse_parts, _product,
-    _sine_size, _toeplitz_product,
+    _column_spectra, _column_spectrum, _inverse_parts, _product, _toeplitz_product,
 )
 
 __all__ = [
@@ -52,35 +50,29 @@ class CirculantOperator:
     dft(s * exp(-i pi k/n)) for a skew-circulant with first column s), and
     m = n // 2, ``spectrum`` is the read-only complex128 array
     conj(lambda[:m+1]) (circulant), lambda[0::2] (skew, even n) or
-    lambda[m:] (skew, odd n).  Built from an XPattern, or by
-    ``from_circulant``/``from_skew_circulant`` from a first column.
+    lambda[m:] (skew, odd n).  Built by ``from_circulant``/``from_skew_circulant``
+    from a first column, or by ``ToeplitzOperator.from_bands``; calling the
+    class itself raises TypeError.
     """
 
     n: int
     kind: str
     spectrum: np.ndarray
 
-    def __init__(self, pattern: XPattern):
-        if not isinstance(pattern, XPattern):
-            raise ValueError(f"CirculantOperator pattern must be an XPattern, got {pattern!r}")
-        kind, n = pattern.pairing, pattern.n
-        k, sine = int(kind == "circulant"), _sine_size(kind, n)
-        # the alphas and betas of its eigenvalues (``real_schur.SpectralPair``)
-        self._hold(kind, n, _half_spectrum(kind, n, pattern.diag[:n - sine],
-                                           pattern.anti[k:k + sine]))
-
-    def _hold(self, kind, n, spectrum):
-        if spectrum.base is not None:  # a view keeps its whole base alive, and writable
-            spectrum = spectrum.copy()
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "spectrum", spectrum)
-        return self
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a CirculantOperator with from_circulant or from_skew_circulant")
 
     @classmethod
     def _of(cls, kind, n, spectrum) -> "CirculantOperator":
-        return object.__new__(cls)._hold(kind, n, spectrum)
+        """The operator holding this half spectrum, made read-only (a view is copied first)."""
+        if spectrum.base is not None:  # a view keeps its whole base alive, and writable
+            spectrum = spectrum.copy()
+        spectrum.flags.writeable = False
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", n)
+        object.__setattr__(op, "kind", kind)
+        object.__setattr__(op, "spectrum", spectrum)
+        return op
 
     def _shifted_inverse(self, theta) -> "CirculantOperator":
         """(theta I + this)^-1: each held eigenvalue lambda becomes 1 / (theta + lambda)."""
@@ -88,12 +80,6 @@ class CirculantOperator:
         spectrum.real, spectrum.imag = _inverse_parts(theta, self.spectrum.real,
                                                       self.spectrum.imag)
         return CirculantOperator._of(self.kind, self.n, spectrum)
-
-    @property
-    def pattern(self) -> XPattern:
-        """The X-pattern core, expanded from the half spectrum."""
-        lam = _eigenvalues(self.kind, self.n, self.spectrum)
-        return XPattern(self.n, self.kind, lam.real, lam.imag)
 
     @classmethod
     def from_circulant(cls, col) -> "CirculantOperator":

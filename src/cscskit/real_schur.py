@@ -43,7 +43,10 @@ and sqrt(n/2) elsewhere.  The pairing is a reflection, so a core reads
 the partners of a vector by slicing, never through an index table.  The
 sign of each beta is a convention pinned by the congruence test
 ``U.T @ dense(M) @ U == expand(real_spectrum(...))`` rather than by any
-eigenvalue labeling.
+eigenvalue labeling.  This module alone knows where the alphas and betas
+sit in a half spectrum: ``_spectral_pair`` reads them off one and
+``_half_spectrum`` writes them back, both exactly.  The operators of
+``fast_matvec`` hold the half spectrum itself, and no X-pattern.
 
 A shifted core theta*I + X is inverted in O(n), and its inverse is again
 an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
@@ -57,10 +60,11 @@ product with the inverse pattern.
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
 
-Input contract (checks from ``structured_matrices``): ``XPattern``,
-``real_spectrum``, ``SpectralPair.eigenvalues``/``expand``, a shifted
-solve's theta and ``dense_u_oracle``'s size raise ValueError for a
-bool, a non-number, the wrong shape and NaN or Inf.  The products (``apply_q``,
+Input contract (checks from ``structured_matrices``): ``XPattern`` and
+``SpectralPair`` (when built), ``real_spectrum``, a shifted solve's
+theta, ``dtt_apply``'s plan and ``dense_u_oracle``'s size raise
+ValueError for a bool, a non-number, the wrong shape or type and NaN or
+Inf.  The products (``apply_q``,
 ``apply_block_transform``, ``to_core``/``from_core``, ``dtt_apply``,
 ``xpattern_apply``, the z of ``xpattern_shifted_solve``) check the shape
 and the kind (a bool or complex array raises) and pass NaN and Inf through.
@@ -70,11 +74,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured_matrices import _size, _vector
+from .structured_matrices import _instance, _size, _vector
 from .trig_transforms import (
     DttPlan, Family, Flavor, SingularShiftError, _column_spectrum, _count, _count_blocks,
-    _eigenvalues, _from_spectrum, _half_spectrum, _inverse_parts, _sine_size, _spectrum,
-    counting,
+    _eigenvalues, _from_spectrum, _inverse_parts, _sine_size, _spectrum, counting,
 )
 
 __all__ = [
@@ -103,10 +106,27 @@ def apply_q(x, transposed: bool = False) -> np.ndarray:
 
 
 def _spectral_pair(side, n, half):
-    """The SpectralPair that ``_half_spectrum`` read, exactly."""
+    """(alphas, betas) of the eigenvalues with this half spectrum: ``_half_spectrum``
+    inverted, exactly."""
     lam = _eigenvalues(side, n, half)
     k, sine = int(side == "circulant"), _sine_size(side, n)
-    return SpectralPair(lam.real[:n - sine], lam.imag[k:k + sine], side)
+    return lam.real[:n - sine], lam.imag[k:k + sine]
+
+
+def _half_spectrum(side, n, alphas, betas):
+    """The half spectrum whose eigenvalues have these alphas and betas."""
+    m = n // 2
+    if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
+        half = alphas.astype(np.complex128)
+        half.imag[1:1 + betas.shape[0]] = -betas
+        return half
+    # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
+    # lambda[n-1-j] = conj(lambda[j])
+    lo = np.empty(m, dtype=np.complex128)
+    lo.real, lo.imag = alphas[:m], betas
+    if n % 2:  # lambda[m:]
+        return np.concatenate((alphas[m:], np.conj(lo[::-1])))
+    return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
 
 
 def _core_scale(side: str, n: int):
@@ -122,9 +142,9 @@ def to_core(side: str, x) -> np.ndarray:
     x = _vector(x, "to_core input", finite=False)
     n = x.shape[0]
     _count_blocks(side, n)
-    pair = _spectral_pair(side, n, _spectrum(side, x))
+    alphas, betas = _spectral_pair(side, n, _spectrum(side, x))
     w, half = _core_scale(side, n)
-    return np.concatenate((pair.alphas / w, pair.betas[::-1] / -half))
+    return np.concatenate((alphas / w, betas[::-1] / -half))
 
 
 def from_core(side: str, y) -> np.ndarray:
@@ -172,9 +192,9 @@ def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     chirp convolution of about 4s points), not a transform of s points.
     No product or solver path calls it.
     """
-    x = _vector(x, "vector", plan.size, finite=False)
-    _count(plan.kind.flavor, plan.size)
-    s = plan.size
+    s = _instance(plan, DttPlan, "dtt_apply plan").size
+    x = _vector(x, "vector", s, finite=False)
+    _count(plan.kind.flavor, s)
     if s == 1:
         return x.copy()
     side, grow = _FACTORS[plan.kind.family]
@@ -188,7 +208,7 @@ def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
         return apply_block_transform(side, v, transposed)[block].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XPattern:
     """Cross-shaped core matrix: X[j,j] = diag[j], X[j,partner(j)] = anti[j].
 
@@ -233,21 +253,28 @@ def _reflect(pairing: str, v) -> np.ndarray:
     return np.concatenate((v[:1], v[:0:-1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralPair:
     """Half-spectrum (alpha, beta) of a circulant or skew-circulant matrix.
 
     Lengths follow the conjugate-pair orderings: circulant keeps
     alpha[0..m] with betas for the strictly interior pairs; skew keeps
     alpha[0..m-1] (plus the real middle eigenvalue when n is odd) and
-    one beta per pair.  A record of ``real_spectrum``'s output: its
-    numbers and lengths are checked when ``eigenvalues`` (and so
-    ``expand``) reads them.
+    one beta per pair.  Checked when built: the kind is "circulant" or
+    "skew", and ``alphas`` and ``betas`` are finite, of the lengths the
+    layout fixes for n = len(alphas) + len(betas), and kept as read-only
+    float64 copies of the arrays passed in.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
     kind: str
+
+    def __post_init__(self):
+        n = _size(np.size(self.alphas) + np.size(self.betas), "SpectralPair size n")
+        sine = _sine_size(self.kind, n)
+        object.__setattr__(self, "alphas", _vector(self.alphas, "SpectralPair alphas", n - sine))
+        object.__setattr__(self, "betas", _vector(self.betas, "SpectralPair betas", sine))
 
     @property
     def n(self) -> int:
@@ -261,15 +288,9 @@ class SpectralPair:
         return XPattern(self.n, self.kind, lam.real, lam.imag)
 
     def eigenvalues(self) -> np.ndarray:
-        """Full complex eigenvalue multiset (conjugate pairs restored), in DFT order.
-
-        Raises ValueError for an unknown kind, and for alphas and betas that
-        are not finite or not of the lengths the layout fixes for their n.
-        """
-        n, sine = _size(self.n, "SpectralPair size n"), _sine_size(self.kind, self.n)
-        alphas = _vector(self.alphas, "SpectralPair alphas", n - sine)
-        betas = _vector(self.betas, "SpectralPair betas", sine)
-        return _eigenvalues(self.kind, n, _half_spectrum(self.kind, n, alphas, betas))
+        """Full complex eigenvalue multiset (conjugate pairs restored), in DFT order."""
+        return _eigenvalues(self.kind, self.n,
+                            _half_spectrum(self.kind, self.n, self.alphas, self.betas))
 
 
 def real_spectrum(kind: str, col) -> SpectralPair:
@@ -278,7 +299,7 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     Reads them off one real DFT of the column; no dense matrix is formed.
     """
     col = _vector(col, "first column")
-    return _spectral_pair(kind, col.shape[0], _column_spectrum(kind, col))
+    return SpectralPair(*_spectral_pair(kind, col.shape[0], _column_spectrum(kind, col)), kind)
 
 
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:

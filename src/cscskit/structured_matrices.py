@@ -111,7 +111,7 @@ def _vector(values, what, n=None, finite=True, dtype=np.float64):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ToeplitzBands:
     """Toeplitz matrix as diagonal coefficients t[-(n-1)] .. t[n-1], ascending.
 
@@ -139,7 +139,7 @@ class _Column:
         object.__setattr__(self, "col", _vector(self.col, "first column", self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantCol(_Column):
     """Circulant matrix identified by its first column."""
 
@@ -147,7 +147,7 @@ class CirculantCol(_Column):
     col: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkewCirculantCol(_Column):
     """Skew-circulant matrix identified by its first column."""
 

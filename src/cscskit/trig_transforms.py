@@ -54,8 +54,7 @@ the other entries, and the families are DCT-I/DST-I (circulant, even n),
 DCT-V/DST-V (circulant, odd n), DCT-II/DST-II (skew, even n) and
 DCT-VI/DST-VI (skew, odd n).  ``_eigenvalues`` restores lambda from a
 half spectrum by conjugate symmetry (O(n), no DFT), its real eigenvalues
-exactly real, and ``_half_spectrum`` reads one off the alphas and betas
-of a ``real_schur.SpectralPair``.
+exactly real.
 
 The real DFT.  ``_rdft`` computes the n//2 + 1 outputs of the n-point
 DFT of a real vector, and ``_irdft`` its inverse.  Take w = exp(-2 pi i / n).
@@ -178,8 +177,8 @@ def _sine_size(side: str, n: int) -> int:
     """Size of the sine block: (n-1)//2 on the circulant side, n//2 on the skew side.
 
     It is the number of conjugate pairs, and it fixes the rest of the
-    layout: the cosine block holds the other n - size entries, whose
-    alphas come first in the core; the betas are the sine block reversed.
+    layout: the cosine block holds the other n - size entries and comes
+    first in the core, and the sine block follows it.
     """
     if side == "circulant":
         return (n - 1) // 2
@@ -428,22 +427,6 @@ def _column_spectra(c, s):
     n = c.shape[0]
     hc, hs = _spectra(c, s)
     return _real_entries("circulant", n, hc), _real_entries("skew", n, hs)
-
-
-def _half_spectrum(side, n, alphas, betas):
-    """The half spectrum whose eigenvalues have these alphas and betas (``SpectralPair``)."""
-    m = n // 2
-    if side == "circulant":  # conj(lambda[:m+1]); beta is 0 at 0 and at m
-        half = alphas.astype(np.complex128)
-        half.imag[1:1 + betas.shape[0]] = -betas
-        return half
-    # lambda[:m], copied exactly (alphas + 1j * betas turns -0.0 into 0.0);
-    # lambda[n-1-j] = conj(lambda[j])
-    lo = np.empty(m, dtype=np.complex128)
-    lo.real, lo.imag = alphas[:m], betas
-    if n % 2:  # lambda[m:]
-        return np.concatenate((alphas[m:], np.conj(lo[::-1])))
-    return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
 
 
 def _eigenvalues(side, n, half):

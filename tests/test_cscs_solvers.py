@@ -16,8 +16,7 @@ from cscskit.cscs_solvers import (
     theta_scan,
 )
 from cscskit.fast_matvec import (
-    CirculantOperator, ToeplitzOperator, circulant_matvec, skew_circulant_matvec,
-    toeplitz_matvec,
+    ToeplitzOperator, circulant_matvec, skew_circulant_matvec, toeplitz_matvec,
 )
 from cscskit.real_schur import (
     SingularShiftError, XPattern, _shifted_inverse, from_core, to_core,
@@ -28,7 +27,7 @@ from cscskit.structured_matrices import (
 )
 from cscskit.trig_transforms import Flavor, counting
 
-from conftest import random_bands
+from conftest import operator, pattern, random_bands
 
 
 def dft_oracle(x, inverse=False):
@@ -311,7 +310,7 @@ def _shifted_operator(X, theta):
     # (theta I + X)^-1: diag (theta + alpha) / det, anti -beta / det
     d = theta + X.diag
     det = d * d + X.anti * X.anti
-    return CirculantOperator(XPattern(X.n, X.pairing, d / det, -X.anti / det))
+    return operator(XPattern(X.n, X.pairing, d / det, -X.anti / det))
 
 
 def _pattern_product(X):
@@ -337,7 +336,7 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     theta = 1.985
     report = cscs_solve(T, b, SolverConfig(theta=theta, max_iters=1, x0=x))
     op = ToeplitzOperator.from_bands(T)
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    omega, sigma = pattern(op.circulant_part), pattern(op.skew_part)
     sx = trig_transforms._products(op.circulant_part.spectrum, op.skew_part.spectrum, x)[1]
     u = theta * x - sx + b
     v = 2 * theta * circulant_matvec(_shifted_operator(omega, theta), u) - u + b
@@ -398,14 +397,14 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
     theta = float(T.t(0)) / 2
     op = ToeplitzOperator.from_bands(T)
     if backend == "dct_dst":
-        omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+        omega, sigma = pattern(op.circulant_part), pattern(op.skew_part)
         cinv_op, sinv_op = _shifted_operator(omega, theta), _shifted_operator(sigma, theta)
         c_inv = lambda v: circulant_matvec(cinv_op, v)
         s_inv = lambda v: skew_circulant_matvec(sinv_op, v)
         spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
         pair = lambda v: trig_transforms._products(*spectra, v)
     else:
-        omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+        omega, sigma = pattern(op.circulant_part), pattern(op.skew_part)
         c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_inverse(omega, theta),
                                                     _shifted_inverse(sigma, theta)))
         pair = lambda v: (c(v), s(v))
@@ -467,7 +466,7 @@ def _separate_products_solve(T, b, theta, x0):
     # sweep, its three counted as the solve counts them: (iterations,
     # solution, per-sweep counts, sizes, initial residual)
     op = ToeplitzOperator.from_bands(T)
-    omega, sigma = op.circulant_part.pattern, op.skew_part.pattern
+    omega, sigma = pattern(op.circulant_part), pattern(op.skew_part)
     c_inv, s_inv = _shifted_operator(omega, theta), _shifted_operator(sigma, theta)
     x = np.zeros(T.n) if x0 is None else x0.copy()
     cx, sx = circulant_matvec(op.circulant_part, x), skew_circulant_matvec(op.skew_part, x)
@@ -584,7 +583,7 @@ def test_no_solve_builds_an_x_pattern(monkeypatch, backend, start):
     assert report.converged
     assert built == []
     # the counter sees a pattern when one is built
-    ToeplitzOperator.from_bands(T).skew_part.pattern
+    pattern(ToeplitzOperator.from_bands(T).skew_part)
     assert built == [n]
 
 
@@ -748,12 +747,12 @@ def test_theta_scan_bounds_equal_a_full_pattern_evaluation(n, rng):
     grid = np.linspace(0.25, 8.0, 36)
     op = ToeplitzOperator.from_bands(T)
 
-    def full(pattern, theta):
-        num = (theta - pattern.diag) ** 2 + pattern.anti ** 2
-        den = (theta + pattern.diag) ** 2 + pattern.anti ** 2
+    def full(X, theta):
+        num = (theta - X.diag) ** 2 + X.anti ** 2
+        den = (theta + X.diag) ** 2 + X.anti ** 2
         return np.max(np.sqrt(num / den))
 
-    want = [full(op.circulant_part.pattern, th) * full(op.skew_part.pattern, th)
+    want = [full(pattern(op.circulant_part), th) * full(pattern(op.skew_part), th)
             for th in grid]
     assert np.array_equal(theta_scan(T, grid)[1], want)
 
@@ -834,7 +833,7 @@ def test_shifted_solve_is_free_of_a_power_of_two_scale(example, n, p, theta, e):
     op = ToeplitzOperator.from_bands(gen_coeffs(ProblemSpec(example, n, p)))
     z = np.random.default_rng(n).uniform(-1, 1, n)
     s = 2.0 ** e
-    for X in (op.circulant_part.pattern, op.skew_part.pattern):
+    for X in (pattern(op.circulant_part), pattern(op.skew_part)):
         scaled = XPattern(n, X.pairing, X.diag * s, X.anti * s)
         assert np.array_equal(xpattern_shifted_solve(scaled, theta * s, z) * s,
                               xpattern_shifted_solve(X, theta, z))

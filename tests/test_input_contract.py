@@ -21,13 +21,15 @@ import pytest
 import cscskit
 from cscskit import (
     DCT_I, DCT_V, CirculantCol, CirculantOperator, DttPlan, ProblemSpec,
-    SkewCirculantCol, SolverConfig, ToeplitzBands, ToeplitzOperator, XPattern,
+    SkewCirculantCol, SolverConfig, SpectralPair, ToeplitzBands, ToeplitzOperator, XPattern,
     apply_block_transform, apply_q, circulant_matvec, cscs_solve, cscs_split, dense_of,
     dense_u_oracle, dft, dtt_apply, dtt_matrix, from_core, gen_coeffs,
     iteration_matrix_rho, naive_matvec, read_vector, real_spectrum, run_bench,
     skew_circulant_matvec, theta_scan, to_core, toeplitz_from_bands, toeplitz_matvec,
     write_vector, xpattern_apply, xpattern_shifted_solve,
 )
+
+from conftest import pattern
 
 N = 4
 NAN, INF = np.nan, np.inf
@@ -73,10 +75,10 @@ _PASSES = ("nan", "+inf", "-inf")
 
 _T = toeplitz_from_bands([0.1, 0.2, 0.3, 4.0, 0.3, 0.2, 0.1])
 _OP = ToeplitzOperator.from_bands(_T)
-_X = _OP.circulant_part.pattern
+_X = pattern(_OP.circulant_part)
 _ONES = np.ones(N)
 # what an operator, or any other library-object argument, must not take;
-# a product also refuses the XPattern that an operator is built from
+# a product also refuses an XPattern
 _NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
 # what a Toeplitz-matrix argument T must not take
 _NOT_BANDS = {**_NOT_AN_OPERATOR, "circulant": CirculantCol(N, _ONES), "operator": _OP}
@@ -152,8 +154,12 @@ ROWS = {
          lambda v: theta_scan(_T, v), False)],
     # fast_matvec
     "CirculantOperator": [
-        ("pattern", {**_NOT_AN_OPERATOR, "operator": _OP.circulant_part}, CirculantOperator,
-         False)],
+        ("from_circulant col", {**_vectors(owned=True, any_length=True),
+                                "skew": SkewCirculantCol(N, _ONES)},
+         CirculantOperator.from_circulant, False),
+        ("from_skew_circulant col", {**_vectors(owned=True, any_length=True),
+                                     "circulant": CirculantCol(N, _ONES)},
+         CirculantOperator.from_skew_circulant, False)],
     "ToeplitzOperator": [
         ("from_bands T", _NOT_BANDS, ToeplitzOperator.from_bands, False),
         ("circulant_part", {**_NOT_AN_OPERATOR, "skew": _OP.skew_part},
@@ -176,7 +182,14 @@ ROWS = {
         ("x", _vectors(), lambda v: toeplitz_matvec(_OP, v), True)],
     # real_schur
     "SingularShiftError": "an exception type",
-    "SpectralPair": "an output record of real_spectrum; expand builds a checked XPattern",
+    # n = 6 holds 4 circulant alphas and 2 betas, 3 skew alphas and 3 betas
+    "SpectralPair": [
+        ("alphas", _vectors(owned=True), lambda v: SpectralPair(v, np.ones(2), "circulant"),
+         False),
+        ("betas", _vectors(3, owned=True), lambda v: SpectralPair(np.ones(3), v, "skew"),
+         False),
+        ("kind", {"toeplitz": "toeplitz", "bool": True, "none": None},
+         lambda v: SpectralPair(np.ones(4), np.ones(2), v), False)],
     "XPattern": [
         ("n", _SIZE, lambda v: XPattern(v, "circulant", np.ones(N), np.zeros(N)), False),
         ("diag", _vectors(owned=True), lambda v: XPattern(N, "circulant", v, np.zeros(N)),
@@ -231,7 +244,9 @@ ROWS = {
         ("kind", {**_NOT_AN_OPERATOR, "family": cscskit.Family.I}, lambda v: DttPlan(v, N),
          False),
         ("size", _SIZE, lambda v: DttPlan(DCT_I, v), False)],
-    "dtt_apply": [("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True)],
+    "dtt_apply": [
+        ("plan", {**_NOT_AN_OPERATOR, "kind": DCT_V}, lambda v: dtt_apply(v, _ONES), False),
+        ("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True)],
     "dtt_matrix": [("size", _SIZE, lambda v: dtt_matrix(DCT_I, v), False)],
 }
 
@@ -264,22 +279,42 @@ def test_bad_input_raises_value_error_or_passes_through(name, arg, label, bad, c
     assert not np.isfinite(out).all()
 
 
-@pytest.mark.parametrize("build", [
-    lambda v: ToeplitzBands(2, v),
-    lambda v: CirculantCol(3, v),
-    lambda v: SkewCirculantCol(3, v),
-    toeplitz_from_bands,
-], ids=["ToeplitzBands", "CirculantCol", "SkewCirculantCol", "toeplitz_from_bands"])
-def test_value_objects_own_a_read_only_copy(build):
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ToeplitzBands(2, v), "coeffs"),
+    (lambda v: CirculantCol(3, v), "col"),
+    (lambda v: SkewCirculantCol(3, v), "col"),
+    (toeplitz_from_bands, "coeffs"),
+    (lambda v: SpectralPair(v, [0.0], "circulant"), "alphas"),
+    (lambda v: SpectralPair([0.0] * 3, v, "skew"), "betas"),
+], ids=["ToeplitzBands", "CirculantCol", "SkewCirculantCol", "toeplitz_from_bands",
+        "SpectralPair-alphas", "SpectralPair-betas"])
+def test_value_objects_own_a_read_only_copy(build, field):
     # ToeplitzBands(2, c) kept c itself: c[1] = 99 then made T.t(0) read 99
     for given in ([1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])):
-        obj = build(given)
-        held = obj.coeffs if isinstance(obj, ToeplitzBands) else obj.col
+        held = getattr(build(given), field)
         before = held.copy()
         given[1] = 99.0
         assert held.dtype == np.float64 and np.array_equal(held, before)
         with pytest.raises(ValueError):
             held[0] = 5.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SolverConfig(theta=1.0, x0=[1.0, 2.0]),
+    lambda: cscs_solve(_T, _ONES, SolverConfig(theta=1.0)),
+    lambda: XPattern(N, "circulant", _ONES, np.zeros(N)),
+    lambda: real_spectrum("skew", _ONES),
+    lambda: toeplitz_from_bands([1.0, 2.0, 3.0]),
+    lambda: CirculantCol(N, _ONES),
+    lambda: SkewCirculantCol(N, _ONES),
+], ids=["SolverConfig", "SolveReport", "XPattern", "SpectralPair", "ToeplitzBands",
+        "CirculantCol", "SkewCirculantCol"])
+def test_objects_holding_arrays_compare_by_identity_and_hash(build):
+    # comparing two equal SolverConfigs with an x0 raised numpy's
+    # ambiguous-truth ValueError, and hashing a ToeplitzBands a TypeError
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b}) == 2 and hash(a) == hash(a)
 
 
 def test_solver_config_owns_a_read_only_x0():

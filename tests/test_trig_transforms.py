@@ -168,18 +168,38 @@ def test_one_twist_table_serves_the_fold_and_the_fft_backend(n):
     assert t[:n // 2].tobytes() == np.exp(-1j * np.pi * np.arange(n // 2) / n).tobytes()
 
 
+def _modules():
+    """Every cscskit module but __main__, whose import runs the CLI."""
+    return {info.name: importlib.import_module(f"cscskit.{info.name}")
+            for info in pkgutil.iter_modules(cscskit.__path__) if info.name != "__main__"}
+
+
+def _bound(module, owner):
+    """The names in ``module`` bound to ``owner`` or to an object it defines."""
+    return sorted(name for name, value in vars(module).items()
+                  if value is owner or getattr(value, "__module__", None) == owner.__name__)
+
+
 def test_the_dft_engine_is_bound_in_two_modules():
     # perfbench traces the kernels' DFTs at trig_transforms.dft_vector and
     # the complex comparator's at cscs_solvers.dft; a module that bound the
     # engine elsewhere would run DFTs that neither count sees
-    bound = {}
-    for info in pkgutil.iter_modules(cscskit.__path__):
-        if info.name in ("_dft", "__main__"):  # importing __main__ runs the CLI
-            continue
-        module = importlib.import_module(f"cscskit.{info.name}")
-        names = sorted(name for name, value in vars(module).items()
-                       if value is _dft or getattr(value, "__module__", None) == _dft.__name__)
-        if names:
-            bound[info.name] = names
+    bound = {name: names for name, module in _modules().items()
+             if name != "_dft" and (names := _bound(module, _dft))}
     assert bound == {"trig_transforms": ["dft_vector"], "cscs_solvers": ["_dft"]}
     assert cscskit.SingularShiftError is cscskit.real_schur.SingularShiftError
+
+
+def test_the_alpha_beta_layout_lives_in_real_schur():
+    # an operator holds its half spectrum and neither takes nor gives an
+    # X-pattern, so fast_matvec needs nothing of real_schur, and only
+    # real_schur maps a half spectrum to alphas and betas; the CLI prints
+    # them through real_spectrum, not through an operator
+    modules = _modules()
+    assert _bound(modules["fast_matvec"], modules["real_schur"]) == []
+    assert [name for name, module in modules.items()
+            if "_half_spectrum" in vars(module)] == ["real_schur"]
+    assert _bound(modules["cli"], modules["fast_matvec"]) == []
+    assert not hasattr(cscskit.CirculantOperator, "pattern")
+    with pytest.raises(TypeError):
+        cscskit.CirculantOperator(cscskit.real_spectrum("circulant", [1.0, 2.0]).expand())
