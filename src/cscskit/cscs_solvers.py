@@ -74,7 +74,7 @@ import numpy as np
 from . import _dft
 from .fast_matvec import ToeplitzOperator
 from .structured_matrices import (
-    ToeplitzBands, _instance, _number, _size, _vector, cscs_split, dense_of,
+    ToeplitzBands, _flag, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
 from .trig_transforms import (
     Flavor, SingularShiftError, _count_blocks, _eigenvalues, _product, _products, _twist,
@@ -100,7 +100,7 @@ def dft(x, inverse: bool = False) -> np.ndarray:
     stages directly, everything else goes through Bluestein's chirp
     reduction.
     """
-    return _dft.idft_vector(x) if inverse else _dft.dft_vector(x)
+    return _dft.idft_vector(x) if _flag(inverse, "dft inverse") else _dft.dft_vector(x)
 
 
 BACKENDS = ("dct_dst", "fft")
@@ -130,8 +130,7 @@ class SolverConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.x0 is not None:
             object.__setattr__(self, "x0", _vector(self.x0, "initial guess"))
-        if not isinstance(self.record_iterates, (bool, np.bool_)):
-            raise ValueError(f"record_iterates must be a bool, got {self.record_iterates!r}")
+        _flag(self.record_iterates, "record_iterates")
 
 
 @dataclass(eq=False)

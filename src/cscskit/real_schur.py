@@ -30,21 +30,25 @@ block of the factor at n = L, the DFT embedding length of the
 ``trig_transforms`` table.  A basis change counts the DCT and the DST
 it computes.
 
-The X-pattern entries are the half spectrum of the first column, read
-in the core layout: with vhat = to_core(side, col) and
-hs = n - sine size (``_sine_size``),
-
-    alpha[k] = w[k] * vhat[k],            0 <= k < hs
-    beta[k]  = -sqrt(n/2) * vhat[n-1-k],  0 <= k < sine size
-
-where w is sqrt(n) at the fixed points of the pairing (columns of U with
-unit weight: 0 and n/2 on the circulant side, (n-1)/2 on the skew side)
-and sqrt(n/2) elsewhere.  The pairing is a reflection, so a core reads
-the partners of a vector by slicing, never through an index table.  The
-sign of each beta is a convention pinned by the congruence test
+The core vector U.T x is read off the eigenvalues lambda (in DFT order)
+of the circulant or skew-circulant whose first column is x, restored
+from its half spectrum by ``trig_transforms._eigenvalues``.  With
+hs = n - sine size (``_sine_size``), the cosine block holds the real
+parts lambda.real[:hs] and the sine block the imaginary parts
+lambda.imag[hs:], each over the norm of the cosine or sine vector its
+column of U normalizes (``_core_scale``): sqrt(n) at the fixed points
+of the pairing (0 and n/2 on the circulant side, (n-1)/2 on the skew
+side) and sqrt(n/2) elsewhere.  The X-pattern entries are the same
+eigenvalues unscaled: alpha[k] = lambda.real[k], k < hs, and beta is
+lambda.imag at the first member of each pair, lambda[1..sine size] on
+the circulant side and lambda[0..sine size - 1] on the skew side, so
+beta[k] = -lambda.imag[n-1-k] on both.  The pairing is a reflection
+(``_reflect``), so a core reads the partners of a vector by slicing,
+never through an index table.  The sign of each beta is a convention
+pinned by the congruence test
 ``U.T @ dense(M) @ U == expand(real_spectrum(...))`` rather than by any
 eigenvalue labeling.  This module alone knows where the alphas and betas
-sit in a half spectrum: ``_spectral_pair`` reads them off one and
+sit in a half spectrum: ``real_spectrum`` reads them off one and
 ``_half_spectrum`` writes them back, both exactly.  The operators of
 ``fast_matvec`` hold the half spectrum itself, and no X-pattern.
 
@@ -62,9 +66,11 @@ basis; it exists for tests and is never called by production paths.
 
 Input contract (checks from ``structured_matrices``): ``XPattern`` and
 ``SpectralPair`` (when built), ``real_spectrum``, a shifted solve's
-theta, ``dtt_apply``'s plan and ``dense_u_oracle``'s size raise
-ValueError for a bool, a non-number, the wrong shape or type and NaN or
-Inf.  The products (``apply_q``,
+theta, the X of ``xpattern_apply`` and ``xpattern_shifted_solve``,
+``dtt_apply``'s plan, every ``transposed`` flag (a bool, never read by
+truthiness) and ``dense_u_oracle``'s size raise ValueError for a bool
+(where a number is due), a non-number, the wrong shape or type and NaN
+or Inf.  The products (``apply_q``,
 ``apply_block_transform``, ``to_core``/``from_core``, ``dtt_apply``,
 ``xpattern_apply``, the z of ``xpattern_shifted_solve``) check the shape
 and the kind (a bool or complex array raises) and pass NaN and Inf through.
@@ -74,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured_matrices import _instance, _size, _vector
+from .structured_matrices import _flag, _instance, _size, _vector
 from .trig_transforms import (
     DttPlan, Family, Flavor, SingularShiftError, _column_spectrum, _count, _count_blocks,
     _eigenvalues, _from_spectrum, _inverse_parts, _sine_size, _spectrum, counting,
@@ -92,25 +98,15 @@ _SQRT2 = np.sqrt(2.0)
 def apply_q(x, transposed: bool = False) -> np.ndarray:
     """Apply the orthogonal butterfly Q (or Q.T) in O(n)."""
     x = _vector(x, "apply_q input", finite=False)
+    _flag(transposed, "apply_q transposed")
     n = x.shape[0]
     h = (n - 1) // 2
-    head, tail = x[1:h + 1], x[n - h:]
+    partner = _reflect("circulant", x)
     plus, minus = (np.subtract, np.add) if transposed else (np.add, np.subtract)
-    y = np.empty_like(x)
-    # the fixed points: 0, and n/2 for even n
-    y[0] = x[0]
-    y[h + 1:n - h] = x[h + 1:n - h]
-    y[1:h + 1] = plus(head, tail[::-1]) / _SQRT2
-    y[n - h:] = minus(tail, head[::-1]) / _SQRT2
+    y = x.copy()  # the fixed points: 0, and n/2 for even n
+    y[1:h + 1] = plus(x[1:h + 1], partner[1:h + 1]) / _SQRT2
+    y[n - h:] = minus(x[n - h:], partner[n - h:]) / _SQRT2
     return y
-
-
-def _spectral_pair(side, n, half):
-    """(alphas, betas) of the eigenvalues with this half spectrum: ``_half_spectrum``
-    inverted, exactly."""
-    lam = _eigenvalues(side, n, half)
-    k, sine = int(side == "circulant"), _sine_size(side, n)
-    return lam.real[:n - sine], lam.imag[k:k + sine]
 
 
 def _half_spectrum(side, n, alphas, betas):
@@ -129,22 +125,22 @@ def _half_spectrum(side, n, alphas, betas):
     return np.concatenate((lo[0::2], np.conj(lo[1::2][::-1])))  # lambda[0::2]
 
 
-def _core_scale(side: str, n: int):
-    """(w, sqrt(n/2)): alpha[k] = w[k] vhat[k], beta[k] = -sqrt(n/2) vhat[n-1-k]."""
-    hs = n - _sine_size(side, n)
-    half = np.sqrt(n / 2.0)
-    fixed = (_reflect(side, np.arange(n)) == np.arange(n))[:hs]
-    return np.where(fixed, np.sqrt(float(n)), half), half
+def _core_scale(side: str, n: int) -> np.ndarray:
+    """The norms of the cosine and sine vectors that U's columns normalize: sqrt(n)
+    at the pairing's fixed points, sqrt(n/2) elsewhere."""
+    j = np.arange(n)
+    return np.where(_reflect(side, j) == j, np.sqrt(float(n)), np.sqrt(n / 2.0))
 
 
 def to_core(side: str, x) -> np.ndarray:
-    """U.T @ x: the half spectrum of x, in the core layout."""
+    """U.T @ x: x's eigenvalues, real parts in the cosine block and imaginary parts
+    in the sine block, each over the norm its column of U normalizes (``_core_scale``)."""
     x = _vector(x, "to_core input", finite=False)
     n = x.shape[0]
     _count_blocks(side, n)
-    alphas, betas = _spectral_pair(side, n, _spectrum(side, x))
-    w, half = _core_scale(side, n)
-    return np.concatenate((alphas / w, betas[::-1] / -half))
+    lam = _eigenvalues(side, n, _spectrum(side, x))
+    hs = n - _sine_size(side, n)
+    return np.concatenate((lam.real[:hs], lam.imag[hs:])) / _core_scale(side, n)
 
 
 def from_core(side: str, y) -> np.ndarray:
@@ -152,10 +148,9 @@ def from_core(side: str, y) -> np.ndarray:
     y = _vector(y, "from_core input", finite=False)
     n = y.shape[0]
     _count_blocks(side, n)
-    w, half = _core_scale(side, n)
-    hs = w.shape[0]
-    return _from_spectrum(side, _half_spectrum(side, n, w * y[:hs], -half * y[:hs - 1:-1]),
-                          n)
+    v = y * _core_scale(side, n)
+    hs = n - _sine_size(side, n)
+    return _from_spectrum(side, _half_spectrum(side, n, v[:hs], -v[:hs - 1:-1]), n)
 
 
 def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
@@ -168,7 +163,7 @@ def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     """
     x = _vector(x, "block transform input", finite=False)
     skew = side == "skew"
-    if transposed:
+    if _flag(transposed, "apply_block_transform transposed"):
         return to_core(side, apply_q(x, transposed=not skew))
     return apply_q(from_core(side, x), transposed=skew)
 
@@ -194,6 +189,7 @@ def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
     """
     s = _instance(plan, DttPlan, "dtt_apply plan").size
     x = _vector(x, "vector", s, finite=False)
+    _flag(transposed, "dtt_apply transposed")
     _count(plan.kind.flavor, s)
     if s == 1:
         return x.copy()
@@ -299,7 +295,10 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     Reads them off one real DFT of the column; no dense matrix is formed.
     """
     col = _vector(col, "first column")
-    return SpectralPair(*_spectral_pair(kind, col.shape[0], _column_spectrum(kind, col)), kind)
+    n = col.shape[0]
+    lam = _eigenvalues(kind, n, _column_spectrum(kind, col))
+    k, sine = int(kind == "circulant"), _sine_size(kind, n)
+    return SpectralPair(lam.real[:n - sine], lam.imag[k:k + sine], kind)
 
 
 def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
@@ -314,7 +313,7 @@ def xpattern_apply(X: XPattern, y) -> np.ndarray:
     plus this one; a shifted solve is this product with the inverse
     pattern (``xpattern_shifted_solve``).
     """
-    y = _vector(y, "vector", X.n, finite=False)
+    y = _vector(y, "vector", _instance(X, XPattern, "xpattern_apply X").n, finite=False)
     return X.diag * y + X.anti * _reflect(X.pairing, y)
 
 
@@ -324,6 +323,7 @@ def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
     Each pair is a 2x2 system [[d, b], [-b, d]] (d = theta + alpha,
     b = beta, 0 at fixed points); ``_inverse_parts`` inverts and checks it.
     """
+    _instance(X, XPattern, "xpattern_shifted_solve X")
     return xpattern_apply(_shifted_inverse(X, theta), z)
 
 

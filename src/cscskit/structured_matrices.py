@@ -17,14 +17,15 @@ reconstruction dense(C) + dense(S) == dense(T) holds entrywise.
 ``dense_of`` and ``naive_matvec`` are the O(n^2) oracles the fast paths
 are tested against.
 
-Input contract.  The package's four input checks live here: ``_vector``
+Input contract.  The package's five input checks live here: ``_vector``
 (a 1-d vector of numbers), ``_size`` (an integer >= 1), ``_number``
-(a finite number, positive where asked) and ``_instance`` (one of the
+(a finite number, positive where asked), ``_instance`` (one of the
 library's own types, such as the ``ToeplitzBands`` that ``cscs_split``
-and the solver take).  Each raises ValueError naming the argument for
-a bool, a non-number, the wrong shape or type and NaN or Inf.  Value
-objects check themselves when built and hold read-only float64 copies
-of their arrays.
+and the solver take) and ``_flag`` (a bool, such as ``transposed``,
+never another object read by its truthiness).  Each raises ValueError
+naming the argument for a bool, a non-number, the wrong shape or type
+and NaN or Inf.  Value objects check themselves when built and hold
+read-only float64 copies of their arrays.
 The linear products (transforms, core products, matvecs, ``dft``) check
 the shape and that the values are numbers (a bool or a complex array
 raises, except a complex one for ``dft``), and pass NaN and Inf through,
@@ -71,6 +72,14 @@ def _instance(value, kinds, what):
     if not isinstance(value, kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"{what} must be a {names}, got {value!r}")
+    return value
+
+
+def _flag(value, what):
+    """Return ``value`` if it is a bool; raise ValueError otherwise, never reading
+    another object (a string, a number, None) by its truthiness."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a bool, got {value!r}")
     return value
 
 

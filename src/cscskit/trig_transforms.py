@@ -42,7 +42,8 @@ scale, the real and imaginary parts of one real DFT of x, so every
 basis change is that DFT.  ``_spectrum(side, x)`` maps a real x of
 length n to its half spectrum and ``_from_spectrum`` maps it back.  With
 lambda the eigenvalues, in DFT order, of the circulant or
-skew-circulant whose first column is x, and m = n // 2, it is
+skew-circulant whose first column is x, m = n // 2, and rdft(x) the
+first m + 1 outputs of the n-point DFT of a real x, it is
 
     circulant side:        conj(lambda[:m+1]) = rdft(x)
     skew side, even n:     lambda[0::2]       = DFT_m((x[:m] - i x[m:]) exp(-i pi j / n))
@@ -56,19 +57,15 @@ DCT-VI/DST-VI (skew, odd n).  ``_eigenvalues`` restores lambda from a
 half spectrum by conjugate symmetry (O(n), no DFT), its real eigenvalues
 exactly real.
 
-The real DFT.  ``_rdft`` computes the n//2 + 1 outputs of the n-point
-DFT of a real vector, and ``_irdft`` its inverse.  Take w = exp(-2 pi i / n).
-For even n the input is packed into n/2 complex points: with indices
-taken mod n/2 and Z = DFT_{n/2}(x[0::2] + i x[1::2]),
-
-    X[k] = Z[k] (1 - i w^k) / 2 + conj Z[-k] (1 + i w^k) / 2,   k = 0..n/2,
-
-and for odd n it is one DFT of n points.  The skew side at even n folds
-instead, as the table above shows.  The twist exp(-i pi j / n), j < n,
-is one table, ``_twist``: the fold reads its first n/2 entries, and the
-complex reference backend of ``cscs_solvers`` all n, as the conj D of
-its skew product.  It and the split table are read-only and kept for
-the 16 most recent sizes.
+Each map dispatches once, on parity and side, among its three
+algorithms (odd n, the even-n circulant real split, the even-n skew
+fold; their docstrings give the formulas), and only these two maps
+and the odd-n pair's ``_spectra`` and ``_products`` call the DFT
+engine.  The twist exp(-i pi j / n), j < n, is one table, ``_twist``:
+the fold reads its first n/2 entries, and the complex reference backend
+of ``cscs_solvers`` all n, as the conj D of its skew product.  It and
+the split table ``_rdft_table`` are read-only and kept for the 16 most
+recent sizes.
 
 DFT counts.  One basis change, both its blocks at once, costs one
 complex DFT of n/2 points at even n and of n points at odd n, and a
@@ -108,7 +105,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._dft import dft_vector
-from .structured_matrices import _number, _size
+from .structured_matrices import _instance, _number, _size
 
 __all__ = [
     "Family", "Flavor", "DttKind", "DttPlan", "counting", "dtt_matrix",
@@ -134,6 +131,10 @@ class Flavor(enum.Enum):
 class DttKind:
     family: Family
     flavor: Flavor
+
+    def __post_init__(self):
+        _instance(self.family, Family, "DttKind family")
+        _instance(self.flavor, Flavor, "DttKind flavor")
 
     def __str__(self):
         return ("DCT-" if self.flavor is Flavor.COSINE else "DST-") + self.family.value
@@ -208,6 +209,7 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     It is the correctness oracle for ``dtt_apply`` and is also used for
     small dense work in tests; production paths never call it.
     """
+    _instance(kind, DttKind, "dtt_matrix kind")
     _size(size, "transform size")
     if size == 1:
         return np.array([[1.0]])
@@ -269,8 +271,7 @@ class DttPlan:
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.kind, DttKind):
-            raise ValueError(f"DttPlan kind must be a DttKind, got {self.kind!r}")
+        _instance(self.kind, DttKind, "DttPlan kind")
         _size(self.size, "transform size")
 
 
@@ -296,45 +297,6 @@ def _twist(n: int) -> np.ndarray:
     return t
 
 
-def _rdft(x) -> np.ndarray:
-    """X[0..n//2] of the unnormalized n-point DFT of a real vector x.
-
-    Even n runs one DFT of n/2 points, Z = DFT(x[0::2] + i x[1::2]), and
-    the real-input split X_k = Z_k A_k + conj Z_-k (1 - A_k) of the module
-    docstring; odd n runs one DFT of n points.
-    """
-    n = x.shape[0]
-    if n % 2:
-        return dft_vector(x)[:n // 2 + 1]
-    z = _wrapped(dft_vector(np.ascontiguousarray(x).view(np.complex128)))
-    d = np.conj(z[::-1])
-    z -= d
-    z *= _rdft_table(n)
-    z += d
-    return z
-
-
-def _irdft(y, n: int) -> np.ndarray:
-    """The real x of length n with ``_rdft(x) == y``; y[0] (and y[n/2] at even n) is real.
-
-    Even n inverts the split, Z_k = y_k conj A_k + conj y_(n/2-k) conj(1 - A_k)
-    for k < n/2, and reads x = [Re, Im] of IDFT_(n/2)(Z) interleaved; as one
-    forward DFT that is conj DFT(conj Z) / (n/2).  Odd n runs one n-point
-    DFT of the conjugated Hermitian extension of y.
-    """
-    if n % 2:
-        return dft_vector(np.concatenate((np.conj(y), y[:0:-1]))).real / n
-    h = n // 2
-    r = y[h:0:-1]
-    u = np.conj(y[:h])  # conj Z = r + (conj y - r) A
-    u -= r
-    u *= _rdft_table(n)[:h]
-    u += r
-    x = np.conj(dft_vector(u)).view(np.float64)
-    x /= h
-    return x
-
-
 def _alternated(x):
     """x * (-1)^j as a new array."""
     y = np.array(x, dtype=np.float64)
@@ -343,12 +305,26 @@ def _alternated(x):
 
 
 def _spectrum(side: str, x) -> np.ndarray:
-    """The half spectrum of a real vector x: one real DFT (module docstring)."""
+    """The half spectrum of a real vector x: one real DFT (module docstring).
+
+    With w = exp(-2 pi i / n) it runs one of three algorithms:
+    - odd n: one n-point DFT of x (circulant) or of x (-1)^j (skew);
+    - even-n circulant: one DFT of n/2 points, Z = DFT(x[0::2] + i x[1::2]),
+      and the real-input split X_k = Z_k A_k + conj Z_-k (1 - A_k), indices
+      mod n/2, with A_k = (1 - i w^k) / 2 (``_rdft_table``);
+    - even-n skew: the fold, one DFT of n/2 points of the twisted
+      (x[:n/2] - i x[n/2:]) exp(-i pi j / n) (``_twist``).
+    """
     n = x.shape[0]
-    if side == "circulant":
-        return _rdft(x)
     if n % 2:
-        return _rdft(_alternated(x))
+        return dft_vector(x if side == "circulant" else _alternated(x))[:n // 2 + 1]
+    if side == "circulant":
+        z = _wrapped(dft_vector(np.ascontiguousarray(x).view(np.complex128)))
+        d = np.conj(z[::-1])
+        z -= d
+        z *= _rdft_table(n)
+        z += d
+        return z
     # the fold; its entry q is the skew-circulant transform at frequency 2q
     m = n // 2
     z = np.empty(m, dtype=np.complex128)
@@ -359,16 +335,34 @@ def _spectrum(side: str, x) -> np.ndarray:
 
 
 def _from_spectrum(side: str, half, n: int) -> np.ndarray:
-    """The real x of length n with ``_spectrum(side, x) == half``."""
-    if side == "circulant":
-        return _irdft(half, n)
+    """The real x of length n with ``_spectrum(side, x) == half``.
+
+    Each of ``_spectrum``'s algorithms inverted as one forward DFT, with
+    m = n // 2:
+    - odd n: one n-point DFT of the conjugated Hermitian extension of
+      half, conj(half) then half[m:0:-1], divided by n, which is x, or
+      x (-1)^j on the skew side;
+    - even-n circulant: the split inverted, conj Z_k = r_k +
+      (conj half_k - r_k) A_k with r_k = half_(m-k), k < m, and x the
+      [Re, Im] pairs of conj DFT_m(conj Z) / m, interleaved;
+    - even-n skew: the unfold, x = [Re v, -Im v] with v = IDFT_m(half)
+      exp(i pi j / n), read off conj v = DFT_m(conj half) exp(-i pi j / n) / m.
+    """
     if n % 2:
-        x = _irdft(half, n)
-        x[1::2] *= -1.0
+        x = dft_vector(np.concatenate((np.conj(half), half[:0:-1]))).real / n
+        if side != "circulant":
+            x[1::2] *= -1.0
         return x
-    # the unfold: with v = IDFT_m(half) exp(i pi j / n), x = [Re v, -Im v];
-    # as one forward DFT, conj v = DFT_m(conj half) exp(-i pi j / n) / m
     m = n // 2
+    if side == "circulant":
+        r = half[m:0:-1]
+        u = np.conj(half[:m])  # conj Z = r + (conj half - r) A
+        u -= r
+        u *= _rdft_table(n)[:m]
+        u += r
+        x = np.conj(dft_vector(u)).view(np.float64)
+        x /= m
+        return x
     w = dft_vector(np.conj(half))  # m conj v
     w *= _twist(n)[:m]
     x = np.empty(n)

@@ -20,8 +20,9 @@ import pytest
 
 import cscskit
 from cscskit import (
-    DCT_I, DCT_V, CirculantCol, CirculantOperator, DttPlan, ProblemSpec,
-    SkewCirculantCol, SolverConfig, SpectralPair, ToeplitzBands, ToeplitzOperator, XPattern,
+    DCT_I, DCT_V, CirculantCol, CirculantOperator, DttKind, DttPlan, Family, Flavor,
+    ProblemSpec, SkewCirculantCol, SolverConfig, SpectralPair, ToeplitzBands,
+    ToeplitzOperator, XPattern,
     apply_block_transform, apply_q, circulant_matvec, cscs_solve, cscs_split, dense_of,
     dense_u_oracle, dft, dtt_apply, dtt_matrix, from_core, gen_coeffs,
     iteration_matrix_rho, naive_matvec, read_vector, real_spectrum, run_bench,
@@ -41,6 +42,8 @@ _SIZE = {"nan": NAN, "+inf": INF, "-inf": -INF, "bool": True, "ndim": np.array([
 _NUMBER = {"nan": NAN, "+inf": INF, "-inf": -INF, "bool": True, "ndim": np.array([1.0]),
            "empty": np.array([]), "non-number": "1"}
 _POSITIVE = {**_NUMBER, "zero": 0.0, "negative": -1.0}
+# what a bool flag must not take: no object is read by its truthiness
+_FLAG = {"string": "no", "array": np.array([1, 0]), "int": 1, "float": 1.0, "none": None}
 
 
 def _vectors(n=N, owned=False, any_length=False, complex_ok=False):
@@ -80,6 +83,9 @@ _ONES = np.ones(N)
 # what an operator, or any other library-object argument, must not take;
 # a product also refuses an XPattern
 _NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
+# what an X-pattern argument X must not take
+_NOT_PATTERN = {**_NOT_AN_OPERATOR, "operator": _OP.circulant_part,
+                "pair": real_spectrum("circulant", _ONES)}
 # what a Toeplitz-matrix argument T must not take
 _NOT_BANDS = {**_NOT_AN_OPERATOR, "circulant": CirculantCol(N, _ONES), "operator": _OP}
 
@@ -129,9 +135,8 @@ ROWS = {
         ("x0", _vectors(owned=True), lambda v: _solve(x0=v), False),
         ("x0 when built", _vectors(owned=True, any_length=True),
          lambda v: SolverConfig(theta=1.0, x0=v), False),
-        ("record_iterates", {"string": "no", "array": np.array([1, 0]), "int": 1,
-                             "float": 1.0, "none": None},
-         lambda v: SolverConfig(theta=1.0, record_iterates=v), False),
+        ("record_iterates", _FLAG, lambda v: SolverConfig(theta=1.0, record_iterates=v),
+         False),
     ],
     "cscs_solve": [
         ("T", _NOT_BANDS, lambda v: cscs_solve(v, _ONES, SolverConfig(theta=1.0)), False),
@@ -143,6 +148,7 @@ ROWS = {
         ("x", _vectors(any_length=True, complex_ok=True), dft, True),
         ("x, inverse", _vectors(any_length=True, complex_ok=True),
          lambda v: dft(v, inverse=True), True),
+        ("inverse", _FLAG, lambda v: dft(_ONES, inverse=v), False),
     ],
     "iteration_matrix_rho": [
         ("T", _NOT_BANDS, lambda v: iteration_matrix_rho(v, 1.0), False),
@@ -198,16 +204,21 @@ ROWS = {
          False),
     ],
     "apply_block_transform": [
-        ("x", _vectors(any_length=True), lambda v: apply_block_transform("skew", v), True)],
-    "apply_q": [("x", _vectors(any_length=True), apply_q, True)],
+        ("x", _vectors(any_length=True), lambda v: apply_block_transform("skew", v), True),
+        ("transposed", _FLAG, lambda v: apply_block_transform("skew", _ONES, v), False)],
+    "apply_q": [("x", _vectors(any_length=True), apply_q, True),
+                ("transposed", _FLAG, lambda v: apply_q(_ONES, v), False)],
     "dense_u_oracle": [("n", _SIZE, lambda v: dense_u_oracle("circulant", v), False)],
     "from_core": [("y", _vectors(any_length=True), lambda v: from_core("circulant", v), True)],
     "real_spectrum": [
         ("col", _vectors(owned=True, any_length=True), lambda v: real_spectrum("skew", v),
          False)],
     "to_core": [("x", _vectors(any_length=True), lambda v: to_core("skew", v), True)],
-    "xpattern_apply": [("y", _vectors(), lambda v: xpattern_apply(_X, v), True)],
+    "xpattern_apply": [
+        ("X", _NOT_PATTERN, lambda v: xpattern_apply(v, _ONES), False),
+        ("y", _vectors(), lambda v: xpattern_apply(_X, v), True)],
     "xpattern_shifted_solve": [
+        ("X", _NOT_PATTERN, lambda v: xpattern_shifted_solve(v, 1.0, _ONES), False),
         ("theta", _NUMBER, lambda v: xpattern_shifted_solve(_X, v, _ONES), False),
         ("z", _vectors(), lambda v: xpattern_shifted_solve(_X, 1.0, v), True),
     ],
@@ -236,7 +247,11 @@ ROWS = {
     # trig_transforms
     **{kind: "a transform kind constant" for kind in (
         "DCT_I", "DCT_II", "DCT_V", "DCT_VI", "DST_I", "DST_II", "DST_V", "DST_VI")},
-    "DttKind": "takes a Family and a Flavor",
+    "DttKind": [
+        ("family", {**_NOT_AN_OPERATOR, "string": "I", "flavor": Flavor.COSINE},
+         lambda v: DttKind(v, Flavor.COSINE), False),
+        ("flavor", {**_NOT_AN_OPERATOR, "string": "cosine", "family": Family.I},
+         lambda v: DttKind(Family.I, v), False)],
     "Family": "an enum",
     "Flavor": "an enum",
     "counting": "takes no argument",
@@ -246,8 +261,12 @@ ROWS = {
         ("size", _SIZE, lambda v: DttPlan(DCT_I, v), False)],
     "dtt_apply": [
         ("plan", {**_NOT_AN_OPERATOR, "kind": DCT_V}, lambda v: dtt_apply(v, _ONES), False),
-        ("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True)],
-    "dtt_matrix": [("size", _SIZE, lambda v: dtt_matrix(DCT_I, v), False)],
+        ("x", _vectors(), lambda v: dtt_apply(DttPlan(DCT_V, N), v), True),
+        ("transposed", _FLAG, lambda v: dtt_apply(DttPlan(DCT_V, N), _ONES, v), False)],
+    "dtt_matrix": [
+        ("kind", {**_NOT_AN_OPERATOR, "string": "DCT-I", "plan": DttPlan(DCT_I, N)},
+         lambda v: dtt_matrix(v, N), False),
+        ("size", _SIZE, lambda v: dtt_matrix(DCT_I, v), False)],
 }
 
 CASES = [pytest.param(name, arg, label, bad, call, passes, id=f"{name}-{arg}-{label}")

@@ -190,6 +190,20 @@ def test_the_dft_engine_is_bound_in_two_modules():
     assert cscskit.SingularShiftError is cscskit.real_schur.SingularShiftError
 
 
+def test_four_maps_call_the_dft_engine():
+    # each basis change dispatches once, inside its map: no real-DFT layer
+    # sits between the maps and the engine, so swapping the engine edits
+    # these four functions and cscs_solvers.dft, and nothing else
+    modules = _modules()
+    kernels = modules["trig_transforms"]
+    engine = set(_bound(kernels, _dft))
+    callers = sorted(name for name, value in vars(kernels).items()
+                     if engine & set(getattr(getattr(value, "__code__", None), "co_names", ())))
+    assert callers == ["_from_spectrum", "_products", "_spectra", "_spectrum"]
+    assert not [(name, gone) for name, module in modules.items()
+                for gone in ("_rdft", "_irdft", "_spectral_pair") if hasattr(module, gone)]
+
+
 def test_the_alpha_beta_layout_lives_in_real_schur():
     # an operator holds its half spectrum and neither takes nor gives an
     # X-pattern, so fast_matvec needs nothing of real_schur, and only
