@@ -19,9 +19,10 @@ two, (C x, S x), from one call.  A solve is then three maps on either
 backend: (theta I + C)^-1, (theta I + S)^-1 and v -> (C v, S v).  Each
 of the four operators is U X U.T for an X-pattern core X held as its
 half spectrum:
-Omega and Sigma of ``ToeplitzOperator.from_bands`` (which also give the
-positive-definiteness warnings), and the inverses of theta I + Omega and
-theta I + Sigma, 1 / (theta + lambda) on those half spectra, once per
+Omega and Sigma, built by ``ToeplitzOperator.from_bands`` at T's first
+solve or scan and kept on T (``fast_matvec._operator``; they also give
+the positive-definiteness warnings), and the inverses of theta I + Omega
+and theta I + Sigma, 1 / (theta + lambda) on those half spectra, once per
 solve (the fail-fast singular-shift check).  No solve builds an X-pattern.
 
 A backend only maps a core to the product x -> U X U.T x:
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _dft
-from .fast_matvec import ToeplitzOperator
+from .fast_matvec import _operator
 from .structured_matrices import (
     ToeplitzBands, _flag, _instance, _number, _size, _vector, cscs_split, dense_of,
 )
@@ -181,7 +182,7 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     theta = _instance(cfg, SolverConfig, "cfg").theta
     b = _vector(b, "right-hand side", n)
     x = np.zeros(n) if cfg.x0 is None else _vector(cfg.x0, "initial guess", n, finite=False).copy()
-    op = ToeplitzOperator.from_bands(T)
+    op = _operator(T)
     notes = _pd_warnings(op)
     counted = cfg.backend == "dct_dst"
     c_inv, s_inv, products = _cores(op, theta, counted)
@@ -306,23 +307,6 @@ def iteration_matrix_rho(T: ToeplitzBands, theta: float) -> float:
     return float(np.abs(np.linalg.eigvals(M)).max())
 
 
-def _factor_bound(re, im2, theta):
-    # an eigenvalue and its conjugate give the same ratio, and the half
-    # spectrum holds one of each pair: re and im2 = im**2 of its entries
-    num = theta - re
-    num *= num
-    num += im2
-    den = theta + re
-    den *= den
-    den += im2
-    # num / 0 = inf at an exactly singular grid point (num = 4 theta^2 > 0
-    # there); errstate is per thread, unlike the process-wide warning filters
-    with np.errstate(divide="ignore"):
-        num /= den
-    # sqrt is monotone and correctly rounded: the max of the roots, bit for bit
-    return float(np.sqrt(num.max()))
-
-
 def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     """Evaluate the contraction upper bound over a grid of shifts.
 
@@ -332,19 +316,39 @@ def theta_scan(T: ToeplitzBands, grid) -> tuple[float, np.ndarray]:
     positive definite.  Returns the grid point minimizing the product
     (ties broken toward the smallest theta) plus all evaluated bounds.
     This is a parameter-picking convenience, not an optimality claim.
-    The spectra and the grid are scaled by the one power of two that
-    takes the spectra's largest part to [1/2, 1), which is exact and
-    leaves every ratio as it was, before anything is squared; a scaled
-    shift past 2^500 is clamped there, where its bound rounds to 1.
+    The spectra are T's, kept on T by its first solve or scan
+    (``fast_matvec._operator``).  They are joined into one array and
+    scaled, with the grid, by the one power of two that takes their
+    largest part to [1/2, 1), which is exact and leaves every ratio as it
+    was, before anything is squared; a scaled shift past 2^500 is clamped
+    there, where its bound rounds to 1.  Each shift is then one pass over
+    the joined spectra into two reused buffers, and the circulant and
+    skew maxima are read off its two halves.
     """
     grid = _vector(grid, "theta grid")
     if not (grid > 0).all():
         raise ValueError("theta grid entries must be positive")
-    op = ToeplitzOperator.from_bands(T)
-    spectra = (op.circulant_part.spectrum, op.skew_part.spectrum)
-    k = -np.frexp(max(max(np.abs(h.real).max(), np.abs(h.imag).max()) for h in spectra))[1]
-    (cre, cim2), (sre, sim2) = ((np.ldexp(h.real, k), np.ldexp(h.imag, k) ** 2) for h in spectra)
-    bounds = np.array([_factor_bound(cre, cim2, th) * _factor_bound(sre, sim2, th)
-                       for th in np.minimum(np.ldexp(grid, k), 2.0 ** 500)])
+    op = _operator(T)
+    m = op.circulant_part.spectrum.shape[0]
+    h = np.concatenate((op.circulant_part.spectrum, op.skew_part.spectrum))
+    k = -np.frexp(max(np.abs(h.real).max(), np.abs(h.imag).max()))[1]
+    # an eigenvalue and its conjugate give the same ratio, and a half
+    # spectrum holds one of each pair: re and im2 = im**2 of its entries
+    re, im2 = np.ldexp(h.real, k), np.ldexp(h.imag, k) ** 2
+    num, den = np.empty_like(re), np.empty_like(re)
+    bounds = np.empty(grid.shape)
+    # num / 0 = inf at an exactly singular grid point (num = 4 theta^2 > 0
+    # there); errstate is per thread, unlike the process-wide warning filters
+    with np.errstate(divide="ignore"):
+        for i, th in enumerate(np.minimum(np.ldexp(grid, k), 2.0 ** 500)):
+            np.subtract(th, re, out=num)
+            num *= num
+            num += im2
+            np.add(th, re, out=den)
+            den *= den
+            den += im2
+            num /= den
+            # sqrt is monotone and correctly rounded: the max of the roots, bit for bit
+            bounds[i] = float(np.sqrt(num[:m].max())) * float(np.sqrt(num[m:].max()))
     best = np.lexsort((grid, bounds))[0]
     return float(grid[best]), bounds

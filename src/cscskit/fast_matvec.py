@@ -16,9 +16,11 @@ through the splitting T = C + S), and so count their basis changes, one
 DCT and one DST each at the block sizes, in ``counting()``.
 ``from_circulant``/``from_skew_circulant`` build an operator from one
 real DFT of its first column, and ``from_bands`` builds both spectra
-from one ``_spectra``; no operator is built from an X-pattern, and none
-expands to one.  The half spectrum is (n//2 + 1) complex values, half
-the 2n doubles of an X-pattern core.
+from one ``_spectra`` on every call; ``_operator(T)`` builds them once
+per ``ToeplitzBands`` and keeps them on it, and is where ``cscs_solve``
+and ``theta_scan`` take them from.  No operator is built from an
+X-pattern, and none expands to one.  The half spectrum is (n//2 + 1)
+complex values, half the 2n doubles of an X-pattern core.
 
 Operators are immutable; two products with the same operator and input
 are bitwise identical.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structured_matrices import (
-    CirculantCol, SkewCirculantCol, ToeplitzBands, _vector, cscs_split,
+    CirculantCol, SkewCirculantCol, ToeplitzBands, _instance, _vector, cscs_split,
 )
 from .trig_transforms import (
     _column_spectra, _column_spectrum, _inverse_parts, _product, _toeplitz_product,
@@ -122,6 +124,14 @@ class ToeplitzOperator:
     @property
     def n(self) -> int:
         return self.circulant_part.n
+
+
+def _operator(T) -> ToeplitzOperator:
+    """T's operator: built by ``from_bands`` on first use and kept on T for the next."""
+    if "_operator" not in vars(_instance(T, ToeplitzBands, "T")):
+        # threads racing here build bitwise-equal operators; either one is kept
+        object.__setattr__(T, "_operator", ToeplitzOperator.from_bands(T))
+    return T._operator
 
 
 def _core_product(op, x, kind):

@@ -124,7 +124,11 @@ def _vector(values, what, n=None, finite=True, dtype=np.float64):
 class ToeplitzBands:
     """Toeplitz matrix as diagonal coefficients t[-(n-1)] .. t[n-1], ascending.
 
-    ``coeffs`` is a read-only float64 copy of the array passed in.
+    ``coeffs`` is a read-only float64 copy of the array passed in.  The
+    first ``cscs_solve`` or ``theta_scan`` of T keeps its split spectra,
+    the ``ToeplitzOperator`` of ``fast_matvec._operator``, on T itself
+    for the later ones; a pickle or a copy of T leaves them out and builds
+    its own on first use, and its ``coeffs`` are read-only again.
     """
 
     n: int
@@ -134,6 +138,14 @@ class ToeplitzBands:
         _size(self.n, "Toeplitz size n")
         object.__setattr__(self, "coeffs",
                            _vector(self.coeffs, "Toeplitz coeffs", 2 * self.n - 1))
+
+    def __getstate__(self):
+        return {"n": self.n, "coeffs": self.coeffs}
+
+    def __setstate__(self, state):
+        # checked and made read-only again: unpickled or deep-copied
+        # arrays come back writable
+        self.__init__(**state)
 
     def t(self, k: int) -> float:
         """Diagonal coefficient t[k], -(n-1) <= k <= n-1."""

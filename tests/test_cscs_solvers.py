@@ -1,7 +1,9 @@
 """CSCS solver, DFT baseline, spectral-radius and shift-scan diagnostics."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -9,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cscskit import _dft, cscs_solvers, real_schur, trig_transforms
+from cscskit import _dft, cscs_solvers, fast_matvec, real_schur, trig_transforms
 from cscskit.bench_cli import ProblemSpec, gen_coeffs
 from cscskit.cscs_solvers import (
     RHO_DENSE_GUARD, SolverConfig, cscs_solve, dft, iteration_matrix_rho,
@@ -435,23 +437,24 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
 def test_dfts_per_sweep(monkeypatch, n, backend, start):
     # dct_dst: three core products and the stopping test's C x, two real
     # DFTs each; at odd n S x_new and C x_new share one complex DFT each
-    # way, so six a sweep, and the build takes one (two at even n).  fft:
-    # two complex DFTs a product, eight a sweep, and none to build.  A
-    # nonzero x0 adds the pair (C x0, S x0): two DFTs at odd n and four at
-    # even n on dct_dst, four on fft
+    # way, so six a sweep, and T's first solve builds its spectra with one
+    # (two at even n).  fft: two complex DFTs a product, eight a sweep, and
+    # none to build.  A nonzero x0 adds the pair (C x0, S x0): two DFTs at
+    # odd n and four at even n on dct_dst, four on fft
     calls = []
     module = trig_transforms if backend == "dct_dst" else cscs_solvers
     name = "dft_vector" if backend == "dct_dst" else "dft"
     real = getattr(module, name)
     monkeypatch.setattr(module, name,
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
     x0 = None if start == "zero" else np.random.default_rng(n).uniform(-1, 1, n)
     pair = 0 if x0 is None else 2 if backend == "dct_dst" and n % 2 else 4
+    cfg = lambda k: SolverConfig(theta=1.985, tol=1e-300, max_iters=k, x0=x0, backend=backend)
     for k in (1, 2, 5):
+        # a fresh T for each k, so that its first solve builds the spectra
+        T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
         calls.clear()
-        report = cscs_solve(T, np.ones(n), SolverConfig(theta=1.985, tol=1e-300, max_iters=k,
-                                                        x0=x0, backend=backend))
+        report = cscs_solve(T, np.ones(n), cfg(k))
         assert report.iterations == k
         if backend == "fft":
             assert len(calls) == 8 * k + pair
@@ -459,6 +462,11 @@ def test_dfts_per_sweep(monkeypatch, n, backend, start):
             assert len(calls) == 6 * k + 1 + pair
         else:
             assert len(calls) == 8 * k + 2 + pair
+        # a second solve of the same T reuses them: the sweeps and the pair only
+        calls.clear()
+        assert cscs_solve(T, np.ones(n), cfg(k)).iterations == k
+        sweeps = 6 * k if backend == "dct_dst" and n % 2 else 8 * k
+        assert len(calls) == sweeps + pair
 
 
 def _separate_products_solve(T, b, theta, x0):
@@ -739,7 +747,7 @@ def test_theta_scan_empty_grid():
         theta_scan(T, np.array([]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 256, 257, 4000, 4097])
 def test_theta_scan_bounds_equal_a_full_pattern_evaluation(n, rng):
     # the scan evaluates each conjugate pair once; the max runs over the
     # same values as over the whole pattern, so the bounds are bitwise equal
@@ -786,6 +794,78 @@ def test_theta_scan_bound_is_one_at_huge_shifts():
     assert best == 1.0
     assert bounds[0] == theta_scan(T, [1.0])[1][0] < 1.0
     assert np.array_equal(bounds[1:], [1.0, 1.0])
+
+
+# ------------------------------------------------ T's split spectra, built once
+
+def _report_key(report):
+    return (report.solution.tobytes(), report.residuals.tobytes(), report.iterations,
+            report.stop_reason, report.warnings, report.transform_counts)
+
+
+@pytest.mark.parametrize("n", [256, 257, 4000])
+def test_theta_scan_after_a_solve_reuses_its_spectra(monkeypatch, n):
+    # the solve kept T's spectra on T, so the scan runs no DFT, and its
+    # bounds are a fresh T's bit for bit
+    T = gen_coeffs(ProblemSpec("ex3", n))
+    cscs_solve(T, np.ones(n), SolverConfig(theta=3.585))
+    grid = np.linspace(0.5, 8.0, 36)
+    calls = []
+    real = trig_transforms.dft_vector
+    monkeypatch.setattr(trig_transforms, "dft_vector",
+                        lambda *args: calls.append(args) or real(*args))
+    best, bounds = theta_scan(T, grid)
+    assert calls == []
+    fresh_best, fresh_bounds = theta_scan(gen_coeffs(ProblemSpec("ex3", n)), grid)
+    assert calls
+    assert best == fresh_best and np.array_equal(bounds, fresh_bounds)
+
+
+def test_split_spectra_stay_out_of_a_pickle_and_a_copy():
+    # spectra kept on T are neither pickled nor copied: a copy builds its
+    # own, read-only, and solves bitwise as T does
+    n = 4000
+    T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
+    size = len(pickle.dumps(T))
+    cfg = SolverConfig(theta=1.985)
+    want = _report_key(cscs_solve(T, np.ones(n), cfg))
+    assert len(pickle.dumps(T)) == size
+    for other in (copy.deepcopy(T), copy.copy(T), pickle.loads(pickle.dumps(T))):
+        assert not other.coeffs.flags.writeable
+        assert _report_key(cscs_solve(other, np.ones(n), cfg)) == want
+        op = fast_matvec._operator(other)
+        assert op is not fast_matvec._operator(T)
+        assert not any(part.spectrum.flags.writeable
+                       for part in (op.circulant_part, op.skew_part))
+
+
+@pytest.mark.parametrize("n", [257, 4000])
+def test_threads_solving_one_fresh_t_match_serial_solves(n):
+    # four threads race to build and keep one T's spectra; each report is
+    # bitwise a serial solve's on a fresh T
+    spec = ProblemSpec("ex1", n, 0.9)
+    x0 = np.random.default_rng(n).uniform(-1, 1, n)
+    cfgs = [SolverConfig(theta=1.985, backend=backend, x0=start)
+            for backend in ("dct_dst", "fft") for start in (None, x0)]
+    want = [_report_key(cscs_solve(gen_coeffs(spec), np.ones(n), cfg)) for cfg in cfgs]
+    T = gen_coeffs(spec)
+    reports = [None] * len(cfgs)
+
+    def solve(i):
+        reports[i] = cscs_solve(T, np.ones(n), cfgs[i])
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [_report_key(report) for report in reports] == want
 
 
 # ------------------------------------------------- free of a power-of-two scale
