@@ -35,7 +35,7 @@ test in each would add about a tenth to them at n = 256 (1.5 us each,
 on a 2-core x86-64 host).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -140,7 +140,8 @@ class ToeplitzBands:
                            _vector(self.coeffs, "Toeplitz coeffs", 2 * self.n - 1))
 
     def __getstate__(self):
-        return {"n": self.n, "coeffs": self.coeffs}
+        # the fields only: the kept operator is not one
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state):
         # checked and made read-only again: unpickled or deep-copied

@@ -747,7 +747,7 @@ def test_theta_scan_empty_grid():
         theta_scan(T, np.array([]))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 256, 257, 4000, 4097])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64, 65, 256, 257, 4000, 4097, 65536])
 def test_theta_scan_bounds_equal_a_full_pattern_evaluation(n, rng):
     # the scan evaluates each conjugate pair once; the max runs over the
     # same values as over the whole pattern, so the bounds are bitwise equal
