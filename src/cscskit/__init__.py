@@ -19,8 +19,7 @@ from .fast_matvec import (
 )
 from .real_schur import (
     SingularShiftError, SpectralPair, XPattern, apply_block_transform,
-    apply_q, dense_u_oracle, dtt_apply, from_core, real_spectrum, to_core,
-    xpattern_apply, xpattern_shifted_solve,
+    apply_q, dense_u_oracle, from_core, real_spectrum, to_core,
 )
 from .structured_matrices import (
     CirculantCol, SkewCirculantCol, ToeplitzBands, cscs_split, dense_of,
@@ -28,7 +27,7 @@ from .structured_matrices import (
 )
 from .trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI, DttKind,
-    DttPlan, Family, Flavor, counting, dtt_matrix,
+    Family, Flavor, counting, dtt_matrix,
 )
 
 __version__ = "0.1.0"
@@ -41,10 +40,9 @@ __all__ = [
     "CirculantOperator", "ToeplitzOperator", "circulant_matvec",
     "skew_circulant_matvec", "toeplitz_matvec",
     "SingularShiftError", "SpectralPair", "XPattern", "apply_block_transform",
-    "apply_q", "dense_u_oracle", "dtt_apply", "from_core", "real_spectrum", "to_core",
-    "xpattern_apply", "xpattern_shifted_solve",
+    "apply_q", "dense_u_oracle", "from_core", "real_spectrum", "to_core",
     "CirculantCol", "SkewCirculantCol", "ToeplitzBands", "cscs_split",
     "dense_of", "naive_matvec", "toeplitz_from_bands",
     "DCT_I", "DCT_II", "DCT_V", "DCT_VI", "DST_I", "DST_II", "DST_V", "DST_VI",
-    "DttKind", "DttPlan", "Family", "Flavor", "counting", "dtt_matrix",
+    "DttKind", "Family", "Flavor", "counting", "dtt_matrix",
 ]

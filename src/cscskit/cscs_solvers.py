@@ -61,11 +61,13 @@ can reach first); the report's ``stop_reason`` says which, and for
 "diverged" and "non_finite" a warning names the sweep.  Residuals are
 recomputed each sweep with the backend's own products, never recursively
 updated; a nonzero x^(0)'s first residual reads the sweep's pair,
-(C x^(0), S x^(0)), once more.  A norm whose squares overflow is
-rescaled by the largest entry, so a finite b of any size solves like b
-scaled down, and the shifted inverses are formed scale-free
-(``trig_transforms._inverse_parts``), so T and theta times a power of two
-solve in the same sweeps.
+(C x^(0), S x^(0)), once more.  A norm whose squares overflow or
+underflow is recomputed on the vector scaled by a power of two, so a b
+times 2^k solves in the same sweeps as b, to the solution times 2^k, as
+long as the sweeps stay in range; the shifted inverses are formed
+scale-free (``trig_transforms._inverse_parts``), so T and theta times a
+power of two solve in the same sweeps, and a shift whose inverses
+overflow float64 raises ``SingularShiftError`` before the first sweep.
 """
 
 from dataclasses import dataclass, field
@@ -90,6 +92,10 @@ __all__ = [
 RHO_DENSE_GUARD = 4096
 # a relative residual above 1/eps stops a solve as "diverged"
 _DIVERGED = 1.0 / np.finfo(np.float64).eps
+# a norm below this is recomputed scaled: entries below 2^-511 square into
+# subnormals and lose bits, which move a norm of 2^-500 or more by under
+# n 2^-75 of itself
+_NORM_MIN = 2.0 ** -500
 # theta_scan's joined spectra longer than this scan one half at a time:
 # the four work arrays of a joined pass then outgrow a 2 MB L2 cache (on a
 # 2-core Xeon, by halves took 0.90x the joined time at n = 65536, 1.05x at 49152)
@@ -169,7 +175,8 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     """Solve T x = b by the CSCS iteration.
 
     Raises :class:`SingularShiftError` when theta*I + C or theta*I + S
-    is singular, its ``index`` a position in that part's ``spectrum``, and
+    is singular or has an inverse that overflows float64, its ``index`` a
+    position in that part's ``spectrum``, and
     ``ValueError`` for a non-finite ``b``, an ``x0`` not of length n, a
     ``T`` that is not a ``ToeplitzBands`` or a ``cfg`` that is not a
     ``SolverConfig``.  Indefiniteness of C or S is only a recorded
@@ -203,8 +210,9 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
     while stop == "max_iters" and len(residuals) < cfg.max_iters:
         with counting() as used:
             u = theta * x - sx + b
-            # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I
-            v = 2 * theta * c_inv(u) - u + b
+            # (theta I - C)(theta I + C)^-1 = 2 theta (theta I + C)^-1 - I; the
+            # exact doubling goes on c_inv(u), where 2 theta cannot overflow
+            v = theta * (2 * c_inv(u)) - u + b
             x = s_inv(v)
             cx, sx = products(x)
         if counted:
@@ -233,15 +241,20 @@ def cscs_solve(T: ToeplitzBands, b, cfg: SolverConfig) -> SolveReport:
 
 
 def _norm(v):
-    """||v||_2, also for a finite v whose squared entries overflow (about 1e154 up).
+    """||v||_2, also for a finite v whose squared entries overflow (about 1e154
+    up) or underflow (about 1e-154 down).
 
-    ``np.linalg.norm`` sums the squares, so only an inf it returns for a
-    finite v is recomputed, scaled by max |v|; every other norm is its own.
+    ``np.linalg.norm`` sums the squares, so an inf it returns for a finite
+    v, or a norm below ``_NORM_MIN``, is recomputed on v scaled by the power
+    of two 2^k that takes max |v| to [1/2, 1), and scaled back; both are
+    exact, so a v of any size has the norm of v 2^k, times 2^-k.  Every
+    other norm is its own.
     """
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
-    if np.isinf(norm) and np.isfinite(scale := np.abs(v).max()):
-        norm = scale * np.linalg.norm(v / scale)
+    if not _NORM_MIN <= norm < np.inf and np.isfinite(scale := np.abs(v).max()):
+        k = np.frexp(scale)[1]
+        norm = np.ldexp(np.linalg.norm(np.ldexp(v, -k)), k)
     return norm
 
 

@@ -24,11 +24,12 @@ DFT counts are ``trig_transforms``'s (its module docstring).  This
 module is the paper's real-Schur API on top of it, all O(n) work around
 one ``_spectrum`` or ``_from_spectrum``: ``to_core`` (U.T x) and
 ``from_core`` (U y) scale the half spectrum into the core layout and
-back, ``apply_block_transform`` is Q around them, ``real_spectrum``
-reads a column's eigenvalues off one real DFT, and ``dtt_apply`` is one
-block of the factor at n = L, the DFT embedding length of the
-``trig_transforms`` table.  A basis change counts the DCT and the DST
-it computes.
+back, ``apply_block_transform`` is Q around them, and ``real_spectrum``
+reads a column's eigenvalues off one real DFT.  Each of the eight
+transforms of ``trig_transforms`` is the cosine block, or the sine block
+read backwards (its J), of the factor at n = L, its DFT embedding
+length; the dense ``dtt_matrix`` is the oracle of those blocks.  A basis
+change counts the DCT and the DST it computes.
 
 The core vector U.T x is read off the eigenvalues lambda (in DFT order)
 of the circulant or skew-circulant whose first column is x, restored
@@ -52,27 +53,24 @@ sit in a half spectrum: ``real_spectrum`` reads them off one and
 ``_half_spectrum`` writes them back, both exactly.  The operators of
 ``fast_matvec`` hold the half spectrum itself, and no X-pattern.
 
-A shifted core theta*I + X is inverted in O(n), and its inverse is again
-an X-pattern: each pair of positions is a 2x2 block [[d, b], [-b, d]]
-(d = theta + alpha, b = beta), which multiplies like d + ib, so its
-inverse is [[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda),
-which ``trig_transforms._inverse_parts`` computes with its checks.
-``xpattern_apply`` is the X-pattern product and takes no shift
-((theta*I + X) y is theta*y + X y); ``xpattern_shifted_solve`` is its
-product with the inverse pattern.
+The inverse of a shifted core theta*I + X is again an X-pattern: each
+pair of positions is a 2x2 block [[d, b], [-b, d]] (d = theta + alpha,
+b = beta), which multiplies like d + ib, so its inverse is
+[[d, -b], [b, d]] / (d^2 + b^2), entrywise 1 / (theta + lambda), which
+``trig_transforms._inverse_parts`` computes with its checks on the half
+spectrum an operator holds (``CirculantOperator._shifted_inverse``).
+``XPattern`` is the dense-checkable form of a core: ``SpectralPair.expand``
+gives it, and ``cscskit spectrum`` prints it.
 
 ``dense_u_oracle`` materializes U / Utilde from the complex eigenvector
 basis; it exists for tests and is never called by production paths.
 
 Input contract (checks from ``structured_matrices``): ``XPattern`` and
-``SpectralPair`` (when built), ``real_spectrum``, a shifted solve's
-theta, the X of ``xpattern_apply`` and ``xpattern_shifted_solve``,
-``dtt_apply``'s plan, every ``transposed`` flag (a bool, never read by
-truthiness) and ``dense_u_oracle``'s size raise ValueError for a bool
-(where a number is due), a non-number, the wrong shape or type and NaN
-or Inf.  The products (``apply_q``,
-``apply_block_transform``, ``to_core``/``from_core``, ``dtt_apply``,
-``xpattern_apply``, the z of ``xpattern_shifted_solve``) check the shape
+``SpectralPair`` (when built), ``real_spectrum``, every ``transposed``
+flag (a bool, never read by truthiness) and ``dense_u_oracle``'s size
+raise ValueError for a bool (where a number is due), a non-number, the
+wrong shape or type and NaN or Inf.  The products (``apply_q``,
+``apply_block_transform``, ``to_core``/``from_core``) check the shape
 and the kind (a bool or complex array raises) and pass NaN and Inf through.
 """
 
@@ -80,16 +78,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structured_matrices import _flag, _instance, _size, _vector
+from .structured_matrices import _flag, _size, _vector
 from .trig_transforms import (
-    DttPlan, Family, Flavor, SingularShiftError, _column_spectrum, _count, _count_blocks,
-    _eigenvalues, _from_spectrum, _inverse_parts, _sine_size, _spectrum, counting,
+    SingularShiftError, _column_spectrum, _count_blocks, _eigenvalues, _from_spectrum,
+    _sine_size, _spectrum,
 )
 
 __all__ = [
     "SingularShiftError", "XPattern", "SpectralPair",
-    "apply_q", "apply_block_transform", "dense_u_oracle", "dtt_apply", "from_core",
-    "real_spectrum", "to_core", "xpattern_apply", "xpattern_shifted_solve",
+    "apply_q", "apply_block_transform", "dense_u_oracle", "from_core",
+    "real_spectrum", "to_core",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -168,52 +166,16 @@ def apply_block_transform(side: str, x, transposed: bool = False) -> np.ndarray:
     return apply_q(from_core(side, x), transposed=skew)
 
 
-# family -> (side of its factor, L - 2s of its sine kind); the cosine
-# kind's is the negative (the table in ``trig_transforms``)
-_FACTORS = {Family.I: ("circulant", 2), Family.II: ("skew", 0),
-            Family.V: ("circulant", 1), Family.VI: ("skew", 1)}
-
-
-def dtt_apply(plan: DttPlan, x, transposed: bool = False) -> np.ndarray:
-    """Apply M @ x (or M.T @ x) for the plan's transform matrix M.
-
-    M is the cosine or the sine block of its factor at n = L, its DFT
-    embedding length: x goes into that block (reversed in the sine
-    block, for its J) with zeros elsewhere, and one real DFT of L points
-    applies the factor.  Inside ``counting()`` it counts only itself.
-
-    Cost: L is 2s - 2 to 2s + 2 for s = plan.size, so one transform runs
-    a complex DFT of L/2 points at even L and of L points at odd L (a
-    chirp convolution of about 4s points), not a transform of s points.
-    No product or solver path calls it.
-    """
-    s = _instance(plan, DttPlan, "dtt_apply plan").size
-    x = _vector(x, "vector", s, finite=False)
-    _flag(transposed, "dtt_apply transposed")
-    _count(plan.kind.flavor, s)
-    if s == 1:
-        return x.copy()
-    side, grow = _FACTORS[plan.kind.family]
-    cosine = plan.kind.flavor is Flavor.COSINE
-    n = 2 * s - grow if cosine else 2 * s + grow
-    hs = n - _sine_size(side, n)
-    block = slice(None, hs) if cosine else slice(None, hs - 1, -1)
-    v = np.zeros(n)
-    v[block] = x
-    with counting():  # the factor counts both of its blocks
-        return apply_block_transform(side, v, transposed)[block].copy()
-
-
 @dataclass(frozen=True, eq=False)
 class XPattern:
     """Cross-shaped core matrix: X[j,j] = diag[j], X[j,partner(j)] = anti[j].
 
     ``pairing`` fixes the partner map, a reflection: (n-j) mod n for the
     circulant core Omega, n-1-j for the skew core Sigma.  Stored
-    redundantly at full length so apply/solve stay branch-free; diag must
-    be symmetric and anti antisymmetric across each pair, bit for bit (so
+    redundantly at full length, as ``dense`` lays it out; diag must be
+    symmetric and anti antisymmetric across each pair, bit for bit (so
     anti is zero at fixed points).  ``diag`` and ``anti`` are read-only
-    float64 copies of the arrays passed in, shared across products and solves.
+    float64 copies of the arrays passed in.
     """
 
     n: int
@@ -299,32 +261,6 @@ def real_spectrum(kind: str, col) -> SpectralPair:
     lam = _eigenvalues(kind, n, _column_spectrum(kind, col))
     k, sine = int(kind == "circulant"), _sine_size(kind, n)
     return SpectralPair(lam.real[:n - sine], lam.imag[k:k + sine], kind)
-
-
-def _shifted_inverse(X: XPattern, theta: float) -> XPattern:
-    """(theta*I + X)^-1 as an X-pattern: diag (theta + alpha)/det, anti -beta/det."""
-    return XPattern(X.n, X.pairing, *_inverse_parts(theta, X.diag, X.anti))
-
-
-def xpattern_apply(X: XPattern, y) -> np.ndarray:
-    """O(n) product X y with an X-pattern core.
-
-    X y = diag * y + anti * y[partner].  A shifted product is theta*y
-    plus this one; a shifted solve is this product with the inverse
-    pattern (``xpattern_shifted_solve``).
-    """
-    y = _vector(y, "vector", _instance(X, XPattern, "xpattern_apply X").n, finite=False)
-    return X.diag * y + X.anti * _reflect(X.pairing, y)
-
-
-def xpattern_shifted_solve(X: XPattern, theta: float, z) -> np.ndarray:
-    """Solve (theta*I + X) y = z in O(n): the product with the inverse pattern.
-
-    Each pair is a 2x2 system [[d, b], [-b, d]] (d = theta + alpha,
-    b = beta, 0 at fixed points); ``_inverse_parts`` inverts and checks it.
-    """
-    _instance(X, XPattern, "xpattern_shifted_solve X")
-    return xpattern_apply(_shifted_inverse(X, theta), z)
 
 
 def dense_u_oracle(kind: str, n: int) -> np.ndarray:

@@ -31,11 +31,10 @@ So each transform is a DFT of a symmetric extension (Martucci, "Symmetric
 convolution and the discrete sine and cosine transforms", IEEE TSP 1994),
 and L is the size n of the real Schur basis change it is a block of:
 families I and V are the cosine and sine blocks of the circulant factor
-Q U at n = L, families II and VI those of the skew factor Q.T Utilde.
-``real_schur.dtt_apply`` computes a transform that way, as one block of
-one real DFT of L points; the dense ``dtt_matrix`` is its oracle.  Every
-matrix M here satisfies M @ M.T == I, so the transpose doubles as the
-inverse.
+Q U at n = L, families II and VI those of the skew factor Q.T Utilde,
+so one real DFT of L points computes both blocks at once; the dense
+``dtt_matrix`` is the oracle of those blocks.  Every matrix M here
+satisfies M @ M.T == I, so the transpose doubles as the inverse.
 
 The half spectrum.  The cosine and sine blocks of U.T x are, up to
 scale, the real and imaginary parts of one real DFT of x, so every
@@ -83,16 +82,15 @@ in place (``_side_product``), so every product rounds alike at every n.
 
 A shifted core theta I + X has eigenvalues theta + lambda;
 ``_inverse_parts`` inverts them entrywise, with the finite-theta and
-singular checks (``SingularShiftError``), for an X-pattern's shifted
-solve and for a solve's two shifted inverses.
+singular and overflow checks (``SingularShiftError``), for a solve's
+two shifted inverses.
 
 Inside a ``counting()`` block every basis change counts, through
-``_count_blocks``, the DCT and the DST it computes (``_product`` and
-``_toeplitz_product`` count theirs; ``_side_product``, ``_products`` and
-``_spectra`` count nothing), and ``dtt_apply`` counts its one transform,
-by (flavor, size).  The counter lives in a context variable, so each
-thread (or asyncio task) sees only its own calls; solvers use it to
-report their per-sweep transform budget.
+``_count_blocks``, the DCT and the DST it computes, by (flavor, size)
+(``_product`` and ``_toeplitz_product`` count theirs; ``_side_product``,
+``_products`` and ``_spectra`` count nothing).  The counter lives in a
+context variable, so each thread (or asyncio task) sees only its own
+calls; solvers use it to report their per-sweep transform budget.
 """
 
 import contextvars
@@ -108,7 +106,7 @@ from ._dft import dft_vector
 from .structured_matrices import _instance, _number, _size
 
 __all__ = [
-    "Family", "Flavor", "DttKind", "DttPlan", "counting", "dtt_matrix",
+    "Family", "Flavor", "DttKind", "counting", "dtt_matrix",
     "DCT_I", "DCT_II", "DCT_V", "DCT_VI", "DST_I", "DST_II", "DST_V", "DST_VI",
 ]
 
@@ -167,13 +165,6 @@ def counting():
         _counts.reset(token)
 
 
-def _count(flavor: Flavor, size: int, times: int = 1) -> None:
-    """Count ``times`` transforms of this flavor and size in the active ``counting()`` block."""
-    counts = _counts.get()
-    if counts is not None:
-        counts[flavor, size] += times
-
-
 def _sine_size(side: str, n: int) -> int:
     """Size of the sine block: (n-1)//2 on the circulant side, n//2 on the skew side.
 
@@ -189,11 +180,14 @@ def _sine_size(side: str, n: int) -> int:
 
 
 def _count_blocks(side: str, n: int, times: int = 1) -> None:
-    """Count the DCT and the DST that ``times`` basis changes of this side compute."""
+    """Count the DCT and the DST that ``times`` basis changes of this side compute,
+    in the active ``counting()`` block."""
     sine = _sine_size(side, n)
-    _count(Flavor.COSINE, n - sine, times)
-    if sine:
-        _count(Flavor.SINE, sine, times)
+    counts = _counts.get()
+    if counts is not None:
+        counts[Flavor.COSINE, n - sine] += times
+        if sine:
+            counts[Flavor.SINE, sine] += times
 
 
 def _tau(indices, n):
@@ -206,8 +200,9 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     """Dense orthonormal transform matrix of the given kind and dimension.
 
     Entries are evaluated directly from the cosine/sine formulas above.
-    It is the correctness oracle for ``dtt_apply`` and is also used for
-    small dense work in tests; production paths never call it.
+    It is the correctness oracle for the blocks of the basis changes and
+    is also used for small dense work in tests; production paths never
+    call it.
     """
     _instance(kind, DttKind, "dtt_matrix kind")
     _size(size, "transform size")
@@ -256,23 +251,6 @@ def dtt_matrix(kind: DttKind, size: int) -> np.ndarray:
     j = np.arange(1, s + 1)
     k = np.arange(1, s + 1)
     return 2.0 / np.sqrt(big) * np.sin(np.pi * np.outer(j, 2 * k - 1) / big)
-
-
-@dataclass(frozen=True)
-class DttPlan:
-    """One transform: a checked kind and size, for ``dtt_apply``.
-
-    Immutable and holds no tables; ``dtt_matrix`` gives the same
-    transform as a dense matrix and is the oracle ``dtt_apply`` is
-    tested against.
-    """
-
-    kind: DttKind
-    size: int
-
-    def __post_init__(self):
-        _instance(self.kind, DttKind, "DttPlan kind")
-        _size(self.size, "transform size")
 
 
 def _wrapped(z):
@@ -502,8 +480,9 @@ def _toeplitz_product(cspectrum, sspectrum, x) -> np.ndarray:
 
 
 class SingularShiftError(ValueError):
-    """theta*I + X is singular at eigenvalue ``index``: a position in the
-    pattern (``xpattern_shifted_solve``) or in ``spectrum`` (``cscs_solve``)."""
+    """1 / (theta + lambda) is not a float64 at eigenvalue ``index``, a position
+    in ``spectrum`` (``cscs_solve``): theta*I + X is singular there, or its
+    inverse overflows."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -517,11 +496,13 @@ def _inverse_parts(theta, re, im):
     SingularShiftError at the first index whose det = d^2 + im^2 is within
     eps of the squared scale theta^2 + max(re^2 + im^2), i.e. where
     |theta + lambda| is within sqrt(eps) of the spectrum's magnitude and
-    rounding alone decides its size.  It is scale-free: theta, re and im
-    are scaled by the one power of two 2^k that takes the largest of
-    them to [1/2, 1) before they are squared, and the quotients by 2^k
-    again.  Both are exact, so the result is bitwise the unscaled one
-    wherever that squares without overflow or underflow.
+    rounding alone decides its size, or else at the first index whose
+    inverse overflows float64 (|theta + lambda| below about 5.6e-309).
+    It is scale-free: theta, re and im are scaled by the one power of two
+    2^k that takes the largest of them to [1/2, 1) before they are
+    squared, and the quotients by 2^k again.  Both are exact, so the
+    result is bitwise the unscaled one wherever that squares without
+    overflow or underflow.
     """
     _number(theta, "shift theta")
     k = -np.frexp(max(abs(theta), np.abs(re).max(), np.abs(im).max()))[1]
@@ -529,10 +510,14 @@ def _inverse_parts(theta, re, im):
     d = t + sre
     det = d * d + sim * sim
     scale = t * t + np.max(sre * sre + sim * sim)
-    bad = np.flatnonzero(det <= np.finfo(np.float64).eps * scale)
-    if bad.size:
-        j = int(bad[0])
-        raise SingularShiftError(
-            f"shift theta={theta} is singular at index {j} (eigenvalue real "
-            f"part {re[j]}, imaginary part {im[j]})", index=j)
-    return np.ldexp(d / det, k), np.ldexp(-sim / det, k)
+    with np.errstate(all="ignore"):  # checked below, a singular det first
+        inverse = np.ldexp(d / det, k), np.ldexp(-sim / det, k)
+    for what, bad in (("is singular", det <= np.finfo(np.float64).eps * scale),
+                      ("overflows float64 in 1 / (theta + lambda)",
+                       np.isinf(inverse[0]) | np.isinf(inverse[1]))):
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise SingularShiftError(
+                f"shift theta={theta} {what} at index {j} (eigenvalue real "
+                f"part {re[j]}, imaginary part {im[j]})", index=j)
+    return inverse

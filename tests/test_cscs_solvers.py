@@ -20,10 +20,7 @@ from cscskit.cscs_solvers import (
 from cscskit.fast_matvec import (
     ToeplitzOperator, circulant_matvec, skew_circulant_matvec, toeplitz_matvec,
 )
-from cscskit.real_schur import (
-    SingularShiftError, XPattern, _shifted_inverse, from_core, to_core,
-    xpattern_shifted_solve,
-)
+from cscskit.real_schur import SingularShiftError, XPattern, from_core, to_core
 from cscskit.structured_matrices import (
     cscs_split, dense_of, naive_matvec, toeplitz_from_bands,
 )
@@ -308,11 +305,15 @@ def test_stop_reason_names_why_the_solve_stopped():
     assert cut.iterations == 2 and np.isfinite(cut.residuals).all()
 
 
-def _shifted_operator(X, theta):
+def _shifted_pattern(X, theta):
     # (theta I + X)^-1: diag (theta + alpha) / det, anti -beta / det
     d = theta + X.diag
     det = d * d + X.anti * X.anti
-    return operator(XPattern(X.n, X.pairing, d / det, -X.anti / det))
+    return XPattern(X.n, X.pairing, d / det, -X.anti / det)
+
+
+def _shifted_operator(X, theta):
+    return operator(_shifted_pattern(X, theta))
 
 
 def _pattern_product(X):
@@ -330,8 +331,8 @@ def _pattern_product(X):
 def test_one_sweep_is_the_public_x_pattern_sweep(n):
     # the solve's shifted cores, built once per solve, are the public
     # operators of the inverse X-patterns, bit for bit; the X-pattern
-    # route through to_core and from_core agrees to rounding.  S x0 is the
-    # pair's, as the solve takes it
+    # route through to_core, a dense solve with the core and from_core
+    # agrees to rounding.  S x0 is the pair's, as the solve takes it
     T = gen_coeffs(ProblemSpec("ex1", n, 0.9))
     rng = np.random.default_rng(n)
     b, x = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
@@ -345,9 +346,11 @@ def test_one_sweep_is_the_public_x_pattern_sweep(n):
     want = skew_circulant_matvec(_shifted_operator(sigma, theta), v)
     assert report.iterations == 1
     assert np.array_equal(report.solution, want)
-    w = from_core("circulant", xpattern_shifted_solve(omega, theta, to_core("circulant", u)))
+    eye = np.eye(n)
+    w = from_core("circulant", np.linalg.solve(theta * eye + omega.dense(),
+                                               to_core("circulant", u)))
     v = 2 * theta * w - u + b
-    routed = from_core("skew", xpattern_shifted_solve(sigma, theta, to_core("skew", v)))
+    routed = from_core("skew", np.linalg.solve(theta * eye + sigma.dense(), to_core("skew", v)))
     assert np.linalg.norm(report.solution - routed) <= 1e-14 * np.linalg.norm(routed)
 
 
@@ -407,8 +410,8 @@ def test_sweeps_are_bitwise_the_loop_that_recomputes_s_x(n, backend):
         pair = lambda v: trig_transforms._products(*spectra, v)
     else:
         omega, sigma = pattern(op.circulant_part), pattern(op.skew_part)
-        c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_inverse(omega, theta),
-                                                    _shifted_inverse(sigma, theta)))
+        c, s, c_inv, s_inv = map(_pattern_product, (omega, sigma, _shifted_pattern(omega, theta),
+                                                    _shifted_pattern(sigma, theta)))
         pair = lambda v: (c(v), s(v))
     for x0 in (None, rng.standard_normal(n)):
         report = cscs_solve(T, b, SolverConfig(theta=theta, tol=1e-12, max_iters=12, x0=x0,
@@ -910,10 +913,60 @@ def test_theta_scan_is_free_of_a_power_of_two_scale(example, n, p, theta, e):
 @pytest.mark.parametrize("e", [530, -530])
 @pytest.mark.parametrize("example, n, p, theta", _SCALED_CELLS)
 def test_shifted_solve_is_free_of_a_power_of_two_scale(example, n, p, theta, e):
-    op = ToeplitzOperator.from_bands(gen_coeffs(ProblemSpec(example, n, p)))
-    z = np.random.default_rng(n).uniform(-1, 1, n)
+    # the shifted inverse of the operator of T 2^e at theta 2^e is the
+    # unscaled one times 2^-e, bit for bit
+    T = gen_coeffs(ProblemSpec(example, n, p))
     s = 2.0 ** e
-    for X in (pattern(op.circulant_part), pattern(op.skew_part)):
-        scaled = XPattern(n, X.pairing, X.diag * s, X.anti * s)
-        assert np.array_equal(xpattern_shifted_solve(scaled, theta * s, z) * s,
-                              xpattern_shifted_solve(X, theta, z))
+    op = ToeplitzOperator.from_bands(T)
+    scaled = ToeplitzOperator.from_bands(toeplitz_from_bands(T.coeffs * s))
+    for part, big in ((op.circulant_part, scaled.circulant_part),
+                      (op.skew_part, scaled.skew_part)):
+        assert np.array_equal(big.spectrum, part.spectrum * s)
+        assert np.array_equal(big._shifted_inverse(theta * s).spectrum * s,
+                              part._shifted_inverse(theta).spectrum)
+
+
+@pytest.mark.parametrize("k", [-1000, -540, -520, -200, 200, 540, 1000])
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_a_right_hand_side_times_a_power_of_two_solves_alike(backend, k):
+    # b 2^-540 returned x = 0 as "converged" after 0 sweeps, and b 2^-520
+    # stopped at a true relative residual of 1.5e-6 for tol 1e-7: the
+    # squares in the residual norms underflowed
+    T = gen_coeffs(ProblemSpec("ex3", 256))
+    b = np.random.default_rng(256).uniform(0.5, 1.5, 256)
+    cfg = SolverConfig(theta=3.585, backend=backend)
+    want = cscs_solve(T, b, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cscs_solve(T, np.ldexp(b, k), cfg)
+    assert want.converged and report.converged and report.iterations == want.iterations
+    x = np.ldexp(report.solution, -k)
+    assert np.linalg.norm(x - want.solution) <= 1e-13 * np.linalg.norm(want.solution)
+    if abs(k) <= 540:
+        assert np.array_equal(x, want.solution)
+        assert np.array_equal(report.residuals, want.residuals)
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_a_huge_shift_sweeps_without_overflow(backend):
+    # 2 theta overflowed at theta = 1e308: the first sweep's residual was
+    # NaN, after "invalid value" RuntimeWarnings
+    T = gen_coeffs(ProblemSpec("ex3", 256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = cscs_solve(T, np.ones(256), SolverConfig(theta=1e308, max_iters=3,
+                                                          backend=backend))
+    assert report.stop_reason == "max_iters" and report.iterations == 3
+    assert np.isfinite(report.residuals).all() and np.isfinite(report.solution).all()
+
+
+@pytest.mark.parametrize("backend", ["dct_dst", "fft"])
+def test_a_shift_whose_inverse_overflows_raises(backend):
+    # T and theta near 1e-310: 1 / (theta + lambda) is past the largest
+    # double, which ran one sweep to a NaN residual after four RuntimeWarnings
+    T = toeplitz_from_bands(gen_coeffs(ProblemSpec("ex3", 64)).coeffs * 1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularShiftError, match="overflows float64") as err:
+            cscs_solve(T, np.ones(64), SolverConfig(theta=3.585e-310, backend=backend))
+    assert err.value.index == 0

@@ -10,7 +10,7 @@ from cscskit.fast_matvec import (
     skew_circulant_matvec, toeplitz_matvec,
 )
 from cscskit.real_schur import (
-    _shifted_inverse, apply_block_transform, from_core, real_spectrum, to_core,
+    SingularShiftError, apply_block_transform, from_core, real_spectrum, to_core,
 )
 from cscskit.trig_transforms import _eigenvalues, _from_spectrum, _spectrum, counting
 from cscskit.structured_matrices import (
@@ -204,24 +204,6 @@ def test_pattern_round_trips_to_the_expanded_spectrum(n, rng):
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 64, 65, 257, 4097])
-def test_each_core_holds_half_the_spectrum(n, rng):
-    # n // 2 + 1 complex values at most: the abstract's "half storage";
-    # the spectrum owns its memory, so no longer array stays alive behind it
-    T = toeplitz_from_bands(random_bands(rng, n, diag_boost=1.0))
-    op = ToeplitzOperator.from_bands(T)
-    theta = float(T.t(0))
-    parts = (op.circulant_part, op.skew_part,
-             *(operator(_shifted_inverse(pattern(p), theta))
-               for p in (op.circulant_part, op.skew_part)))
-    for part in parts:
-        assert part.spectrum.dtype == np.complex128
-        assert part.spectrum.nbytes <= (n // 2 + 1) * 16
-        assert part.spectrum.base is None
-        assert not part.spectrum.flags.writeable
-
-
-
-@pytest.mark.parametrize("n", [*range(1, 18), 64, 65, 257, 4097])
 def test_each_solve_core_holds_half_the_spectrum(n, rng):
     # the four cores cscs_solve builds: the from_bands parts and their
     # shifted inverses, computed on the half spectra
@@ -234,6 +216,41 @@ def test_each_solve_core_holds_half_the_spectrum(n, rng):
             assert core.spectrum.nbytes <= (n // 2 + 1) * 16
             assert core.spectrum.base is None
             assert not core.spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+def test_shifted_inverse_is_an_x_pattern(kind, rng):
+    # each 2x2 block [[d, b], [-b, d]] inverts to [[d, -b], [b, d]] / det,
+    # so (theta I + X)^-1 keeps the cross shape of X: pattern() checks it
+    build = {"circulant": CirculantOperator.from_circulant,
+             "skew": CirculantOperator.from_skew_circulant}[kind]
+    for n in range(1, 34):
+        op = build(rng.standard_normal(n))
+        X = pattern(op)
+        theta = rng.uniform(0.1, 2.0) * (1.0 + np.abs(X.diag + 1j * X.anti).max())
+        inverse = pattern(op._shifted_inverse(theta))
+        assert (inverse.n, inverse.pairing) == (n, kind)
+        err = np.abs(inverse.dense() @ (theta * np.eye(n) + X.dense()) - np.eye(n)).max()
+        assert err <= 1e-12, (n, err)
+        assert np.all(inverse.anti[inverse.partner == np.arange(n)] == 0.0)
+
+
+def test_shifted_inverse_singular_names_index():
+    # eigenvalues 1, 2, 2: theta = -1 cancels the first
+    op = CirculantOperator.from_circulant([5 / 3, -1 / 3, -1 / 3])
+    with pytest.raises(SingularShiftError, match="singular at index 0") as err:
+        op._shifted_inverse(-1.0)
+    assert err.value.index == 0
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, True])
+def test_shifted_inverse_rejects_a_non_finite_shift(theta):
+    # not NaNs out, and not a singular shift blamed on spectrum index 0;
+    # True ran as the shift 1.0
+    op = CirculantOperator.from_circulant([5 / 3, -1 / 3, -1 / 3])
+    named = "a number, got True" if theta is True else "finite"
+    with pytest.raises(ValueError, match=f"theta must be {named}"):
+        op._shifted_inverse(theta)
 
 
 def _embedded_matvec(T, x):

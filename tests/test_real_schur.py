@@ -5,8 +5,6 @@ eigenvector construction), dense congruences, and numpy's dense complex
 eigensolver for eigenvalue multisets.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +12,8 @@ from hypothesis import strategies as st
 
 from cscskit import _dft, real_schur
 from cscskit.real_schur import (
-    SingularShiftError, XPattern, apply_block_transform, apply_q,
-    dense_u_oracle, from_core, real_spectrum, to_core, xpattern_apply,
-    xpattern_shifted_solve,
+    XPattern, apply_block_transform, apply_q, dense_u_oracle, from_core,
+    real_spectrum, to_core,
 )
 from cscskit.structured_matrices import CirculantCol, SkewCirculantCol, dense_of
 from cscskit.trig_transforms import DCT_I, dtt_matrix
@@ -288,25 +285,6 @@ def test_per_size_caches_stay_bounded():
 
 # ---------------------------------------------------------------- X-pattern
 
-def _pair_pattern(alpha, beta):
-    return XPattern(2, "skew", np.array([alpha, alpha]),
-                    np.array([beta, -beta]))
-
-
-def test_xpattern_apply_zero_pattern():
-    X = XPattern(3, "circulant", np.zeros(3), np.zeros(3))
-    y = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(xpattern_apply(X, y), np.zeros(3))
-
-
-def test_xpattern_apply_single_pair():
-    X = _pair_pattern(2.0, 3.0)
-    # X = [[2, 3], [-3, 2]] and theta I + X = [[3, 3], [-3, 3]]
-    y = np.array([1.0, 0.0])
-    assert np.array_equal(xpattern_apply(X, y), [2.0, -3.0])
-    assert np.array_equal(1.0 * y + xpattern_apply(X, y), [3.0, -3.0])
-
-
 @pytest.mark.parametrize("pairing", ["circulant", "skew"])
 def test_xpattern_partner_is_the_pairing_reflection(pairing):
     for n in range(1, 41):
@@ -314,84 +292,6 @@ def test_xpattern_partner_is_the_pairing_reflection(pairing):
         expected = (n - j) % n if pairing == "circulant" else n - 1 - j
         zeros = np.zeros(n)
         assert np.array_equal(XPattern(n, pairing, zeros, zeros).partner, expected)
-
-
-def test_xpattern_apply_matches_dense(rng):
-    for n, pairing in itertools.product(range(1, 41), ("circulant", "skew")):
-        j = np.arange(n)
-        partner = n - 1 - j if pairing == "skew" else (n - j) % n
-        diag = rng.standard_normal(n)
-        anti = rng.standard_normal(n)
-        diag = (diag + diag[partner]) / 2
-        anti = (anti - anti[partner]) / 2
-        X = XPattern(n, pairing, diag, anti)
-        y = rng.standard_normal(n)
-        ref = x_dense(X) @ y
-        got = xpattern_apply(X, y)
-        assert np.abs(got - ref).max() < 1e-13 * max(1, np.abs(ref).max())
-
-
-def test_shifted_solve_scalar():
-    X = XPattern(1, "circulant", np.array([3.0]), np.zeros(1))
-    assert np.array_equal(xpattern_shifted_solve(X, 1.0, np.array([6.0])), [1.5])
-
-
-def test_shifted_solve_pair():
-    X = _pair_pattern(2.0, 3.0)
-    y = xpattern_shifted_solve(X, 1.0, np.array([1.0, 0.0]))
-    assert np.allclose(y, [1 / 6, 1 / 6], atol=1e-15)
-
-
-def test_shifted_solve_round_trip(rng):
-    for n in (1, 3, 8, 21):
-        pairing = "circulant"
-        j = np.arange(n)
-        partner = (n - j) % n
-        diag = rng.standard_normal(n)
-        anti = rng.standard_normal(n)
-        diag = (diag + diag[partner]) / 2
-        anti = (anti - anti[partner]) / 2
-        X = XPattern(n, pairing, diag, anti)
-        y = rng.standard_normal(n)
-        z = 5.0 * y + xpattern_apply(X, y)
-        back = xpattern_shifted_solve(X, 5.0, z)
-        assert np.abs(back - y).max() < 1e-12 * max(1, np.abs(y).max())
-
-
-@pytest.mark.parametrize("kind", ["circulant", "skew"])
-def test_shifted_inverse_is_an_x_pattern(kind, rng):
-    # each 2x2 block [[d, b], [-b, d]] inverts to [[d, -b], [b, d]] / det,
-    # so (theta I + X)^-1 keeps the cross shape of X
-    for n in range(1, 34):
-        X = real_spectrum(kind, rng.standard_normal(n)).expand()
-        theta = rng.uniform(0.1, 2.0) * (1.0 + np.abs(X.diag + 1j * X.anti).max())
-        inverse = real_schur._shifted_inverse(X, theta)
-        assert (inverse.n, inverse.pairing) == (n, kind)
-        shifted = theta * np.eye(n) + X.dense()
-        err = np.abs(inverse.dense() @ shifted - np.eye(n)).max()
-        assert err <= 1e-12, (n, err)
-        partner = inverse.partner
-        fixed = partner == np.arange(n)
-        assert np.all(inverse.anti[fixed] == 0.0)
-        assert np.array_equal(inverse.anti, -inverse.anti[partner])
-        assert np.array_equal(inverse.diag, inverse.diag[partner])
-
-
-def test_shifted_solve_singular_names_index():
-    X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
-    with pytest.raises(SingularShiftError) as err:
-        xpattern_shifted_solve(X, -1.0, np.ones(3))
-    assert err.value.index == 0
-
-
-@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, True])
-def test_shifted_solve_rejects_a_non_finite_shift(theta):
-    # not NaNs out, and not a singular shift blamed on pattern index 0;
-    # True ran as the shift 1.0
-    X = XPattern(3, "circulant", np.array([1.0, 2.0, 2.0]), np.zeros(3))
-    named = "a number, got True" if theta is True else "finite"
-    with pytest.raises(ValueError, match=f"theta must be {named}"):
-        xpattern_shifted_solve(X, theta, np.ones(3))
 
 
 @pytest.mark.parametrize("diag, anti", [

@@ -1,19 +1,17 @@
-"""Transform kernels: definitional matrices, fast path, orthogonality."""
+"""Transform kernels: definitional matrices, the factor blocks they are, orthogonality."""
 
 import importlib
 import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cscskit
 from cscskit import _dft, trig_transforms
-from cscskit.real_schur import dtt_apply
+from cscskit.real_schur import apply_block_transform, from_core, to_core
 from cscskit.trig_transforms import (
     DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI,
-    DttKind, DttPlan, Family, Flavor, counting, dtt_matrix,
+    DttKind, Family, Flavor, counting, dtt_matrix,
 )
 
 ALL_KINDS = (DCT_I, DCT_II, DCT_V, DCT_VI, DST_I, DST_II, DST_V, DST_VI)
@@ -49,15 +47,9 @@ def test_every_kind_size1_is_identity():
         assert np.allclose(dtt_matrix(kind, 1), [[1.0]], atol=1e-15), kind
 
 
-def test_dct2_apply_delta():
-    plan = DttPlan(DCT_II, 2)
-    y = dtt_apply(plan, np.array([1.0, 0.0]))
-    assert np.allclose(y, [1 / SQ2, 1 / SQ2], atol=1e-14)
-
-
-def test_dct1_size3_apply_ones():
-    # definitional 3x3 product: (1 + 1/sqrt2, 0, 1 - 1/sqrt2)
-    y = dtt_apply(DttPlan(DCT_I, 3), np.ones(3))
+def test_dct1_size3_matrix():
+    # definitional 3x3 product with ones: (1 + 1/sqrt2, 0, 1 - 1/sqrt2)
+    y = dtt_matrix(DCT_I, 3) @ np.ones(3)
     assert np.allclose(y, [1.7071067811865475, 0.0, 0.29289321881345254],
                        atol=1e-14)
 
@@ -65,14 +57,6 @@ def test_dct1_size3_apply_ones():
 def test_size_zero_rejected():
     with pytest.raises(ValueError):
         dtt_matrix(DCT_II, 0)
-    with pytest.raises(ValueError):
-        DttPlan(DST_V, 0)
-
-
-def test_length_mismatch_rejected():
-    plan = DttPlan(DCT_II, 4)
-    with pytest.raises(ValueError):
-        dtt_apply(plan, np.ones(5))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
@@ -90,71 +74,37 @@ def test_symmetric_kinds(kind):
         assert np.abs(m - m.T).max() == 0.0
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
-def test_fast_matches_definitional_all_sizes(kind, rng):
-    # full 1..512 sweep per the module invariant
-    for s in range(1, 513):
-        x = rng.standard_normal(s)
-        fast = DttPlan(kind, s)
-        ref = dtt_matrix(kind, s)
-        for transposed in (False, True):
-            got = dtt_apply(fast, x, transposed)
-            want = (ref.T if transposed else ref) @ x
-            scale = max(1.0, np.abs(want).max())
-            assert np.abs(got - want).max() < 1e-12 * scale, (s, transposed)
+# the side of the basis-change factor whose blocks each family is
+SIDE = {Family.I: "circulant", Family.V: "circulant", Family.II: "skew", Family.VI: "skew"}
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
-def test_round_trip_and_norm(kind, rng):
-    for s in (1, 2, 5, 16, 33, 127, 256):
-        x = rng.standard_normal(s)
-        plan = DttPlan(kind, s)
-        y = dtt_apply(plan, x)
-        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12 * max(
-            1.0, np.linalg.norm(x))
-        back = dtt_apply(plan, y, transposed=True)
-        assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
+def test_factor_blocks_are_the_definitional_transforms(kind):
+    # each transform of size s is the cosine block, or the sine block read
+    # backwards (its J), of the factor at n = L, its DFT embedding length
+    for s in range(2, 41):
+        n = EMBED_LENGTH[kind](s)
+        side = SIDE[kind.family]
+        eye = np.eye(n)
+        B = np.column_stack([apply_block_transform(side, e) for e in eye])
+        Bt = np.column_stack([apply_block_transform(side, e, transposed=True) for e in eye])
+        assert np.abs(Bt - B.T).max() < 1e-12, s
+        hs = n - trig_transforms._sine_size(side, n)
+        block = B[:hs, :hs] if kind.flavor is Flavor.COSINE else B[hs:, hs:][::-1, ::-1]
+        assert block.shape == (s, s)
+        assert np.abs(block - dtt_matrix(kind, s)).max() < 1e-12, s
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 80), st.integers(0, 7), st.integers(0, 2 ** 31 - 1))
-def test_property_orthogonal_round_trip(size, kind_idx, seed):
-    kind = ALL_KINDS[kind_idx]
-    x = np.random.default_rng(seed).standard_normal(size)
-    plan = DttPlan(kind, size)
-    back = dtt_apply(plan, dtt_apply(plan, x), transposed=True)
-    assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
-
-
-def test_tally_counts_applications():
+def test_tally_counts_basis_changes():
+    # by (flavor, size), only inside the block; each basis change counts
+    # its DCT and its DST
     with counting() as used:
-        dtt_apply(DttPlan(DCT_II, 8), np.ones(8))
-        dtt_apply(DttPlan(DST_I, 5), np.ones(5))
-        dtt_apply(DttPlan(DST_I, 5), np.ones(5))
-    dtt_apply(DttPlan(DST_I, 5), np.ones(5))  # outside the block: not counted
-    assert used == {(Flavor.COSINE, 8): 1, (Flavor.SINE, 5): 2}
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
-def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
-    # each transform is one block of a basis change at n = L, one real
-    # DFT: one DFT of L/2 points for even L and of L points for odd L
-    lengths = []
-    dft_vector = trig_transforms.dft_vector
-
-    def recording(x):
-        lengths.append(len(x))
-        return dft_vector(x)
-
-    monkeypatch.setattr(trig_transforms, "dft_vector", recording)
-    for s in (*range(2, 40), 256, 257, 4096):
-        length = EMBED_LENGTH[kind](s)
-        want = length // 2 if length % 2 == 0 else length
-        plan = DttPlan(kind, s)
-        for transposed in (False, True):
-            lengths.clear()
-            dtt_apply(plan, rng.standard_normal(s), transposed)
-            assert lengths == [want], (s, transposed)
+        to_core("circulant", np.ones(8))
+        from_core("skew", np.ones(5))
+        from_core("skew", np.ones(5))
+    to_core("skew", np.ones(5))  # outside the block: not counted
+    assert used == {(Flavor.COSINE, 5): 1, (Flavor.SINE, 3): 1,
+                    (Flavor.COSINE, 3): 2, (Flavor.SINE, 2): 2}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 256, 257, 4000, 4096, 4097, 65536])
