@@ -235,6 +235,38 @@ def test_shifted_inverse_is_an_x_pattern(kind, rng):
         assert np.all(inverse.anti[inverse.partner == np.arange(n)] == 0.0)
 
 
+_PRODUCT = {"circulant": circulant_matvec, "skew": skew_circulant_matvec}
+
+
+@pytest.mark.parametrize("kind", ["circulant", "skew"])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 21, 64, 65, 256, 257])
+def test_shifted_inverse_round_trip(kind, n, rng):
+    # the inverse core's fast product undoes theta y + (the core's product)
+    build = {"circulant": CirculantOperator.from_circulant,
+             "skew": CirculantOperator.from_skew_circulant}[kind]
+    op = build(rng.standard_normal(n))
+    X = pattern(op)
+    theta = 5.0 + np.abs(X.diag + 1j * X.anti).max()
+    y = rng.standard_normal(n)
+    z = theta * y + _PRODUCT[kind](op, y)
+    back = _PRODUCT[kind](op._shifted_inverse(theta), z)
+    assert np.abs(back - y).max() < 1e-12 * max(1.0, np.abs(y).max())
+
+
+def test_shifted_inverse_scalar():
+    # (1 + 3)^-1 6
+    inverse = CirculantOperator.from_circulant([3.0])._shifted_inverse(1.0)
+    assert np.array_equal(circulant_matvec(inverse, [6.0]), [1.5])
+
+
+def test_shifted_inverse_pair():
+    # the skew-circulant [[2, 3], [-3, 2]]: theta I + S = [[3, 3], [-3, 3]]
+    # at theta = 1, whose inverse maps (1, 0) to (1/6, 1/6)
+    inverse = CirculantOperator.from_skew_circulant([2.0, -3.0])._shifted_inverse(1.0)
+    assert np.allclose(skew_circulant_matvec(inverse, [1.0, 0.0]), [1 / 6, 1 / 6],
+                       atol=1e-15)
+
+
 def test_shifted_inverse_singular_names_index():
     # eigenvalues 1, 2, 2: theta = -1 cancels the first
     op = CirculantOperator.from_circulant([5 / 3, -1 / 3, -1 / 3])

@@ -87,6 +87,10 @@ _ONES = np.ones(N)
 _NOT_AN_OPERATOR = {"non-number": "x", "bool": True, "none": None, "vector": _ONES}
 # what a Toeplitz-matrix argument T must not take
 _NOT_BANDS = {**_NOT_AN_OPERATOR, "circulant": CirculantCol(N, _ONES), "operator": _OP}
+# what a name argument (a side, a pairing, an example, a backend) must not
+# take: it is matched exactly, never by case, bytes or an enum's value
+_NOT_A_SIDE = {**_NOT_AN_OPERATOR, "toeplitz": "toeplitz", "case": "Skew", "bytes": b"skew",
+               "enum": Family.I}
 
 
 def _solve(b=_ONES, **cfg):
@@ -113,6 +117,8 @@ ROWS = {
         ("n", _SIZE, lambda v: ProblemSpec("ex3", v), False),
         ("p of ex1", _POSITIVE, lambda v: ProblemSpec("ex1", N, v), False),
         ("p of ex3", _NUMBER, lambda v: ProblemSpec("ex3", N, v), False),
+        ("example", {**_NOT_AN_OPERATOR, "unknown": "ex4", "case": "EX3", "bytes": b"ex3",
+                     "enum": Family.I}, lambda v: ProblemSpec(v, N), False),
     ],
     "VectorFormatError": "an exception type",
     "gen_coeffs": [
@@ -130,6 +136,8 @@ ROWS = {
         ("theta", _POSITIVE, lambda v: SolverConfig(theta=v), False),
         ("tol", _POSITIVE, lambda v: SolverConfig(theta=1.0, tol=v), False),
         ("max_iters", _SIZE, lambda v: SolverConfig(theta=1.0, max_iters=v), False),
+        ("backend", {**_NOT_A_SIDE, "unknown": "numpy", "case": "FFT", "bytes": b"fft"},
+         lambda v: SolverConfig(theta=1.0, backend=v), False),
         # the length of x0 is known only to the solve; the rest is checked when built
         ("x0", _vectors(owned=True), lambda v: _solve(x0=v), False),
         ("x0 when built", _vectors(owned=True, any_length=True),
@@ -193,26 +201,34 @@ ROWS = {
          False),
         ("betas", _vectors(3, owned=True), lambda v: SpectralPair(np.ones(3), v, "skew"),
          False),
-        ("kind", {"toeplitz": "toeplitz", "bool": True, "none": None},
-         lambda v: SpectralPair(np.ones(4), np.ones(2), v), False)],
+        ("kind", _NOT_A_SIDE, lambda v: SpectralPair(np.ones(4), np.ones(2), v), False)],
     "XPattern": [
         ("n", _SIZE, lambda v: XPattern(v, "circulant", np.ones(N), np.zeros(N)), False),
+        ("pairing", _NOT_A_SIDE, lambda v: XPattern(N, v, np.ones(N), np.zeros(N)), False),
         ("diag", _vectors(owned=True), lambda v: XPattern(N, "circulant", v, np.zeros(N)),
          False),
         ("anti", _vectors(owned=True), lambda v: XPattern(N, "circulant", np.ones(N), v),
          False),
     ],
     "apply_block_transform": [
+        ("side", _NOT_A_SIDE, lambda v: apply_block_transform(v, _ONES), False),
         ("x", _vectors(any_length=True), lambda v: apply_block_transform("skew", v), True),
         ("transposed", _FLAG, lambda v: apply_block_transform("skew", _ONES, v), False)],
     "apply_q": [("x", _vectors(any_length=True), apply_q, True),
                 ("transposed", _FLAG, lambda v: apply_q(_ONES, v), False)],
-    "dense_u_oracle": [("n", _SIZE, lambda v: dense_u_oracle("circulant", v), False)],
-    "from_core": [("y", _vectors(any_length=True), lambda v: from_core("circulant", v), True)],
+    "dense_u_oracle": [
+        ("kind", _NOT_A_SIDE, lambda v: dense_u_oracle(v, N), False),
+        ("n", _SIZE, lambda v: dense_u_oracle("circulant", v), False)],
+    "from_core": [
+        ("side", _NOT_A_SIDE, lambda v: from_core(v, _ONES), False),
+        ("y", _vectors(any_length=True), lambda v: from_core("circulant", v), True)],
     "real_spectrum": [
+        ("kind", _NOT_A_SIDE, lambda v: real_spectrum(v, _ONES), False),
         ("col", _vectors(owned=True, any_length=True), lambda v: real_spectrum("skew", v),
          False)],
-    "to_core": [("x", _vectors(any_length=True), lambda v: to_core("skew", v), True)],
+    "to_core": [
+        ("side", _NOT_A_SIDE, lambda v: to_core(v, _ONES), False),
+        ("x", _vectors(any_length=True), lambda v: to_core("skew", v), True)],
     # structured_matrices
     "CirculantCol": [
         ("n", _SIZE, lambda v: CirculantCol(v, _ONES), False),

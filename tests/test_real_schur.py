@@ -5,6 +5,8 @@ eigenvector construction), dense congruences, and numpy's dense complex
 eigensolver for eigenvalue multisets.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,32 @@ def test_per_size_caches_stay_bounded():
 
 
 # ---------------------------------------------------------------- X-pattern
+
+def test_xpattern_dense_zero_pattern():
+    X = XPattern(3, "circulant", np.zeros(3), np.zeros(3))
+    assert np.array_equal(X.dense(), np.zeros((3, 3)))
+
+
+def test_xpattern_dense_single_pair():
+    X = XPattern(2, "skew", np.array([2.0, 2.0]), np.array([3.0, -3.0]))
+    assert np.array_equal(X.dense(), [[2.0, 3.0], [-3.0, 2.0]])
+
+
+def test_xpattern_dense_is_the_cross(rng):
+    # diag on the diagonal, anti at each entry's partner, zeros elsewhere
+    for n, pairing in itertools.product(range(1, 41), ("circulant", "skew")):
+        j = np.arange(n)
+        partner = n - 1 - j if pairing == "skew" else (n - j) % n
+        diag = rng.standard_normal(n)
+        anti = rng.standard_normal(n)
+        diag = (diag + diag[partner]) / 2
+        anti = (anti - anti[partner]) / 2
+        want = np.zeros((n, n))
+        for row in range(n):
+            want[row, row] += diag[row]
+            want[row, partner[row]] += anti[row]
+        assert np.array_equal(XPattern(n, pairing, diag, anti).dense(), want), (n, pairing)
+
 
 @pytest.mark.parametrize("pairing", ["circulant", "skew"])
 def test_xpattern_partner_is_the_pairing_reflection(pairing):

@@ -1,10 +1,13 @@
-"""Transform kernels: definitional matrices, the factor blocks they are, orthogonality."""
+"""Transform kernels: definitional matrices, the factor blocks they are, orthogonality,
+and the one real DFT each basis change runs."""
 
 import importlib
 import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cscskit
 from cscskit import _dft, trig_transforms
@@ -93,6 +96,51 @@ def test_factor_blocks_are_the_definitional_transforms(kind):
         block = B[:hs, :hs] if kind.flavor is Flavor.COSINE else B[hs:, hs:][::-1, ::-1]
         assert block.shape == (s, s)
         assert np.abs(block - dtt_matrix(kind, s)).max() < 1e-12, s
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_round_trip_and_norm(kind, rng):
+    # the factor whose block the kind is, at its embedding length, keeps
+    # the norm and its transpose undoes it
+    side = SIDE[kind.family]
+    for s in (2, 5, 16, 33, 127, 256):
+        x = rng.standard_normal(EMBED_LENGTH[kind](s))
+        y = apply_block_transform(side, x)
+        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12 * max(
+            1.0, np.linalg.norm(x))
+        back = apply_block_transform(side, y, transposed=True)
+        assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 160), st.sampled_from(["circulant", "skew"]),
+       st.integers(0, 2 ** 31 - 1))
+def test_property_orthogonal_round_trip(n, side, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    back = apply_block_transform(side, apply_block_transform(side, x), transposed=True)
+    assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_one_dft_of_half_the_even_embedding_length(kind, monkeypatch, rng):
+    # each transform is one block of a basis change at n = L, one real
+    # DFT: one DFT of L/2 points for even L and of L points for odd L
+    lengths = []
+    dft_vector = trig_transforms.dft_vector
+
+    def recording(x):
+        lengths.append(len(x))
+        return dft_vector(x)
+
+    monkeypatch.setattr(trig_transforms, "dft_vector", recording)
+    side = SIDE[kind.family]
+    for s in (*range(2, 40), 256, 257, 4096):
+        length = EMBED_LENGTH[kind](s)
+        want = length // 2 if length % 2 == 0 else length
+        for transposed in (False, True):
+            lengths.clear()
+            apply_block_transform(side, rng.standard_normal(length), transposed)
+            assert lengths == [want], (s, transposed)
 
 
 def test_tally_counts_basis_changes():
